@@ -82,27 +82,29 @@ def cumquad0(y, x):
     return out
 
 
-def fd_weights(x, x0, m):
-    """Fornberg weights for derivatives 0..m at x0 from nodes x.
+def _fornberg(X, x0, m):
+    """Fornberg weights for derivatives 0..m, one stencil per row.
 
-    Returns an array of shape (m+1, len(x)); row k gives the k-th
-    derivative weights. Standard recursion, exact for polynomials of
-    degree len(x)-1.
+    X: (P, s) stencil nodes, x0: (P,) evaluation points.  Returns c of
+    shape (m+1, s, P): c[k, j, p] weights X[p, j] in the k-th derivative
+    at x0[p].  The recursion of Fornberg (1988) with every scalar replaced
+    by a length-P array: it runs once for all rows, and as every operation
+    is elementwise, each row is bit for bit what the scalar recursion
+    gives for that stencil alone.
     """
-    x = np.asarray(x, dtype=float)
-    n = x.size
-    c = np.zeros((m + 1, n))
-    c1 = 1.0
-    c4 = x[0] - x0
+    P, n = X.shape
+    c = np.zeros((m + 1, n, P))
+    c1 = np.ones(P)
+    c4 = X[:, 0] - x0
     c[0, 0] = 1.0
     for i in range(1, n):
         mn = min(i, m)
-        c2 = 1.0
+        c2 = np.ones(P)
         c5 = c4
-        c4 = x[i] - x0
+        c4 = X[:, i] - x0
         for j in range(i):
-            c3 = x[i] - x[j]
-            c2 *= c3
+            c3 = X[:, i] - X[:, j]
+            c2 = c2 * c3
             if j == i - 1:
                 for k in range(mn, 0, -1):
                     c[k, i] = c1 * (k * c[k - 1, i - 1] - c5 * c[k, i - 1]) / c2
@@ -114,6 +116,34 @@ def fd_weights(x, x0, m):
     return c
 
 
+def fd_weights(x, x0, m):
+    """Fornberg weights for derivatives 0..m at x0 from nodes x.
+
+    Returns an array of shape (m+1, len(x)); row k gives the k-th
+    derivative weights. Standard recursion, exact for polynomials of
+    degree len(x)-1.
+    """
+    x = np.asarray(x, dtype=float)
+    return _fornberg(x[None, :], np.array([float(x0)]), m)[:, :, 0]
+
+
+def stencil_weights(x, order, stencil=5):
+    """Sliding-stencil weights for the order-th derivative at every node.
+
+    Returns (W, lo): W is (N, s) and row i weights y[lo[i]:lo[i]+s], the
+    window of s nodes centred on i where the grid allows, else pushed
+    inward at the ends.
+    """
+    x = np.asarray(x, dtype=float)
+    n = x.size
+    stencil = min(stencil, n)
+    if stencil <= order:
+        raise GridError("stencil too small for requested derivative order")
+    lo = np.clip(np.arange(n) - stencil // 2, 0, n - stencil)
+    X = x[lo[:, None] + np.arange(stencil)]
+    return _fornberg(X, x, order)[order].T, lo
+
+
 def derivative_nonuniform(x, y, order=1, stencil=5):
     """order-th derivative of samples y(x) at every node, nonuniform grid.
 
@@ -121,19 +151,24 @@ def derivative_nonuniform(x, y, order=1, stencil=5):
     for the first derivative on smooth grids). y may be complex or an
     (N, k) array of columns.
     """
-    x = np.asarray(x, dtype=float)
+    W, lo = stencil_weights(x, order, stencil)
     y = np.asarray(y)
-    n = x.size
-    stencil = min(stencil, n)
-    if stencil <= order:
-        raise GridError("stencil too small for requested derivative order")
-    out = np.zeros(y.shape, dtype=np.result_type(y.dtype, float))
-    half = stencil // 2
-    for i in range(n):
-        lo = min(max(i - half, 0), n - stencil)
-        w = fd_weights(x[lo:lo + stencil], x[i], order)[order]
-        out[i] = np.tensordot(w, y[lo:lo + stencil], axes=(0, 0))
+    W = W.reshape(W.shape + (1,) * (y.ndim - 1))
+    out = W[:, 0] * y[lo]
+    for j in range(1, W.shape[1]):
+        out = out + W[:, j] * y[lo + j]
     return out
+
+
+def weighted_norms(res, r, n):
+    """(L2, Linf) of a residual on the nodes r, L2 with the r^{2n-1} dr weight.
+
+    res is (N,) or (N, k), real or complex; its pointwise magnitude sums
+    |res|^2 over the trailing axes, and the L2 integral is a trapezoid.
+    """
+    mag2 = np.sum(np.abs(res) ** 2, axis=tuple(range(1, np.ndim(res))))
+    l2 = float(np.sqrt(np.trapezoid(mag2 * r ** (2 * n - 1), r)))
+    return l2, float(np.sqrt(np.max(mag2)))
 
 
 def hermite_eval(xq, x, y, d):

@@ -30,6 +30,11 @@ class StiffnessError(GLLFlowError):
         self.partial = partial
 
 
+class NonFiniteError(StiffnessError):
+    """The step size underflowed because the right-hand side (or the error
+    estimate) turned non-finite; carries the last good state."""
+
+
 class InstabilityError(GLLFlowError):
     """Explicit time stepping went unstable; carries diagnostics."""
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ._numerics import check_grid, derivative_nonuniform
+from ._numerics import check_grid, derivative_nonuniform, weighted_norms
 from .errors import DomainError, GridError, InstabilityError
 from .geometry import (E3, FlowParams, RadialProfile, energy, gll_rhs_arr,
                        tangent_project_arr)
@@ -105,10 +105,6 @@ class Trajectory:
     @property
     def times(self):
         return np.array([f.t for f in self.frames])
-
-    @property
-    def store_dt(self):
-        return self.frames[1].t - self.frames[0].t if len(self.frames) > 1 else self.dt
 
 
 class _SpatialOperator:
@@ -210,16 +206,6 @@ class ResidualReport:
         return float(np.max(self.linf))
 
 
-def _weighted_norms(res, r, n, margin):
-    sl = slice(margin, r.size - margin)
-    rr = r[sl]
-    mag2 = np.sum(res[sl] ** 2, axis=1)
-    w = rr ** (2 * n - 1)
-    l2 = float(np.sqrt(np.trapezoid(mag2 * w, rr)))
-    linf = float(np.sqrt(np.max(mag2)))
-    return l2, linf
-
-
 def residual(trajectory: Trajectory, params: FlowParams | None = None,
              margin: int = 3) -> ResidualReport:
     """Centered-in-time u_t minus the flow velocity, on the stored frames.
@@ -233,7 +219,7 @@ def residual(trajectory: Trajectory, params: FlowParams | None = None,
     if len(frames) < 3:
         raise DomainError("residual needs at least 3 stored frames")
     r = trajectory.r
-    n = params.n
+    sl = slice(margin, r.size - margin)
     times, l2s, linfs = [], [], []
     for k in range(1, len(frames) - 1):
         dt2 = frames[k + 1].t - frames[k - 1].t
@@ -244,7 +230,7 @@ def residual(trajectory: Trajectory, params: FlowParams | None = None,
         rhs = np.zeros_like(u)
         rhs[1:] = gll_rhs_arr(u[1:], ur[1:], urr[1:], r[1:], params)
         res = u_t - rhs
-        l2, linf = _weighted_norms(res, r, n, margin)
+        l2, linf = weighted_norms(res[sl], r[sl], params.n)
         times.append(frames[k].t)
         l2s.append(l2)
         linfs.append(linf)
@@ -314,12 +300,7 @@ def selfsim_consistency(profile: SelfSimProfile, t: float, params: FlowParams,
     sl = slice(max(margin, 1), rho.size - margin)
     u_t = -(rho[sl] / (2.0 * t))[:, None] * dpsi[sl]
     rhs = gll_rhs_arr(psi[sl], dpsi[sl], ddpsi[sl], rho[sl], params) / t
-    res = u_t - rhs
-    rr = rho[sl]
-    mag2 = np.sum(res**2, axis=1)
-    l2 = float(np.sqrt(np.trapezoid(mag2 * rr ** (2 * params.n - 1), rr)))
-    linf = float(np.sqrt(np.max(mag2)))
-    return l2, linf
+    return weighted_norms(u_t - rhs, rho[sl], params.n)
 
 
 # ---------------------------------------------------------------------------

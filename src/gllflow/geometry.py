@@ -175,21 +175,6 @@ def stereo_lift_differential(f, w):
     return np.stack([du1, du2, du3], axis=-1)
 
 
-def stereo_project_differential(u, du):
-    """Push a sphere velocity du forward through stereo_project at u.
-
-    u, du: arrays (..., 3); returns the complex chart velocity.
-    """
-    u = np.asarray(u, dtype=float)
-    du = np.asarray(du, dtype=float)
-    one_p = 1.0 + u[..., 2]
-    if np.any(one_p < POLE_TOL):
-        raise PoleSingularityError("projection differential at the south pole")
-    w = (du[..., 0] + 1j * du[..., 1]) / one_p
-    w -= (u[..., 0] + 1j * u[..., 1]) * du[..., 2] / one_p**2
-    return w
-
-
 # ---------------------------------------------------------------------------
 # projective geometry
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._numerics import cumquad0, derivative_nonuniform
+from ._numerics import cumquad0, derivative_nonuniform, weighted_norms
 from .errors import DomainError
 from .geometry import E3, FlowParams
 
@@ -53,8 +53,10 @@ def transport_frame(r, u, e_seed) -> Frame:
 
     Realizes D_r e = 0 by the exact rotation that maps u_i to u_{i+1}
     about u_i x u_{i+1} (parallel transport along the connecting geodesic,
-    second-order accurate in the node spacing), followed by projection;
-    the frame is orthonormal to machine precision by construction.
+    second-order accurate in the node spacing).  The segment rotations are
+    composed by a parallel-prefix product (ceil(log2 N) batched matmuls)
+    and each transported vector is projected onto T_{u_i} and normalized,
+    so the frame is orthonormal to machine precision by construction.
     """
     u = np.asarray(u, float)
     e_seed = np.asarray(e_seed, float)
@@ -62,22 +64,29 @@ def transport_frame(r, u, e_seed) -> Frame:
         raise DomainError("e_seed must be a unit vector tangent at the north pole")
     if np.linalg.norm(u[0] - E3) > 1e-9:
         raise DomainError("the curve must start at the north pole")
-    N = u.shape[0]
-    e = np.empty_like(u)
-    e[0] = e_seed
-    for i in range(1, N):
-        a, b = u[i - 1], u[i]
-        axis = np.cross(a, b)
-        s = np.linalg.norm(axis)
-        c = float(a @ b)
-        v = e[i - 1]
-        if s < 1e-15:
-            w = v
-        else:
-            k = axis / s
-            w = v * c + np.cross(k, v) * s + k * (k @ v) * (1.0 - c)
-        w = w - (w @ b) * b
-        e[i] = w / np.linalg.norm(w)
+    a, b = u[:-1], u[1:]
+    axis = np.cross(a, b)
+    s = np.linalg.norm(axis, axis=1)
+    c = np.sum(a * b, axis=1)
+    # Rodrigues matrices c I + s [k]_x + (1 - c) k k^T, k = axis / s; the
+    # identity where the segment has no well-defined axis
+    flat = s < 1e-15
+    k = axis / np.where(flat, 1.0, s)[:, None]
+    cross = np.zeros((s.size, 3, 3))
+    cross[:, 0, 1], cross[:, 0, 2], cross[:, 1, 2] = -k[:, 2], k[:, 1], -k[:, 0]
+    cross[:, 1, 0], cross[:, 2, 0], cross[:, 2, 1] = k[:, 2], -k[:, 1], k[:, 0]
+    R = (c[:, None, None] * np.eye(3) + s[:, None, None] * cross
+         + (1.0 - c)[:, None, None] * k[:, :, None] * k[:, None, :])
+    R[flat] = np.eye(3)
+    # Hillis-Steele prefix products: after the pass with stride d, R[i]
+    # holds the product of the min(i+1, 2d) rotations ending at segment i
+    d = 1
+    while d < R.shape[0]:
+        R[d:] = R[d:] @ R[:-d]
+        d *= 2
+    w = R @ e_seed
+    w -= np.sum(w * b, axis=1)[:, None] * b
+    e = np.concatenate([e_seed[None, :], w / np.linalg.norm(w, axis=1)[:, None]])
     return Frame(np.asarray(r, float), e, np.cross(u, e))
 
 
@@ -139,14 +148,6 @@ def gauge_rate(qfield: QField, params: FlowParams):
     return -np.imag(p * np.conj(qfield.q))
 
 
-def _weighted_norms_complex(res, r, n, margin):
-    sl = slice(margin, r.size - margin)
-    rr = r[sl]
-    mag2 = np.abs(res[sl]) ** 2
-    l2 = float(np.sqrt(np.trapezoid(mag2 * rr ** (2 * n - 1), rr)))
-    return l2, float(np.sqrt(np.max(mag2)))
-
-
 def ip_residual(u_t, frame: Frame, qfield: QField, params: FlowParams, margin: int = 3):
     """Residual of the first-order identity p = (alpha + i beta) V.
 
@@ -158,7 +159,8 @@ def ip_residual(u_t, frame: Frame, qfield: QField, params: FlowParams, margin: i
     p = np.sum(u_t * frame.e, axis=1) + 1j * np.sum(u_t * frame.je, axis=1)
     V, _, _ = _tension_coordinates(qfield.r, qfield.q, qfield.u3, params.n)
     res = p - (params.alpha + 1j * params.beta) * V
-    return _weighted_norms_complex(res, qfield.r, params.n, margin)
+    sl = slice(margin, qfield.r.size - margin)
+    return weighted_norms(res[sl], qfield.r[sl], params.n)
 
 
 def _default_seed():
@@ -189,6 +191,7 @@ def qpde_residual(trajectory, params: FlowParams, e_seed=None, margin: int = 4):
         raise DomainError("q-PDE residual needs at least 3 stored frames")
     e_seed = _default_seed() if e_seed is None else np.asarray(e_seed, float)
     r = trajectory.r
+    sl = slice(margin, r.size - margin)
     qfields = []
     for f in frames:
         fr = transport_frame(r, f.u, e_seed)
@@ -201,7 +204,7 @@ def qpde_residual(trajectory, params: FlowParams, e_seed=None, margin: int = 4):
         V, _, _ = _tension_coordinates(r, qf.q, qf.u3, params.n)
         V_r = derivative_nonuniform(r, V, order=1, stencil=5)
         res = q_t - (params.alpha + 1j * params.beta) * V_r + 1j * qf.alpha_g * qf.q
-        l2, linf = _weighted_norms_complex(res, r, params.n, margin)
+        l2, linf = weighted_norms(res[sl], r[sl], params.n)
         times.append(frames[k].t)
         l2s.append(l2)
         linfs.append(linf)

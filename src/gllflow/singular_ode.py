@@ -15,13 +15,14 @@ The stepper is deterministic: identical inputs give bit-identical grids.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from ._numerics import check_grid, hermite_eval, trapezoid
-from .errors import DomainError, GridError, StiffnessError
+from .errors import DomainError, GridError, NonFiniteError, StiffnessError
 
 # Dormand-Prince 5(4) tableau; the 5th-order solution is propagated and the
 # embedded 4th-order difference drives step control.
@@ -84,14 +85,23 @@ def integrate_rk(fun: Callable, r0: float, y0: np.ndarray, r_max: float,
     fs = [f.copy()]
     K = np.empty((7,) + y.shape, dtype=y.dtype)
     nsteps = 0
+    nonfinite = None  # (r, h, first non-finite stage) of the last rejected attempt
     while r < r_max:
         if nsteps > max_steps:
             raise StiffnessError("step budget exhausted", r_last=r,
                                  partial=(np.array(rs), np.array(ys), np.array(fs)))
         h = min(h, r_max - r)
         if h < 1e-14 * max(abs(r), 1.0):
+            partial = (np.array(rs), np.array(ys), np.array(fs))
+            if nonfinite is not None and nonfinite[0] == r:
+                _, h_bad, stage = nonfinite
+                where = ("error estimate overflowed" if stage is None else
+                         f"stage {stage} at r={float(r + _DP_C[stage] * h_bad)!r}")
+                raise NonFiniteError(
+                    f"non-finite step from r={r!r} with h={h_bad!r} ({where}); "
+                    f"state {y!r}", r_last=r, partial=partial)
             raise StiffnessError("step size underflow (stiffness/blowup)", r_last=r,
-                                 partial=(np.array(rs), np.array(ys), np.array(fs)))
+                                 partial=partial)
         K[0] = f
         for i in range(1, 7):
             yi = y + h * sum(_DP_A[i][j] * K[j] for j in range(i))
@@ -105,7 +115,7 @@ def integrate_rk(fun: Callable, r0: float, y0: np.ndarray, r_max: float,
                 y_new = postprocess(r, y_new)
                 f = fun(r, y_new)
             else:
-                f = K[6]  # FSAL
+                f = K[6].copy()  # FSAL; a view would be overwritten by the next attempt
             y = y_new
             rs.append(r)
             ys.append(y.copy())
@@ -114,6 +124,10 @@ def integrate_rk(fun: Callable, r0: float, y0: np.ndarray, r_max: float,
             factor = 5.0 if enorm == 0.0 else min(5.0, 0.9 * enorm ** -0.2)
             h = min(h * factor, max_step)
         else:
+            # a NaN/inf error norm is rejected like a large one (max() below
+            # returns 0.2); remember it so the underflow it ends in says so
+            nonfinite = None if math.isfinite(enorm) else (
+                r, h, next((i for i in range(7) if not np.all(np.isfinite(K[i]))), None))
             h *= max(0.2, 0.9 * enorm ** -0.2)
     return np.array(rs), np.array(ys), np.array(fs)
 

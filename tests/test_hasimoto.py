@@ -23,6 +23,27 @@ def _harmonic_data(r, v=(1.0, 0.0)):
     return u, u_r
 
 
+def _sequential_transport(u, e_seed):
+    """Node-by-node transport, one Rodrigues rotation and projection per
+    segment: the reference for the parallel-prefix transport."""
+    e = np.empty_like(u)
+    e[0] = e_seed
+    for i in range(1, u.shape[0]):
+        a, b = u[i - 1], u[i]
+        axis = np.cross(a, b)
+        s = np.linalg.norm(axis)
+        c = float(a @ b)
+        v = e[i - 1]
+        if s < 1e-15:
+            w = v
+        else:
+            k = axis / s
+            w = v * c + np.cross(k, v) * s + k * (k @ v) * (1.0 - c)
+        w = w - (w @ b) * b
+        e[i] = w / np.linalg.norm(w)
+    return e
+
+
 def _schrodinger_trajectory(N, r_max=8.0, steps=40, store_every=10):
     r = make_grid(r_max, N)
     f0 = 0.25 * r * np.exp(-(r**2))
@@ -37,6 +58,28 @@ class TestTransport:
         u = np.tile(E3, (50, 1))
         fr = transport_frame(r, u, SEED)
         assert np.array_equal(fr.e, np.tile(SEED, (50, 1)))
+
+    def test_matches_sequential_transport_near_south_pole(self):
+        # non-planar spiral whose colatitude climbs to within 1e-5 pi of the
+        # south pole, so e and the per-segment axes sweep every direction
+        for N in (401, 1000):
+            r = np.linspace(0.0, 10.0, N)
+            theta = np.pi * (1.0 - 1e-5) * (r / 10.0) ** 1.3
+            phi = 3.0 * r + 0.2 * np.sin(2.0 * r)
+            u = np.stack([np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi),
+                          np.cos(theta)], axis=1)
+            assert u[-1, 2] < -0.99999
+            seed = np.array([np.cos(0.4), np.sin(0.4), 0.0])
+            fr = transport_frame(r, u, seed).validate(u)
+            assert np.max(np.abs(fr.e - _sequential_transport(u, seed))) <= 1e-13
+            assert np.array_equal(fr.je, np.cross(u, fr.e))
+
+    def test_matches_sequential_transport_on_flat_segments(self):
+        # constant e3: every segment takes the identity (s < 1e-15) path
+        u = np.tile(E3, (333, 1))
+        seed = np.array([0.6, -0.8, 0.0])
+        fr = transport_frame(np.linspace(0.0, 3.0, 333), u, seed).validate(u)
+        assert np.array_equal(fr.e, _sequential_transport(u, seed))
 
     def test_invariants_on_harmonic_data(self):
         r = np.linspace(0.0, 10.0, 1501)

@@ -1,0 +1,93 @@
+import numpy as np
+import pytest
+
+from gllflow._numerics import (derivative_nonuniform, fd_weights, stencil_weights,
+                               weighted_norms)
+from gllflow.errors import GridError
+
+
+def _graded(N, r_max=12.0):
+    return r_max * np.linspace(0.0, 1.0, N) ** 1.7
+
+
+def _per_node_derivative(x, y, order, stencil=5):
+    """One scalar Fornberg recursion per node: the reference for the batched
+    stencils."""
+    n = x.size
+    out = np.zeros(y.shape, dtype=np.result_type(y.dtype, float))
+    half = stencil // 2
+    for i in range(n):
+        lo = min(max(i - half, 0), n - stencil)
+        w = fd_weights(x[lo:lo + stencil], x[i], order)[order]
+        out[i] = np.tensordot(w, y[lo:lo + stencil], axes=(0, 0))
+    return out
+
+
+class TestStencils:
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_batched_weights_equal_per_node_recursion(self, order):
+        x = _graded(401)
+        W, lo = stencil_weights(x, order)
+        assert W.shape == (401, 5)
+        assert lo[0] == 0 and lo[-1] == 401 - 5 and lo[200] == 198
+        for i in range(x.size):
+            ref = fd_weights(x[lo[i]:lo[i] + 5], x[i], order)[order]
+            assert np.array_equal(W[i], ref), i
+
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_derivative_matches_per_node_loop(self, order, rng):
+        # the two sum the same five products in a different order, so they
+        # agree to rounding relative to sum_j |W_ij y_j|, which carries the
+        # 1/h^order cancellation near the graded origin
+        x = _graded(401)
+        W, lo = stencil_weights(x, order)
+        window = lo[:, None] + np.arange(5)
+        real = np.stack([np.sin(x), np.cos(2 * x), np.exp(-0.3 * x)], axis=1)
+        real = real + 1e-3 * rng.normal(size=real.shape)
+        cplx = x * np.exp(1j * x) + 1e-3 * (rng.normal(size=x.size)
+                                            + 1j * rng.normal(size=x.size))
+        for y in (real, cplx):
+            got = derivative_nonuniform(x, y, order=order)
+            ref = _per_node_derivative(x, y, order)
+            assert got.shape == y.shape and got.dtype == ref.dtype
+            scale = np.einsum("ij,ij...->i...", np.abs(W), np.abs(y[window]))
+            assert np.max(np.abs(got - ref) / scale) <= 1e-14
+
+    @pytest.mark.parametrize("order,expected", [(1, 3.9), (2, 2.9)])
+    def test_convergence_order_on_graded_grid(self, order, expected):
+        f = lambda x: np.sin(x) * np.exp(-0.1 * x)
+        exact = {
+            1: lambda x: (np.cos(x) - 0.1 * np.sin(x)) * np.exp(-0.1 * x),
+            2: lambda x: (-0.99 * np.sin(x) - 0.2 * np.cos(x)) * np.exp(-0.1 * x),
+        }[order]
+        errs = []
+        for N in (201, 401, 801):
+            x = _graded(N)
+            errs.append(np.max(np.abs(derivative_nonuniform(x, f(x), order=order) - exact(x))))
+        orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
+        assert np.all(orders >= expected), orders
+
+    def test_short_grid_and_too_small_stencil(self):
+        x = np.array([0.0, 0.5, 1.5])
+        # three nodes: the stencil shrinks to the grid and is exact on quadratics
+        assert np.allclose(derivative_nonuniform(x, x**2), 2 * x, atol=1e-13)
+        with pytest.raises(GridError):
+            derivative_nonuniform(x[:2], x[:2], order=2)
+
+    def test_scalar_fd_weights(self):
+        w = fd_weights([-1.0, 0.0, 1.0], 0.0, 2)
+        assert np.allclose(w, [[0, 1, 0], [-0.5, 0, 0.5], [1, -2, 1]], atol=1e-15)
+
+
+class TestWeightedNorms:
+    def test_matches_the_per_module_formulas(self, rng):
+        # the formulas the helper replaced, for real (N, 3) and complex (N,)
+        rr = np.sort(rng.uniform(0.1, 5.0, 60))
+        res = rng.normal(size=(60, 3))
+        mag2 = np.sum(res**2, axis=1)
+        expected = (float(np.sqrt(np.trapezoid(mag2 * rr**3, rr))), float(np.sqrt(np.max(mag2))))
+        assert weighted_norms(res, rr, 2) == expected
+        z = rng.normal(size=60) + 1j * rng.normal(size=60)
+        mag2 = np.abs(z) ** 2
+        expected = (float(np.sqrt(np.trapezoid(mag2 * rr**5, rr))), float(np.sqrt(np.max(mag2))))
+        assert weighted_norms(z, rr, 3) == expected

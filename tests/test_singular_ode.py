@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
-from scipy.integrate import quad
+from scipy.integrate import quad, solve_ivp
 
-from gllflow.errors import DomainError, StiffnessError
+from gllflow.errors import DomainError, NonFiniteError, StiffnessError
 from gllflow.realflow import real_selfsim_ivp
 from gllflow.singular_ode import (ProfileGrid, SingularIVP, hardy_check,
                                   hardy_ratio_raw, integrate_adaptive, integrate_rk,
@@ -92,6 +92,18 @@ class TestIntegrateAdaptive:
         e1, e2 = err(1e-6), err(5e-7)
         assert e2 <= e1 / 2.0
 
+    def test_tolerance_met_after_rejected_steps(self):
+        # a drift profile with rejected steps, against scipy DOP853 at rtol
+        # 1e-13: every node within the requested relative tolerance
+        ivp = real_selfsim_ivp(1.0, 3)
+        grid = integrate_adaptive(ivp, 10.0, rel_tol=1e-8)
+        f0, fp0 = series_start(ivp, grid.r[0])
+        fun = ivp.rhs()
+        ref = solve_ivp(lambda r, y: fun(r, y.astype(complex)).real, (grid.r[0], 10.0),
+                        [f0.real, fp0.real], method="DOP853", rtol=1e-13, atol=1e-15,
+                        t_eval=grid.r).y[0]
+        assert np.max(np.abs(grid.f.real - ref) / (1e-14 + 1e-8 * np.abs(ref))) <= 1.0
+
     def test_deterministic(self):
         ivp = real_selfsim_ivp(1.0, 2)
         g1 = integrate_adaptive(ivp, 8.0, rel_tol=1e-9)
@@ -108,6 +120,23 @@ class TestIntegrateAdaptive:
             integrate_adaptive(ivp, 50.0, rel_tol=1e-8)
         assert exc.value.r_last is not None
         assert exc.value.partial is not None
+
+    def test_nan_rhs_is_named_non_finite(self, rng):
+        # a seeded linear system whose rhs turns NaN past r = 0.5
+        A = rng.normal(size=(3, 3))
+
+        def fun(r, y):
+            return np.full(3, np.nan) if r > 0.5 else A @ y
+
+        with pytest.raises(NonFiniteError) as exc:
+            integrate_rk(fun, 0.1, rng.normal(size=3), 2.0, rel_tol=1e-8)
+        assert isinstance(exc.value, StiffnessError)
+        assert "non-finite" in str(exc.value) and "stage" in str(exc.value)
+        rs, ys, fs = exc.value.partial
+        # the last accepted node sits at the NaN edge: a NaN from a rejected
+        # attempt does not leak into the stages of the next one
+        assert 0.5 - 1e-9 <= exc.value.r_last == rs[-1] <= 0.5
+        assert np.all(np.isfinite(ys)) and np.all(np.isfinite(fs))
 
     def test_second_derivative_vanishes_at_origin(self):
         for ivp in (real_selfsim_ivp(1.0, 2), real_selfsim_ivp(0.5, 3)):
