@@ -59,7 +59,9 @@ def sphere_profile_rhs(params: FlowParams):
     c_n2 = 2 * n - 2
 
     def fun(r, y):
-        p1, p2, p3, d1, d2, d3 = y
+        # Python floats do the same float64 operations as numpy scalars, in
+        # the same order, at a fraction of the per-operation cost
+        p1, p2, p3, d1, d2, d3 = y.tolist()
         dd = d1 * d1 + d2 * d2 + d3 * d3
         c1 = c_n1 / r
         c2 = (c_n2 + p3) / (r * r)
@@ -197,28 +199,27 @@ def apriori_identity_residual(profile: SelfSimProfile, n: int | None = None,
     n = profile.params.n if n is None else n
     alpha = profile.params.alpha if alpha is None else alpha
     r_hi = profile.r_max if r_stop is None else min(r_stop, profile.r_max)
-    rr = np.linspace(profile.r[0], r_hi, n_resample)
-    psi, dpsi = profile.eval(rr)
-    A = rr**2 * np.sum(dpsi**2, axis=1)
-    integrand = (2.0 * (2 * n - 2) / rr + alpha * rr) * A
-    # prepend the origin, where the integrand vanishes like r
-    rr0 = np.concatenate([[0.0], rr])
-    integ0 = np.concatenate([[0.0], integrand])
-    I = cumquad0(integ0, rr0)[1:]
+    psi, A, I = _identity_terms(profile, n, alpha, np.linspace(profile.r[0], r_hi, n_resample))
     bracket = 2.0 * (2 * n - 2) * (1.0 - psi[:, 2]) + (1.0 - psi[:, 2] ** 2)
     return float(np.max(np.abs(A + I - bracket)))
 
 
 def identity_integral_at(profile: SelfSimProfile, r_value: float) -> float:
     """The identity's cumulative integral evaluated at one radius."""
-    n, alpha = profile.params.n, profile.params.alpha
     rr = np.linspace(profile.r[0], r_value, 2000)
-    _, dpsi = profile.eval(rr)
+    _, _, I = _identity_terms(profile, profile.params.n, profile.params.alpha, rr)
+    return float(I[-1])
+
+
+def _identity_terms(profile: SelfSimProfile, n: int, alpha: float, rr):
+    """psi, A(r) and the cumulative identity integral at the radii rr."""
+    psi, dpsi = profile.eval(rr)
     A = rr**2 * np.sum(dpsi**2, axis=1)
     integrand = (2.0 * (2 * n - 2) / rr + alpha * rr) * A
+    # prepend the origin, where the integrand vanishes like r
     rr0 = np.concatenate([[0.0], rr])
     integ0 = np.concatenate([[0.0], integrand])
-    return float(cumquad0(integ0, rr0)[-1])
+    return psi, A, cumquad0(integ0, rr0)[1:]
 
 
 @dataclass(frozen=True)

@@ -24,39 +24,46 @@ import numpy as np
 from ._numerics import check_grid, hermite_eval, trapezoid
 from .errors import DomainError, GridError, NonFiniteError, StiffnessError
 
-# Dormand-Prince 5(4) tableau; the 5th-order solution is propagated and the
-# embedded 4th-order difference drives step control.
-_DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_DP_A = [
-    [],
-    [1 / 5],
-    [3 / 40, 9 / 40],
-    [44 / 45, -56 / 15, 32 / 9],
-    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729],
-    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656],
-    [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
-]
-_DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
-_DP_E = np.array([35 / 384 - 5179 / 57600, 0.0, 500 / 1113 - 7571 / 16695,
-                  125 / 192 - 393 / 640, -2187 / 6784 + 92097 / 339200,
-                  11 / 84 - 187 / 2100, -1 / 40])
+# Dormand-Prince 5(4) tableau in matrix form; the 5th-order solution is
+# propagated and the embedded 4th-order difference drives step control.
+# Row 6 of A is the 5th-order weight row (first same as last), and the rows
+# of _DP_BE are those weights and the error weights, so one product of
+# _DP_BE with the stage matrix gives both the update and the error.
+_DP_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
+_DP_A = np.array([
+    [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [1 / 5, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [3 / 40, 9 / 40, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [44 / 45, -56 / 15, 32 / 9, 0.0, 0.0, 0.0, 0.0],
+    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0.0, 0.0, 0.0],
+    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0.0, 0.0],
+    [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0],
+])
+_DP_E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200,
+                  22 / 525, -1 / 40])
+_DP_BE = np.array([_DP_A[6], _DP_E])
 
 ERROR_FLOOR = 1e-14  # absolute term in the mixed error norm (avoids stalls at y ~ 0)
 
 
+def _rms(w):
+    """Root mean square of |w| over the entries of a real or complex array."""
+    v = w.view(float) if w.dtype.kind == "c" else w
+    return math.sqrt(v @ v / w.size)
+
+
 def _error_norm(err, y_old, y_new, rel_tol):
-    scale = ERROR_FLOOR + rel_tol * np.maximum(np.abs(y_old), np.abs(y_new))
-    return float(np.sqrt(np.mean(np.abs(err / scale) ** 2)))
+    return _rms(err / (ERROR_FLOOR + rel_tol * np.maximum(np.abs(y_old), np.abs(y_new))))
 
 
 def _initial_step(fun, r0, y0, f0, rel_tol, max_step):
     scale = ERROR_FLOOR + rel_tol * np.abs(y0)
-    d0 = float(np.sqrt(np.mean(np.abs(y0 / scale) ** 2)))
-    d1 = float(np.sqrt(np.mean(np.abs(f0 / scale) ** 2)))
+    d0 = _rms(y0 / scale)
+    d1 = _rms(f0 / scale)
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, max_step)
     f1 = fun(r0 + h0, y0 + h0 * f0)
-    d2 = float(np.sqrt(np.mean(np.abs((f1 - f0) / scale) ** 2))) / h0
+    d2 = _rms((f1 - f0) / scale) / h0
     if max(d1, d2) <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
@@ -72,25 +79,34 @@ def integrate_rk(fun: Callable, r0: float, y0: np.ndarray, r_max: float,
     fun(r, y) -> dy/dr on a flat ndarray state (real or complex).
     postprocess(r, y) -> y is applied to every accepted state (used by the
     sphere-valued solver to re-project).  Returns (r_nodes, y_nodes,
-    f_nodes) with the derivative stored at every accepted node.
+    f_nodes) with the derivative stored at every accepted node; the last
+    node is r_max itself.
     """
     if r_max <= r0:
         raise DomainError("need r_max > r0")
     y = np.array(y0, copy=True)
     r = float(r0)
-    f = fun(r, y)
+    f = np.array(fun(r, y))  # a copy: fun may hand back one reused buffer
     h = _initial_step(fun, r, y, f, rel_tol, min(max_step, r_max - r0))
     rs = [r]
     ys = [y.copy()]
-    fs = [f.copy()]
+    fs = [f]
     K = np.empty((7,) + y.shape, dtype=y.dtype)
+    # stage rows and the fused update/error rows in the state's dtype, so
+    # no product below casts the tableau
+    A = [_DP_A[i, :i].astype(y.dtype) for i in range(7)]
+    BE = _DP_BE.astype(y.dtype)
     nsteps = 0
     nonfinite = None  # (r, h, first non-finite stage) of the last rejected attempt
     while r < r_max:
         if nsteps > max_steps:
             raise StiffnessError("step budget exhausted", r_last=r,
                                  partial=(np.array(rs), np.array(ys), np.array(fs)))
-        h = min(h, r_max - r)
+        r_new = r + h
+        if r_max - r_new < 1e-14 * max(abs(r_new), 1.0):
+            # clip the last step to end on r_max, and stretch one that would
+            # leave a sliver too short to take (it would read as underflow)
+            h, r_new = r_max - r, r_max
         if h < 1e-14 * max(abs(r), 1.0):
             partial = (np.array(rs), np.array(ys), np.array(fs))
             if nonfinite is not None and nonfinite[0] == r:
@@ -104,22 +120,21 @@ def integrate_rk(fun: Callable, r0: float, y0: np.ndarray, r_max: float,
                                  partial=partial)
         K[0] = f
         for i in range(1, 7):
-            yi = y + h * sum(_DP_A[i][j] * K[j] for j in range(i))
-            K[i] = fun(r + _DP_C[i] * h, yi)
-        y_new = y + h * np.tensordot(_DP_B5, K, axes=(0, 0))
-        err = h * np.tensordot(_DP_E, K, axes=(0, 0))
-        enorm = _error_norm(err, y, y_new, rel_tol)
+            K[i] = fun(r + _DP_C[i] * h, y + h * A[i].dot(K[:i]))
+        step = h * BE.dot(K)  # rows: the 5th-order increment, the error estimate
+        y_new = y + step[0]
+        enorm = _error_norm(step[1], y, y_new, rel_tol)
         if enorm <= 1.0:
-            r = r + h
+            r = r_new
             if postprocess is not None:
                 y_new = postprocess(r, y_new)
-                f = fun(r, y_new)
+                f = np.array(fun(r, y_new))
             else:
                 f = K[6].copy()  # FSAL; a view would be overwritten by the next attempt
             y = y_new
             rs.append(r)
             ys.append(y.copy())
-            fs.append(f.copy())
+            fs.append(f)
             nsteps += 1
             factor = 5.0 if enorm == 0.0 else min(5.0, 0.9 * enorm ** -0.2)
             h = min(h * factor, max_step)
@@ -251,11 +266,6 @@ class ProfileGrid:
         """Cubic Hermite value and derivative at arbitrary query points."""
         return hermite_eval(r_new, self.r, self.f, self.fp)
 
-    def second_derivative(self, ivp: SingularIVP):
-        """f'' along the grid straight from the ODE right-hand side."""
-        return np.array([ivp.rhs()(rr, np.array([ff, pp], dtype=complex))[1]
-                         for rr, ff, pp in zip(self.r, self.f, self.fp)])
-
     def to_csv(self, path):
         header = "r,re_f,im_f,re_fp,im_fp"
         data = np.column_stack([self.r, self.f.real, self.f.imag, self.fp.real, self.fp.imag])
@@ -320,11 +330,7 @@ def hardy_check(r, f, f_r, d: int, p: float, k: float) -> HardyReport:
         raise DomainError("need p >= 1 and k >= 0")
     if p >= d / (k + 1.0):
         raise DomainError(f"exponent condition violated: p={p} >= d/(k+1)={d/(k+1)}")
-    r = check_grid(r)
-    f = np.asarray(f, dtype=float)
-    f_r = np.asarray(f_r, dtype=float)
-    num = trapezoid(np.abs(f / r ** (k + 1)) ** p * r ** (d - 1), r) ** (1.0 / p)
-    den = trapezoid(np.abs(f_r / r**k) ** p * r ** (d - 1), r) ** (1.0 / p)
+    num, den = _hardy_norms(r, f, f_r, d, p, k)
     bound = p / (d - p * (k + 1.0))
     if den == 0.0:
         return HardyReport(ratio=0.0, bound=bound, degenerate=True)
@@ -333,9 +339,15 @@ def hardy_check(r, f, f_r, d: int, p: float, k: float) -> HardyReport:
 
 def hardy_ratio_raw(r, f, f_r, d: int, p: float, k: float) -> float:
     """The norm ratio without the exponent-condition gate (diagnostics only)."""
+    num, den = _hardy_norms(r, f, f_r, d, p, k)
+    return float(num / den) if den > 0 else 0.0
+
+
+def _hardy_norms(r, f, f_r, d, p, k):
+    """(||f/r^{k+1}||_p, ||f_r/r^k||_p) as radial L^p(R^d) norms."""
     r = check_grid(r)
     f = np.asarray(f, dtype=float)
     f_r = np.asarray(f_r, dtype=float)
     num = trapezoid(np.abs(f / r ** (k + 1)) ** p * r ** (d - 1), r) ** (1.0 / p)
     den = trapezoid(np.abs(f_r / r**k) ** p * r ** (d - 1), r) ** (1.0 / p)
-    return float(num / den) if den > 0 else 0.0
+    return num, den

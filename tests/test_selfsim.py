@@ -31,6 +31,46 @@ def _independent_profile(v, params, r_max, rtol=1e-12):
                      atol=1e-14, dense_output=True, method="DOP853")
 
 
+def _numpy_scalar_rhs(params):
+    """sphere_profile_rhs as it was with numpy-scalar unpacking (reference)."""
+    n, al, be = params.n, params.alpha, params.beta
+    c_n1 = 2 * n - 1
+    c_n2 = 2 * n - 2
+
+    def fun(r, y):
+        p1, p2, p3, d1, d2, d3 = y
+        dd = d1 * d1 + d2 * d2 + d3 * d3
+        c1 = c_n1 / r
+        c2 = (c_n2 + p3) / (r * r)
+        e1 = -p3 * p1
+        e2 = -p3 * p2
+        e3c = 1.0 - p3 * p3
+        x1 = p2 * d3 - p3 * d2
+        x2 = p3 * d1 - p1 * d3
+        x3 = p1 * d2 - p2 * d1
+        half_r = 0.5 * r
+        a1 = -dd * p1 - c1 * d1 - c2 * e1 - half_r * (al * d1 - be * x1)
+        a2 = -dd * p2 - c1 * d2 - c2 * e2 - half_r * (al * d2 - be * x2)
+        a3 = -dd * p3 - c1 * d3 - c2 * e3c - half_r * (al * d3 - be * x3)
+        return np.array([d1, d2, d3, a1, a2, a3])
+
+    return fun
+
+
+def test_float_unpacked_rhs_is_bit_identical(rng):
+    # Python floats and numpy scalars do the same float64 operations in the
+    # same order, so unpacking with tolist() changes no bit of the rhs
+    for _ in range(200):
+        theta = rng.uniform(-np.pi / 2, np.pi / 2)
+        params = FlowParams(int(rng.integers(2, 5)), np.cos(theta), np.sin(theta))
+        psi = rng.normal(size=3)
+        y = np.concatenate([psi / np.linalg.norm(psi), rng.normal(scale=3.0, size=3)])
+        r = float(np.exp(rng.uniform(np.log(1e-4), np.log(200.0))))
+        got = sphere_profile_rhs(params)(r, y)
+        assert np.array_equal(got, _numpy_scalar_rhs(params)(r, y))
+        assert np.array_equal(got, _numpy_scalar_rhs(params)(np.float64(r), y))
+
+
 class TestSolveProfile:
     def test_trivial_data(self):
         prof = solve_profile((0.0, 0.0), FlowParams(2, 1.0, 0.0), 10.0)

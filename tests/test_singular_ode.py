@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
-from scipy.integrate import quad, solve_ivp
+from scipy.integrate import RK45, quad, solve_ivp
 
 from gllflow.errors import DomainError, NonFiniteError, StiffnessError
 from gllflow.realflow import real_selfsim_ivp
-from gllflow.singular_ode import (ProfileGrid, SingularIVP, hardy_check,
-                                  hardy_ratio_raw, integrate_adaptive, integrate_rk,
-                                  series_error_estimate, series_start)
+from gllflow.singular_ode import (_DP_A, _DP_BE, _DP_C, _DP_E, ERROR_FLOOR, ProfileGrid,
+                                  SingularIVP, _error_norm, hardy_check, hardy_ratio_raw,
+                                  integrate_adaptive, integrate_rk, series_error_estimate,
+                                  series_start)
 from conftest import smooth_bump
 
 
@@ -146,6 +147,95 @@ class TestIntegrateAdaptive:
                 f0, fp0 = series_start(ivp, rr)
                 vals.append(abs(fun(rr, np.array([f0, fp0]))[1]))
             assert vals[0] > vals[1] > vals[2]
+
+
+def _oscillator(r, y):
+    return np.array([y[1], -y[0]])
+
+
+class TestStepper:
+    def test_tableau_matches_scipy_rk45(self):
+        assert np.array_equal(_DP_A[:6, :5], RK45.A)
+        assert not np.any(_DP_A[:6, 5:]) and not _DP_A[6, 6]
+        assert np.array_equal(_DP_A[6, :6], RK45.B)      # first same as last
+        assert np.array_equal(_DP_BE, [_DP_A[6], _DP_E])
+        assert np.array_equal(_DP_E, -RK45.E)
+        assert np.array_equal(_DP_C[:6], RK45.C) and _DP_C[6] == 1.0
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_matrix_form_matches_term_by_term_stages(self, rng, dtype):
+        # with h pinned to 1/16 both take the same 16 steps; only the order
+        # of the stage sums differs, a few ulps per stage
+        M = rng.normal(size=(3, 3)) + (1j * rng.normal(size=(3, 3)) if dtype is complex else 0)
+        y0 = rng.normal(size=3).astype(dtype)
+
+        def fun(r, y):
+            return M @ y
+
+        h = 1 / 16
+        rs, ys, fs = integrate_rk(fun, 0.0, y0, 1.0, rel_tol=1e-1, max_step=h)
+        assert np.array_equal(rs, np.arange(17) * h)
+        y = y0
+        for k, r in enumerate(rs[:-1]):
+            K = [fun(r, y)]
+            for i in range(1, 7):
+                stage = sum(a * kk for a, kk in zip(_DP_A[i, :i], K))
+                K.append(fun(r + _DP_C[i] * h, y + h * stage))
+            y = y + h * sum(b * kk for b, kk in zip(_DP_A[6, :6], K))
+            f = fun(rs[k + 1], y)
+            assert np.max(np.abs(ys[k + 1] - y)) <= 1e-13 * np.max(np.abs(y))
+            assert np.max(np.abs(fs[k + 1] - f)) <= 1e-13 * np.max(np.abs(f))
+
+    def test_fixed_step_convergence_order(self):
+        # rel_tol 1e-1 accepts every step, so max_step pins h; the global
+        # error of the propagated 5th-order solution falls like h^5
+        exact = np.cos(2.0) + np.sin(2.0)
+        errs = []
+        for h in (0.1, 0.05):
+            rs, ys, _ = integrate_rk(_oscillator, 0.0, np.array([1.0, 1.0]), 2.0,
+                                     rel_tol=1e-1, max_step=h)
+            assert rs.size == round(2.0 / h) + 1
+            assert np.allclose(np.diff(rs), h, rtol=1e-12, atol=0.0)
+            errs.append(abs(ys[-1, 0] - exact))
+        assert np.log2(errs[0] / errs[1]) >= 4.8
+
+    def test_final_step_lands_on_r_max(self, rng):
+        # accepted steps that sum to a hair below r_max used to leave a
+        # sliver the next step could not take, reported as step underflow
+        cases = [(0.2, np.array([1.0, 1.0])), (0.025, np.array([1.0, 1.0]))]
+        cases += [(2.0 / m, rng.normal(size=2)) for m in rng.integers(3, 200, size=20)]
+        for max_step, y0 in cases:
+            rs, ys, _ = integrate_rk(_oscillator, 0.0, y0, 2.0, rel_tol=1e-1,
+                                     max_step=max_step)
+            assert rs[-1] == 2.0, max_step
+            assert np.all(np.diff(rs) > 0.0)
+            exact = y0[0] * np.cos(2.0) + y0[1] * np.sin(2.0)
+            assert abs(ys[-1, 0] - exact) <= 1e-3 * np.abs(y0).sum()
+
+    @pytest.mark.parametrize("postprocess", [None, lambda r, y: y], ids=["fsal", "postprocess"])
+    def test_nodes_independent_of_a_reused_output_buffer(self, postprocess):
+        buf = np.empty(2)
+
+        def reused(r, y):
+            buf[0], buf[1] = y[1], -y[0]
+            return buf
+
+        fresh = integrate_rk(_oscillator, 0.0, np.array([1.0, 0.5]), 3.0, rel_tol=1e-6,
+                             postprocess=postprocess)
+        shared = integrate_rk(reused, 0.0, np.array([1.0, 0.5]), 3.0, rel_tol=1e-6,
+                              postprocess=postprocess)
+        for a, b in zip(fresh, shared):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_error_norm_is_the_rms_of_the_scaled_error(self, rng, dtype):
+        # the one-dot norm, taken over (re, im) pairs for a complex state
+        for _ in range(50):
+            y_old, y_new, err = (rng.normal(size=(3, 6)) + 1j * rng.normal(size=(3, 6))
+                                 if dtype is complex else rng.normal(size=(3, 6)))
+            scale = ERROR_FLOOR + 1e-8 * np.maximum(np.abs(y_old), np.abs(y_new))
+            ref = np.sqrt(np.mean(np.abs(err / scale) ** 2))
+            assert abs(_error_norm(err, y_old, y_new, 1e-8) - ref) <= 1e-15 * ref
 
 
 class TestProfileGrid:
