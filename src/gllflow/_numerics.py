@@ -160,6 +160,17 @@ def derivative_nonuniform(x, y, order=1, stencil=5):
     return out
 
 
+def central_difference3(y_m, y_0, y_p, h_m, h_p):
+    """First derivative at the middle of three samples spaced h_m, h_p apart.
+
+    (h_m^2 (y_p - y_0) + h_p^2 (y_0 - y_m)) / (h_m h_p (h_m + h_p)): the
+    derivative of the interpolating parabola, so second-order accurate for
+    unequal spacings too (exact for quadratics), where (y_p - y_m) /
+    (h_m + h_p) is only first order.
+    """
+    return (h_m**2 * (y_p - y_0) + h_p**2 * (y_0 - y_m)) / (h_m * h_p * (h_m + h_p))
+
+
 def weighted_norms(res, r, n):
     """(L2, Linf) of a residual on the nodes r, L2 with the r^{2n-1} dr weight.
 

@@ -259,7 +259,7 @@ def cmd_evolve(args):
     out = _out_dir(args, "out-evolve")
     for i, f in enumerate(traj.frames):
         f.to_csv(out / f"frame_{i:04d}.csv")
-    results = {"frames": len(traj.frames), "dt": traj.dt,
+    results = {"frames": len(traj.frames), "dt": traj.dt, "mol_steps": traj.n_steps,
                "max_norm_drift": traj.max_norm_drift}
     if rep is not None:
         results["residual_l2_max"] = rep.max_l2

@@ -14,10 +14,11 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ._numerics import check_grid, derivative_nonuniform, weighted_norms
+from ._numerics import (central_difference3, check_grid, derivative_nonuniform,
+                        weighted_norms)
 from .errors import DomainError, GridError, InstabilityError
-from .geometry import (E3, FlowParams, RadialProfile, energy, gll_rhs_arr,
-                       tangent_project_arr)
+from .geometry import (E3, FlowParams, RadialProfile, _flow_velocity, energy,
+                       gll_rhs_arr)
 from .selfsim import SelfSimProfile, consistency_second_derivative
 
 UNIT_DRIFT_ABORT = 1e-6
@@ -66,7 +67,8 @@ class RadialField:
 
 @dataclass(frozen=True)
 class EvolveConfig:
-    """Time-stepping policy.
+    """Time-stepping policy: classical RK4, reprojected onto the sphere
+    after every step.
 
     dt = dt_factor * min(dr)^2; dt_factor must stay <= 0.25 for the
     explicit scheme.  outer_boundary is "clamp" (hold the initial value)
@@ -74,16 +76,12 @@ class EvolveConfig:
     """
 
     dt_factor: float = 0.1
-    scheme: str = "rk4"
-    renormalize_every_step: bool = True
     outer_boundary: str = "clamp"
     store_every: int = 1
 
     def __post_init__(self):
         if not (0.0 < self.dt_factor <= 0.25):
             raise DomainError("explicit stepping needs 0 < dt_factor <= 0.25")
-        if self.scheme != "rk4":
-            raise DomainError(f"unknown scheme {self.scheme!r}")
         if self.outer_boundary not in ("clamp", "neumann"):
             raise DomainError("outer_boundary must be 'clamp' or 'neumann'")
         if self.store_every < 1:
@@ -97,6 +95,7 @@ class Trajectory:
     config: EvolveConfig
     dt: float
     max_norm_drift: float
+    n_steps: int        # RK4 steps taken
 
     @property
     def r(self):
@@ -108,27 +107,38 @@ class Trajectory:
 
 
 class _SpatialOperator:
-    """Precomputed 3-point nonuniform central stencils for u_r and u_rr."""
+    """The flow velocity on a radial grid, from 3-point nonuniform stencils.
 
-    def __init__(self, r):
-        self.r = r
-        n = r.size
+    Holds, for the interior nodes, the stencil rows of u_r and u_rr (stacked
+    so that one product forms both), (2n-1)/r and r^2.
+    """
+
+    def __init__(self, r, params: FlowParams):
         hm = r[1:-1] - r[:-2]
         hp = r[2:] - r[1:-1]
-        # first derivative, exact for quadratics
-        self.d1_m = -hp / (hm * (hm + hp))
-        self.d1_0 = (hp - hm) / (hm * hp)
-        self.d1_p = hm / (hp * (hm + hp))
-        # second derivative
-        self.d2_m = 2.0 / (hm * (hm + hp))
-        self.d2_0 = -2.0 / (hm * hp)
-        self.d2_p = 2.0 / (hp * (hm + hp))
+        # row 0: first derivative, exact for quadratics; row 1: second derivative
+        self.w_m = np.stack([-hp / (hm * (hm + hp)), 2.0 / (hm * (hm + hp))])[:, None]
+        self.w_0 = np.stack([(hp - hm) / (hm * hp), -2.0 / (hm * hp)])[:, None]
+        self.w_p = np.stack([hm / (hp * (hm + hp)), 2.0 / (hp * (hm + hp))])[:, None]
+        self.coef1 = (2 * params.n - 1) / r[1:-1]
+        self.r2 = r[1:-1] ** 2
+        self.params = params
 
-    def derivatives(self, u):
-        um, u0, up = u[:-2], u[1:-1], u[2:]
-        ur = self.d1_m[:, None] * um + self.d1_0[:, None] * u0 + self.d1_p[:, None] * up
-        urr = self.d2_m[:, None] * um + self.d2_0[:, None] * u0 + self.d2_p[:, None] * up
-        return ur, urr
+    def velocity(self, u, out):
+        """Write the velocity of the component-major (3, N) state u into
+        out[:, 1:-1]; the end columns of out are left alone."""
+        n, alpha, beta = self.params.n, self.params.alpha, self.params.beta
+        u0 = u[:, 1:-1]
+        d = self.w_m * u[:, :-2]            # (2, 3, N-2): u_r, u_rr
+        t = self.w_0 * u0
+        d += t
+        np.multiply(self.w_p, u[:, 2:], out=t)
+        d += t
+        u_r, b = d
+        u_r *= self.coef1
+        b += u_r                            # u_rr + ((2n-1)/r) u_r
+        b[2] += (2 * n - 2 + u0[2]) / self.r2
+        _flow_velocity(u0, b, alpha, beta, out[:, 1:-1])
 
 
 def evolve(field0: RadialField, params: FlowParams, T: float,
@@ -136,54 +146,66 @@ def evolve(field0: RadialField, params: FlowParams, T: float,
     """Run the flow to time T; returns the stored frame sequence.
 
     Norm drift beyond 1e-6 before reprojection aborts with diagnostics.
+    The loop steps a component-major (3, N) copy of the field.
     """
     if T <= 0:
         raise DomainError("need T > 0")
     r = field0.r
-    op = _SpatialOperator(r)
+    op = _SpatialOperator(r, params)
     dr_min = float(np.min(np.diff(r)))
     dt = config.dt_factor * dr_min**2
-    n_steps = max(1, int(np.ceil(T / dt - 1e-12)))
+    # the slack is relative: T/dt overshoots an intended integer by rounding
+    n_steps = max(1, int(np.ceil(T / dt * (1.0 - 1e-12))))
     dt = T / n_steps
-    interior = slice(1, r.size - 1)
-    r_int = r[interior]
-    u_outer0 = field0.u[-1].copy()
-
-    def rhs(u):
-        ur, urr = op.derivatives(u)
-        out = np.zeros_like(u)
-        out[interior] = gll_rhs_arr(u[interior], ur, urr, r_int, params)
-        return out
-
-    u = field0.u.copy()
+    half, sixth = 0.5 * dt, dt / 6.0
+    u = field0.u.T.copy()
+    u_outer0 = u[:, -1].copy()
+    k1, k2, k3, k4 = (np.zeros_like(u) for _ in range(4))
+    y = np.empty_like(u)
     frames = [replace(field0, t=field0.t)]
     max_drift = 0.0
     for step in range(1, n_steps + 1):
-        k1 = rhs(u)
-        k2 = rhs(u + 0.5 * dt * k1)
-        k3 = rhs(u + 0.5 * dt * k2)
-        k4 = rhs(u + dt * k3)
-        u = u + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+        op.velocity(u, k1)
+        np.multiply(k1, half, out=y)
+        y += u
+        op.velocity(y, k2)
+        np.multiply(k2, half, out=y)
+        y += u
+        op.velocity(y, k3)
+        np.multiply(k3, dt, out=y)
+        y += u
+        op.velocity(y, k4)
+        # u + dt/6 (k1 + 2 k2 + 2 k3 + k4), summed left to right
+        np.multiply(k2, 2.0, out=y)
+        y += k1
+        k3 *= 2.0
+        y += k3
+        y += k4
+        y *= sixth
+        u += y
         if config.outer_boundary == "clamp":
-            u[-1] = u_outer0
+            u[:, -1] = u_outer0
         else:
-            u[-1] = u[-2]
-        u[0] = E3
-        norms = np.linalg.norm(u, axis=1)
-        drift = float(np.max(np.abs(norms - 1.0)))
+            u[:, -1] = u[:, -2]
+        u[:, 0] = E3
+        sq = u * u
+        norms = sq[0] + sq[1]
+        norms += sq[2]
+        np.sqrt(norms, out=norms)
+        dev = np.abs(norms - 1.0)
+        drift = float(dev.max())
         max_drift = max(max_drift, drift)
         if drift > UNIT_DRIFT_ABORT:
             raise InstabilityError(
                 "norm drift beyond 1e-6 before projection",
                 diagnostics={"t": field0.t + step * dt, "drift": drift,
-                             "node": int(np.argmax(np.abs(norms - 1.0))), "dt": dt})
-        if config.renormalize_every_step:
-            u = u / norms[:, None]
-            u[0] = E3
+                             "node": int(np.argmax(dev)), "dt": dt})
+        u /= norms
+        u[:, 0] = E3
         if step % config.store_every == 0 or step == n_steps:
-            frames.append(RadialField(r, u.copy(), field0.t + step * dt))
+            frames.append(RadialField(r, u.T.copy(), field0.t + step * dt))
     return Trajectory(frames=tuple(frames), params=params, config=config,
-                      dt=dt, max_norm_drift=max_drift)
+                      dt=dt, max_norm_drift=max_drift, n_steps=n_steps)
 
 
 # ---------------------------------------------------------------------------
@@ -210,6 +232,9 @@ def residual(trajectory: Trajectory, params: FlowParams | None = None,
              margin: int = 3) -> ResidualReport:
     """Centered-in-time u_t minus the flow velocity, on the stored frames.
 
+    u_t is the 3-point difference over each frame's two neighbours, second
+    order also where the two frame intervals differ (the last frame, when
+    store_every does not divide the step count).
     Spatial derivatives use 5-point (4th-order) stencils, deliberately one
     order better than the scheme, so the report measures the scheme's
     spatial truncation error; needs >= 3 stored frames.
@@ -222,8 +247,8 @@ def residual(trajectory: Trajectory, params: FlowParams | None = None,
     sl = slice(margin, r.size - margin)
     times, l2s, linfs = [], [], []
     for k in range(1, len(frames) - 1):
-        dt2 = frames[k + 1].t - frames[k - 1].t
-        u_t = (frames[k + 1].u - frames[k - 1].u) / dt2
+        u_t = central_difference3(frames[k - 1].u, frames[k].u, frames[k + 1].u,
+                                  frames[k].t - frames[k - 1].t, frames[k + 1].t - frames[k].t)
         u = frames[k].u
         ur = derivative_nonuniform(r, u, order=1, stencil=5)
         urr = derivative_nonuniform(r, u, order=2, stencil=5)

@@ -321,16 +321,38 @@ def tension(u: SpherePoint, u_r: TangentVec, u_rr, r: float, n: int) -> TangentV
     return TangentVec.from_array(out)
 
 
+def _flow_velocity(u, b, alpha, beta, out):
+    """Write (alpha P_u + beta u x) b into out; all three are (3, M) arrays.
+
+    Rows are the components.  P_u b = b - (b1 u1 + b2 u2 + b3 u3) u and
+    u x b = (u2 b3 - u3 b2, u3 b1 - u1 b3, u1 b2 - u2 b1) take their
+    operations in the order of tangent_project_arr and np.cross, so the
+    result is theirs bit for bit.  out may be a strided view; it must not
+    overlap u or b.
+    """
+    if alpha != 0.0:
+        p = b * u
+        s = p[0] + p[1]
+        s += p[2]
+        np.multiply(s, u, out=out)
+        np.subtract(b, out, out=out)
+        out *= alpha
+    if beta != 0.0:
+        ur = np.concatenate((u, u[:2]))         # (u1, u2, u3, u1, u2)
+        br = np.concatenate((b, b[:2]))
+        c = np.multiply(ur[1:4], br[2:5], out=None if alpha != 0.0 else out)
+        c -= ur[2:5] * br[1:4]
+        c *= beta
+        if alpha != 0.0:
+            out += c
+
+
 def gll_rhs_arr(u, u_r, u_rr, r, params: FlowParams):
     """(alpha P + beta u x) applied to the second-order bracket."""
     b = _second_order_bracket(u, u_r, u_rr, r, params.n)
-    out = 0.0
-    if params.alpha != 0.0:
-        out = params.alpha * tangent_project_arr(u, b)
-    if params.beta != 0.0:
-        out = out + params.beta * np.cross(u, b)
-    if params.alpha == 0.0 and params.beta == 0.0:
-        out = np.zeros_like(b)
+    out = np.empty(b.shape)
+    _flow_velocity(u.reshape(-1, 3).T, b.reshape(-1, 3).T, params.alpha, params.beta,
+                   out.reshape(-1, 3).T)
     return out
 
 

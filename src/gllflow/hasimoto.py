@@ -22,7 +22,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._numerics import cumquad0, derivative_nonuniform, weighted_norms
+from ._numerics import central_difference3, cumquad0, derivative_nonuniform, weighted_norms
 from .errors import DomainError
 from .geometry import E3, FlowParams
 
@@ -198,8 +198,8 @@ def qpde_residual(trajectory, params: FlowParams, e_seed=None, margin: int = 4):
         qfields.append(compute_q(r, f.u, fr, params))
     times, l2s, linfs = [], [], []
     for k in range(1, len(frames) - 1):
-        dt2 = frames[k + 1].t - frames[k - 1].t
-        q_t = (qfields[k + 1].q - qfields[k - 1].q) / dt2
+        q_t = central_difference3(qfields[k - 1].q, qfields[k].q, qfields[k + 1].q,
+                                  frames[k].t - frames[k - 1].t, frames[k + 1].t - frames[k].t)
         qf = qfields[k]
         V, _, _ = _tension_coordinates(r, qf.q, qf.u3, params.n)
         V_r = derivative_nonuniform(r, V, order=1, stencil=5)

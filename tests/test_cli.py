@@ -142,6 +142,9 @@ class TestEvolveCommand:
         doc = _manifest(out)
         assert doc["results"]["max_norm_drift"] <= 1e-6
         assert doc["results"]["stationarity_drift"] <= 0.1
+        # dt = 0.1 (15/60)^2 divides T = 0.05 exactly 8 times
+        assert doc["results"]["mol_steps"] == 8
+        assert doc["results"]["frames"] == 2
 
     def test_config_file_precedence(self, tmp_path):
         conf = tmp_path / "run.conf"

@@ -6,11 +6,88 @@ from gllflow.evolution import (EvolveConfig, RadialField, energy_history,
                                evolve, field_from_profile, great_circle_bump,
                                great_circle_deviation, make_grid, residual,
                                selfsim_consistency)
-from gllflow.geometry import E3, FlowParams, TangentVec, harmonic_map_jet, stereo_lift_arr
+from gllflow.geometry import (E3, FlowParams, TangentVec, _second_order_bracket, gll_rhs_arr,
+                              harmonic_map_jet, stereo_lift_arr, tangent_project_arr)
+from gllflow.hasimoto import qpde_residual
 from gllflow.selfsim import solve_profile
 
 HEAT = FlowParams(2, 1.0, 0.0)
 SCHRODINGER = FlowParams(2, 0.0, 1.0)
+FLOWS = {"heat": (1.0, 0.0), "schrodinger": (0.0, 1.0), "mixed": (0.8, 0.6)}
+
+
+def _cross_formula(u, u_r, u_rr, r, params):
+    """The flow velocity written with np.cross and tangent_project_arr."""
+    b = _second_order_bracket(u, u_r, u_rr, r, params.n)
+    out = 0.0
+    if params.alpha != 0.0:
+        out = params.alpha * tangent_project_arr(u, b)
+    if params.beta != 0.0:
+        out = out + params.beta * np.cross(u, b)
+    return out
+
+
+class _RowStencils:
+    """3-point nonuniform central stencils for u_r and u_rr of an (N, 3) field."""
+
+    def __init__(self, r):
+        hm = r[1:-1] - r[:-2]
+        hp = r[2:] - r[1:-1]
+        self.d1_m = -hp / (hm * (hm + hp))
+        self.d1_0 = (hp - hm) / (hm * hp)
+        self.d1_p = hm / (hp * (hm + hp))
+        self.d2_m = 2.0 / (hm * (hm + hp))
+        self.d2_0 = -2.0 / (hm * hp)
+        self.d2_p = 2.0 / (hp * (hm + hp))
+
+    def derivatives(self, u):
+        um, u0, up = u[:-2], u[1:-1], u[2:]
+        ur = self.d1_m[:, None] * um + self.d1_0[:, None] * u0 + self.d1_p[:, None] * up
+        urr = self.d2_m[:, None] * um + self.d2_0[:, None] * u0 + self.d2_p[:, None] * up
+        return ur, urr
+
+
+def _row_major_evolve(field0, params, T, n_steps, config):
+    """The MOL loop on the (N, 3) field, one stencil pass and one velocity
+    call per RK4 stage: the oracle of evolve.  Returns (frames, max drift)
+    and raises the same InstabilityError."""
+    r = field0.r
+    op = _RowStencils(r)
+    dt = T / n_steps
+    interior = slice(1, r.size - 1)
+    u_outer0 = field0.u[-1].copy()
+
+    def rhs(u):
+        ur, urr = op.derivatives(u)
+        out = np.zeros_like(u)
+        out[interior] = _cross_formula(u[interior], ur, urr, r[interior], params)
+        return out
+
+    u = field0.u.copy()
+    frames = [field0.u]
+    max_drift = 0.0
+    for step in range(1, n_steps + 1):
+        k1 = rhs(u)
+        k2 = rhs(u + 0.5 * dt * k1)
+        k3 = rhs(u + 0.5 * dt * k2)
+        k4 = rhs(u + dt * k3)
+        u = u + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+        if config.outer_boundary == "clamp":
+            u[-1] = u_outer0
+        else:
+            u[-1] = u[-2]
+        u[0] = E3
+        norms = np.linalg.norm(u, axis=1)
+        drift = float(np.max(np.abs(norms - 1.0)))
+        max_drift = max(max_drift, drift)
+        if drift > 1e-6:
+            raise InstabilityError("norm drift", diagnostics={
+                "drift": drift, "node": int(np.argmax(np.abs(norms - 1.0)))})
+        u = u / norms[:, None]
+        u[0] = E3
+        if step % config.store_every == 0 or step == n_steps:
+            frames.append(RadialField(r, u.copy()).u)
+    return frames, max_drift
 
 
 def _harmonic_field(r, v=(1.0, 0.0)):
@@ -64,8 +141,6 @@ class TestConfigAndTypes:
             EvolveConfig(dt_factor=0.3)
         with pytest.raises(DomainError):
             EvolveConfig(outer_boundary="periodic")
-        with pytest.raises(DomainError):
-            EvolveConfig(scheme="euler")
 
     def test_field_pins_origin(self):
         r = make_grid(5.0, 21)
@@ -129,6 +204,67 @@ class TestEvolve:
         assert np.array_equal(t_clamp.frames[-1].u[-1], f0.u[-1])
 
 
+class TestComponentMajorLoop:
+    """evolve steps a (3, N) copy of the field; the (N, 3) loop is its oracle."""
+
+    @pytest.mark.parametrize("flow", sorted(FLOWS))
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("outer", ["clamp", "neumann"])
+    @pytest.mark.parametrize("grading", [1.0, 1.5])
+    def test_frames_equal_the_row_major_loop(self, flow, n, outer, grading):
+        params = FlowParams(n, *FLOWS[flow])
+        r = make_grid(10.0, 61, grading=grading)
+        # off the great circle, so all three components move
+        f0 = great_circle_bump(r, 0.6, 3.0, 1.0, v0=(1.0, 0.4, 0.0))
+        config = EvolveConfig(outer_boundary=outer, store_every=7)
+        T = 40 * 0.1 * float(np.min(np.diff(r))) ** 2
+        traj = evolve(f0, params, T, config)
+        frames, max_drift = _row_major_evolve(f0, params, T, traj.n_steps, config)
+        assert traj.n_steps == 40
+        assert len(traj.frames) == len(frames) == 7
+        for got, want in zip(traj.frames, frames):
+            assert np.array_equal(got.u, want)
+        assert traj.max_norm_drift == max_drift > 0.0
+
+    def test_drift_abort_names_the_same_node(self):
+        r = make_grid(6.0, 61)
+        f0 = great_circle_bump(r, 1.2, 2.0, 0.6)
+        params = FlowParams(4, 0.0, 1.0)
+        config = EvolveConfig(dt_factor=0.25, store_every=100)
+        with pytest.raises(InstabilityError) as exc:
+            evolve(f0, params, 1.0, config)
+        n_steps = round(1.0 / exc.value.diagnostics["dt"])
+        with pytest.raises(InstabilityError) as ref:
+            _row_major_evolve(f0, params, 1.0, n_steps, config)
+        assert exc.value.diagnostics["node"] == ref.value.diagnostics["node"]
+        assert exc.value.diagnostics["drift"] == ref.value.diagnostics["drift"]
+
+    @pytest.mark.parametrize("flow", sorted(FLOWS))
+    def test_gll_rhs_arr_equals_the_cross_formula(self, flow, rng):
+        params = FlowParams(2, *FLOWS[flow])
+        for shape in ((3,), (50, 3)):
+            u = rng.normal(size=shape)
+            u /= np.linalg.norm(u, axis=-1, keepdims=True)
+            u_r, u_rr = rng.normal(size=(2,) + shape)
+            r = rng.uniform(0.1, 5.0, size=shape[:-1])
+            got = gll_rhs_arr(u, u_r, u_rr, r, params)
+            assert got.shape == shape
+            assert np.array_equal(got, _cross_formula(u, u_r, u_rr, r, params))
+
+    @pytest.mark.parametrize("N", [201, 401])
+    def test_step_count_is_the_one_asked_for(self, N):
+        # T = steps * dt_factor * dr^2 with the nominal dr = r_max/(N-1);
+        # T/dt overshoots the integer by rounding, as min(np.diff(r)) differs
+        rng = np.random.default_rng(N)
+        r = make_grid(12.0, N)
+        f0 = RadialField(r, np.tile(E3, (N, 1)))
+        dr = 12.0 / (N - 1)
+        for steps in rng.integers(1, 400, size=12):
+            traj = evolve(f0, HEAT, int(steps) * 0.1 * dr * dr, EvolveConfig(store_every=1))
+            assert len(traj.frames) == steps + 1
+            assert traj.n_steps == steps
+
+
 class TestResidual:
     def test_needs_three_frames(self):
         r = make_grid(8.0, 41)
@@ -136,6 +272,21 @@ class TestResidual:
                       EvolveConfig(store_every=10**9))
         with pytest.raises(DomainError):
             residual(traj)
+
+    def test_uneven_last_frame_interval(self):
+        # 115 steps stored every 6: the last frame interval is one step, the
+        # others six; a centred u_t over the two would be first order there
+        params = FlowParams(2, 0.8, 0.6)
+        r = make_grid(12.0, 201)
+        dr = 12.0 / 200
+        traj = evolve(great_circle_bump(r, 0.5, 3.0, 1.0), params, 115 * 0.1 * dr * dr,
+                      EvolveConfig(store_every=6))
+        gaps = np.diff(traj.times) / traj.dt
+        assert gaps[0] == pytest.approx(6.0) and gaps[-1] == pytest.approx(1.0)
+        l2 = residual(traj).l2
+        assert l2[-1] <= 1.2 * np.median(l2[:-1])
+        _, l2_q, _ = qpde_residual(traj, params)
+        assert l2_q[-1] <= 1.2 * np.median(l2_q[:-1])
 
     def test_second_order_self_convergence(self):
         l2s = []

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from gllflow._numerics import (derivative_nonuniform, fd_weights, stencil_weights,
-                               weighted_norms)
+from gllflow._numerics import (central_difference3, derivative_nonuniform, fd_weights,
+                               stencil_weights, weighted_norms)
 from gllflow.errors import GridError
 
 
@@ -91,3 +91,22 @@ class TestWeightedNorms:
         mag2 = np.abs(z) ** 2
         expected = (float(np.sqrt(np.trapezoid(mag2 * rr**5, rr))), float(np.sqrt(np.max(mag2))))
         assert weighted_norms(z, rr, 3) == expected
+
+
+class TestCentralDifference3:
+    def test_exact_on_quadratics_with_unequal_spacing(self, rng):
+        for _ in range(20):
+            c0, c1, c2 = rng.normal(size=3)
+            t0 = rng.uniform(-1.0, 1.0)
+            h_m, h_p = rng.uniform(0.01, 1.0, size=2)
+
+            def q(t):
+                return c0 + c1 * t + c2 * t**2
+            got = central_difference3(q(t0 - h_m), q(t0), q(t0 + h_p), h_m, h_p)
+            assert got == pytest.approx(c1 + 2 * c2 * t0, rel=1e-10, abs=1e-10)
+
+    def test_arrays_and_the_centred_limit(self, rng):
+        y_m, y_0, y_p = rng.normal(size=(3, 7, 3))
+        got = central_difference3(y_m, y_0, y_p, 0.25, 0.25)
+        assert got.shape == (7, 3)
+        assert np.allclose(got, (y_p - y_m) / 0.5, rtol=1e-14, atol=1e-14)
