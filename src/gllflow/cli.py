@@ -13,7 +13,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +26,7 @@ from .geometry import FlowParams, TangentVec, harmonic_map_jet
 from .hasimoto import compute_q, strichartz_exponents, transport_frame
 from .manifest import RunManifest
 from .selfsim import apriori_identity_residual, solve_profile, tail_limit
-from .verify import SUITES, run_suites
+from .verify import SUITES
 
 EXIT_OK = 0
 EXIT_ASSERT = 1
@@ -53,7 +52,7 @@ def _write_gnuplot(out_dir, csv_name, columns, title):
 # ---------------------------------------------------------------------------
 
 def cmd_selfsim(args):
-    t0 = time.time()
+    t0 = time.perf_counter()
     params = FlowParams(args.n, args.alpha, args.beta)
     out = _out_dir(args, "out-selfsim")
     trivial = (args.v1 == 0.0 and args.v2 == 0.0)
@@ -81,7 +80,7 @@ def cmd_selfsim(args):
                     "v1": args.v1, "v2": args.v2},
         grid={"r_max": args.r_max, "nodes": int(prof.r.size)},
         tolerances={"rel_tol": args.tol},
-        results=results, wall_time_s=time.time() - t0)
+        results=results, wall_time_s=time.perf_counter() - t0)
     mani.write(out)
     if args.gnuplot:
         _write_gnuplot(out, "profile.csv", (2, 3, 4), "self-similar profile")
@@ -105,7 +104,7 @@ def cmd_realheat_classify(args):
 
 
 def cmd_realheat_stationary(args):
-    t0 = time.time()
+    t0 = time.perf_counter()
     ns = [int(v) for v in args.n_list.split(",")]
     rs = [float(v) for v in args.r_list.split(",")]
     rows = []
@@ -120,13 +119,13 @@ def cmd_realheat_stationary(args):
     RunManifest("realheat stationary",
                 {"alpha": args.alpha, "n_list": ns, "r_list": rs},
                 results={"max_residual": worst},
-                wall_time_s=time.time() - t0).write(out)
+                wall_time_s=time.perf_counter() - t0).write(out)
     print(f"max residual over n in {ns}: {worst:.3e} (dimension-independent family)")
     return EXIT_OK if worst <= 1e-10 else EXIT_ASSERT
 
 
 def cmd_realheat_selfsim(args):
-    t0 = time.time()
+    t0 = time.perf_counter()
     slope = 2.0 * args.beta if args.convention == "label" else args.beta
     prof = rf.solve_selfsim_real(slope, args.n, args.r_max, rel_tol=args.tol)
     out = _out_dir(args, "out-realheat-selfsim")
@@ -139,7 +138,7 @@ def cmd_realheat_selfsim(args):
                 grid={"r_max": args.r_max, "nodes": int(prof.r.size)},
                 tolerances={"rel_tol": args.tol},
                 results={"g_inf": prof.g_inf, "monotone": mono, "below_pi": below},
-                wall_time_s=time.time() - t0).write(out)
+                wall_time_s=time.perf_counter() - t0).write(out)
     if args.gnuplot:
         _write_gnuplot(out, "profile.csv", (2,), "scalar self-similar profile")
     print(f"phi(r_max) = {prof.g_inf:.6f}; monotone: {mono}; below pi: {below}")
@@ -147,7 +146,7 @@ def cmd_realheat_selfsim(args):
 
 
 def cmd_realheat_witness(args):
-    t0 = time.time()
+    t0 = time.perf_counter()
     rep = rf.nonuniqueness_witness(args.epsilon, args.delta, quad_nodes=args.quad_nodes)
     out = _out_dir(args, "out-realheat-witness")
     (out / "witness_report.json").write_text(rep.to_json() + "\n")
@@ -155,7 +154,7 @@ def cmd_realheat_witness(args):
                 {"epsilon": args.epsilon, "delta": args.delta},
                 tolerances={"quad_nodes": args.quad_nodes},
                 results=json.loads(rep.to_json()),
-                wall_time_s=time.time() - t0).write(out)
+                wall_time_s=time.perf_counter() - t0).write(out)
     sign = "negative" if rep.energy_gap < 0 else "positive"
     print(f"energy gap E(h) - E(equator) = {rep.energy_gap:.6e} ({sign}); "
           f"Hardy saturation ratio = {rep.hardy_ratio:.6f}")
@@ -166,24 +165,11 @@ def cmd_realheat_witness(args):
     return EXIT_OK
 
 
-def _figure_worker(job):
-    label, n, slope_factor, rel_tol = job
-    prof = rf.solve_selfsim_real(slope_factor * label, n, 2.55, rel_tol=rel_tol)
-    pts = figref.FIGURE_CURVES[label]
-    g, _ = prof.eval(pts[:, 0] * figref.X_SCALE)
-    return label, np.column_stack([pts[:, 0], pts[:, 1], g / figref.Y_SCALE])
-
-
 def cmd_realheat_figure(args):
-    t0 = time.time()
+    t0 = time.perf_counter()
     fit = figref.fit_convention()
-    labels = sorted(figref.FIGURE_CURVES)
-    jobs = [(lbl, fit.n, fit.slope_factor, 1e-11) for lbl in labels]
-    if args.workers > 1:
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
-            curves = dict(pool.map(_figure_worker, jobs))
-    else:
-        curves = dict(map(_figure_worker, jobs))
+    curves, _, _ = figref.reproduce_curves(n=fit.n, slope_factor=fit.slope_factor)
+    labels = sorted(curves)
     out = _out_dir(args, "out-realheat-figure")
     errs = {}
     for lbl in labels:
@@ -197,7 +183,7 @@ def cmd_realheat_figure(args):
                  "fitted_slope_factor": fit.slope_factor},
                 tolerances={"rel_tol": 1e-11},
                 results={"fit_max_err": fit.max_err, "per_curve_err": errs},
-                wall_time_s=time.time() - t0).write(out)
+                wall_time_s=time.perf_counter() - t0).write(out)
     print(f"fitted convention: n = {fit.n}, origin slope = {fit.slope_factor:g} x label")
     for lbl in labels:
         print(f"  label {lbl:g}: max plot-unit error {errs[str(lbl)]:.2e}")
@@ -232,7 +218,7 @@ def _evolve_initial(args, params, r):
 
 
 def cmd_evolve(args):
-    t0 = time.time()
+    t0 = time.perf_counter()
     conf = _read_config_file(args.config) if args.config else {}
     # precedence: explicit flags > config file > defaults
     def pick(name, default, cast):
@@ -278,7 +264,7 @@ def cmd_evolve(args):
         grid={"r_max": r_max, "nodes": nodes, "grading": args.grading},
         tolerances={"dt_factor": args.dt_factor, "T": T,
                     "outer_boundary": args.outer, "store_every": args.store_every},
-        results=results, wall_time_s=time.time() - t0)
+        results=results, wall_time_s=time.perf_counter() - t0)
     mani.write(out)
     print(f"wrote {len(traj.frames)} frames to {out}")
     return EXIT_OK
@@ -300,7 +286,7 @@ def cmd_hasimoto_exponents(args):
 
 
 def cmd_hasimoto_run(args):
-    t0 = time.time()
+    t0 = time.perf_counter()
     params = FlowParams(args.n, args.alpha, args.beta)
     r = np.linspace(0.0, args.r_max, args.nodes)
     u, u_r, _ = harmonic_map_jet(TangentVec(args.v1, args.v2, 0.0), r)
@@ -314,7 +300,7 @@ def cmd_hasimoto_run(args):
                 grid={"r_max": args.r_max, "nodes": args.nodes},
                 results={"max_abs_q": float(np.max(np.abs(qf.q))),
                          "max_alpha_g": float(np.max(np.abs(qf.alpha_g)))},
-                wall_time_s=time.time() - t0).write(out)
+                wall_time_s=time.perf_counter() - t0).write(out)
     print(f"wrote frame coordinates for the stationary profile to {out}")
     return EXIT_OK
 
@@ -325,16 +311,19 @@ def cmd_hasimoto_run(args):
 
 def cmd_verify(args):
     names = list(SUITES) if args.suite == "all" else [args.suite]
-    t0 = time.time()
-    rows = run_suites(names)
-    ok = True
-    for c in rows:
-        status = "PASS" if c.passed else "FAIL"
-        print(f"[{status}] {c.suite}.{c.name}: {c.detail}")
-        ok = ok and c.passed
-    print(f"{sum(c.passed for c in rows)}/{len(rows)} checks passed "
-          f"({time.time() - t0:.1f}s)")
-    return EXIT_OK if ok else EXIT_ASSERT
+    t_all = time.perf_counter()
+    rows = []
+    for name in names:
+        t0 = time.perf_counter()
+        suite_rows = SUITES[name]()
+        for c in suite_rows:
+            print(f"[{'PASS' if c.passed else 'FAIL'}] {c.suite}.{c.name}: {c.detail}")
+        print(f"suite {name}: {sum(c.passed for c in suite_rows)}/{len(suite_rows)} "
+              f"in {time.perf_counter() - t0:.2f} s")
+        rows += suite_rows
+    passed = sum(c.passed for c in rows)
+    print(f"{passed}/{len(rows)} checks passed ({time.perf_counter() - t_all:.1f}s)")
+    return EXIT_OK if passed == len(rows) else EXIT_ASSERT
 
 
 # ---------------------------------------------------------------------------
@@ -389,7 +378,6 @@ def build_parser():
     p.set_defaults(fn=cmd_realheat_witness)
 
     p = rsub.add_parser("figure")
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out-dir", default=None)
     p.set_defaults(fn=cmd_realheat_figure)
 

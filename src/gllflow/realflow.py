@@ -183,7 +183,7 @@ class RealProfile:
     g_r: np.ndarray
     n: int
     slope: float
-    g_rr: np.ndarray = field(default=None, repr=False)
+    g_rr: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "r", np.asarray(self.r, float))
@@ -198,10 +198,7 @@ class RealProfile:
 
     def eval(self, r_query):
         val, _ = hermite_eval(r_query, self.r, self.g, self.g_r)
-        if self.g_rr is not None:
-            der, _ = hermite_eval(r_query, self.r, self.g_r, self.g_rr)
-        else:
-            _, der = hermite_eval(r_query, self.r, self.g, self.g_r)
+        der, _ = hermite_eval(r_query, self.r, self.g_r, self.g_rr)
         return val, der
 
     def to_csv(self, path):
@@ -209,13 +206,31 @@ class RealProfile:
         np.savetxt(path, data, delimiter=",", header="r,g,g_r", comments="", fmt="%.17g")
 
 
+def _selfsim_rhs(n: int):
+    """`real_selfsim_ivp(slope, n).rhs()` on a float state, in its split form
+    and operation order: -(r/2)g' - k(g'/r - g/r^2) + B(g)/r^2, B = O(g^3)."""
+    k = 2 * n - 1
+    c = 2 * n - 2
+
+    def fun(r, y):
+        g, gp = y.tolist()
+        r2 = r * r
+        try:
+            b = c * math.sin(g) + 0.5 * math.sin(2 * g) - k * g
+        except ValueError:  # g = +-inf: a NaN stage, rejected as non-finite
+            b = math.nan
+        return gp, -(r * 0.5) * gp - k * (gp / r - g / r2) + b / r2
+
+    return fun
+
+
 def solve_selfsim_real(beta_slope: float, n: int, r_max: float,
-                       rel_tol: float = 1e-10, r0: float = DEFAULT_R0,
-                       max_step: float = np.inf, drift: bool = True) -> RealProfile:
+                       rel_tol: float = 1e-10) -> RealProfile:
     """Integrate the scalar self-similar profile with origin slope beta_slope.
 
     beta_slope is the actual derivative at the origin (a curve "labeled"
-    beta in the comparison suite has beta_slope = 2*beta).
+    beta in the comparison suite has beta_slope = 2*beta).  The state is
+    real; `real_selfsim_ivp` (the complex spec) supplies the series start.
     """
     if beta_slope < 0:
         raise DomainError("need beta_slope >= 0")
@@ -225,13 +240,10 @@ def solve_selfsim_real(beta_slope: float, n: int, r_max: float,
         r = np.linspace(0.0, r_max, 201)
         z = np.zeros_like(r)
         return RealProfile(r, z, z, n, 0.0, g_rr=z)
-    ivp = real_selfsim_ivp(beta_slope, n, drift=drift)
-    f0, fp0 = series_start(ivp, r0)
-    fun = ivp.rhs()
-    rs, ys, fs = integrate_rk(fun, r0, np.array([f0, fp0], dtype=complex), r_max,
-                              rel_tol=rel_tol, max_step=max_step)
-    return RealProfile(rs, ys[:, 0].real, ys[:, 1].real, n, beta_slope,
-                       g_rr=fs[:, 1].real)
+    f0, fp0 = series_start(real_selfsim_ivp(beta_slope, n), DEFAULT_R0)
+    rs, ys, fs = integrate_rk(_selfsim_rhs(n), DEFAULT_R0, np.array([f0.real, fp0.real]),
+                              r_max, rel_tol=rel_tol)
+    return RealProfile(rs, ys[:, 0], ys[:, 1], n, beta_slope, g_rr=fs[:, 1])
 
 
 # ---------------------------------------------------------------------------

@@ -403,9 +403,3 @@ SUITES = {
     "hasimoto": suite_hasimoto,
 }
 
-
-def run_suites(names):
-    results = []
-    for name in names:
-        results.extend(SUITES[name]())
-    return results

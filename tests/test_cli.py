@@ -1,7 +1,11 @@
 import json
+import re
 from pathlib import Path
 
+import numpy as np
+
 from gllflow.cli import main
+from gllflow.figure_reference import reproduce_curves
 from gllflow.manifest import MANIFEST_NAME
 
 
@@ -121,13 +125,12 @@ class TestRealheatCommands:
         assert len(csvs) == 8
         doc = _manifest(out)
         assert doc["parameters"]["fitted_slope_factor"] == 2.0
-
-    def test_figure_worker_pool_matches_serial(self, tmp_path):
-        out1, out2 = tmp_path / "f1", tmp_path / "f2"
-        assert _run(["realheat", "figure", "--out-dir", str(out1)]) == 0
-        assert _run(["realheat", "figure", "--workers", "2", "--out-dir", str(out2)]) == 0
-        for csv in sorted(out1.glob("curve_beta_*.csv")):
-            assert csv.read_bytes() == (out2 / csv.name).read_bytes()
+        # the written columns are reproduce_curves under the fitted convention
+        curves, _, _ = reproduce_curves(n=doc["parameters"]["fitted_n"],
+                                        slope_factor=doc["parameters"]["fitted_slope_factor"])
+        for lbl, data in curves.items():
+            name = f"curve_beta_{str(lbl).replace('.', 'p')}.csv"
+            assert np.array_equal(np.loadtxt(out / name, delimiter=",", skiprows=1), data)
 
 
 class TestEvolveCommand:
@@ -196,6 +199,17 @@ class TestVerifyCommand:
 
     def test_hasimoto_suite_passes(self, capsys):
         assert _run(["verify", "hasimoto"]) == 0
+
+    def test_suite_seconds_on_their_own_line(self, capsys):
+        checks = []
+        for _ in range(2):
+            assert _run(["verify", "realheat"]) == 0
+            lines = capsys.readouterr().out.splitlines()
+            assert sum(re.fullmatch(r"suite realheat: (\d+)/\1 in \d+\.\d\d s", ln)
+                       is not None for ln in lines) == 1
+            checks.append([ln for ln in lines if ln.startswith(("[PASS]", "[FAIL]"))])
+        # check lines carry no timing, so reruns print them byte for byte
+        assert checks[0] == checks[1] and len(checks[0]) >= 1
 
     def test_all_suites_pass(self, capsys):
         assert _run(["verify", "all"]) == 0

@@ -1,6 +1,8 @@
+import math
+
 import numpy as np
 import pytest
-from scipy.integrate import quad
+from scipy.integrate import quad, solve_ivp
 
 from gllflow.errors import DomainError
 from gllflow.figure_reference import (FIGURE_CURVES, X_SCALE, Y_SCALE, curve_error,
@@ -10,10 +12,11 @@ from gllflow.realflow import (classify_uniqueness, comparison_suite, eta,
                               eta_double_prime, eta_prime, eta_prime_at_pi,
                               eta_triple_prime, eta_triple_prime_at_pi, f_kink,
                               f_kink_derivative, gamma, hardy_saturation_ratio,
-                              min_eta_prime, nonuniqueness_witness, search_negative_gap,
-                              solve_selfsim_real, stationary_profile,
+                              min_eta_prime, nonuniqueness_witness, real_selfsim_ivp,
+                              search_negative_gap, solve_selfsim_real, stationary_profile,
                               stationary_residual, taylor_domination_delta,
-                              witness_energy_gap)
+                              witness_energy_gap, _selfsim_rhs)
+from gllflow.singular_ode import integrate_adaptive
 
 
 class TestEta:
@@ -122,6 +125,97 @@ class TestScalarSelfsim:
         for x, y in ((0.24, 0.0636288), (2.4, 0.605552), (6.0, 1.2256)):
             g, _ = prof.eval(np.array([x * X_SCALE]))
             assert abs(g[0] / Y_SCALE - y) <= 2e-3
+
+
+def _scalar_oracle(slope, n, r_max, r0=1e-4):
+    """scipy DOP853 on g'' = -((2n-1)/r + r/2) g' + eta(g)/r^2 from the series
+    g = a r + c3 r^3: the O(r) balance 6 c3 + 2(2n-1) c3 + a/2 + (n+1) a^3/3 = 0
+    (eta(g) = (2n-1) g - (n+1) g^3/3 + O(g^5)) gives c3 below."""
+    k, m, a = 2 * n - 1, 2 * n - 2, slope
+    c3 = -a * (3.0 + 2.0 * (n + 1) * a * a) / (24.0 * (n + 1))
+
+    def fun(r, y):
+        g, gp = y
+        return [gp, -(k / r + 0.5 * r) * gp + (m * math.sin(g) + 0.5 * math.sin(2 * g)) / r**2]
+
+    sol = solve_ivp(fun, (r0, r_max), [a * r0 + c3 * r0**3, a + 3.0 * c3 * r0**2],
+                    method="DOP853", rtol=1e-13, atol=1e-15, dense_output=True)
+    assert sol.success
+    return sol.sol
+
+
+def _sweep(count, seed):
+    rng = np.random.default_rng(seed)
+    return [(float(np.exp(rng.uniform(np.log(0.2), np.log(60.0)))), int(rng.integers(2, 6)),
+             float(rng.uniform(2.55, 10.0)), float(rng.choice([1e-10, 1e-11])))
+            for _ in range(count)]
+
+
+class TestRealArithmetic:
+    """The scalar profiles run on a float state with a float rhs; the complex
+    `real_selfsim_ivp` problem through `integrate_adaptive` is their spec."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_rhs_equals_the_complex_spec(self, n):
+        rng = np.random.default_rng(100 * n + 1)
+        spec = real_selfsim_ivp(1.0, n).rhs()
+        mine = _selfsim_rhs(n)
+        k = 2 * n - 1
+        for _ in range(200):
+            r = float(np.exp(rng.uniform(np.log(1e-4), np.log(15.0))))
+            g, gp = rng.uniform(-4.0, 4.0), rng.uniform(-30.0, 30.0)
+            want = spec(r, np.array([g, gp], dtype=complex))
+            got = mine(r, np.array([g, gp]))
+            assert np.all(want.imag == 0.0)
+            assert got[0] == want[0].real
+            terms = (abs(0.5 * r * gp) + k * (abs(gp / r) + abs(g / r**2))
+                     + (abs((2 * n - 2) * math.sin(g)) + abs(0.5 * math.sin(2 * g))
+                        + abs(k * g)) / r**2)
+            assert abs(got[1] - want[1].real) <= 4 * np.spacing(terms)
+
+    def test_rhs_of_an_infinite_state_is_nan(self):
+        # math.sin(inf) raises; the stage must read as non-finite instead
+        assert math.isnan(_selfsim_rhs(3)(1.0, np.array([np.inf, 0.0]))[1])
+
+    def test_solve_matches_the_complex_path(self):
+        for slope, n, r_max, tol in _sweep(24, 7):
+            prof = solve_selfsim_real(slope, n, r_max, rel_tol=tol)
+            grid = integrate_adaptive(real_selfsim_ivp(slope, n), r_max, rel_tol=tol)
+            for arr in (prof.g, prof.g_r, prof.g_rr):
+                assert arr.dtype == np.float64
+            # the same steps: node counts agree, and the end values to rounding
+            # (rounding-level start-up steps shift interior nodes slightly)
+            assert prof.r.size == grid.r.size
+            assert prof.r[-1] == grid.r[-1] == r_max
+            assert abs(prof.g[-1] - grid.f[-1].real) <= 1e-13
+            assert abs(prof.g_r[-1] - grid.fp[-1].real) <= 1e-13
+            assert np.max(np.abs(prof.r - grid.r) / grid.r) <= 1e-4
+
+    @pytest.mark.parametrize("slope,n,r_max,tol", [
+        (22.113375001669648, 5, 10.0, 1e-10),   # the benchmark's scalar anchor
+        (60.0, 5, 10.0, 1e-10), (2.0, 3, 10.0, 1e-10), (0.5, 3, 2.55, 1e-11)])
+    def test_error_against_scipy_no_worse_than_complex(self, slope, n, r_max, tol):
+        sol = _scalar_oracle(slope, n, r_max)
+        prof = solve_selfsim_real(slope, n, r_max, rel_tol=tol)
+        grid = integrate_adaptive(real_selfsim_ivp(slope, n), r_max, rel_tol=tol)
+        ref_real, ref_cplx = sol(prof.r), sol(grid.r)
+        for mine, spec, row in ((prof.g, grid.f, 0), (prof.g_r, grid.fp, 1)):
+            ratio = np.max(np.abs(mine - ref_real[row])) / tol
+            ratio_spec = np.max(np.abs(spec.real - ref_cplx[row])) / tol
+            assert ratio <= 1.001 * ratio_spec + 1e-3
+        assert np.max(np.abs(prof.g - ref_real[0])) / tol <= 10.0
+
+    def test_reruns_are_bit_identical(self):
+        a = solve_selfsim_real(22.113375001669648, 5, 10.0)
+        b = solve_selfsim_real(22.113375001669648, 5, 10.0)
+        for x, y in ((a.r, b.r), (a.g, b.g), (a.g_r, b.g_r), (a.g_rr, b.g_rr)):
+            assert np.array_equal(x, y)
+
+    def test_domain(self):
+        with pytest.raises(DomainError):
+            solve_selfsim_real(-1.0, 3, 5.0)
+        with pytest.raises(DomainError):
+            solve_selfsim_real(1.0, 1, 5.0)
 
 
 class TestComparisonSuite:
