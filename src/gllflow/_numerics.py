@@ -29,31 +29,19 @@ def trapezoid(y, x):
     return np.trapezoid(y, x, axis=0)
 
 
-def cumtrapz0(y, x):
-    """Cumulative trapezoid with value 0 at the first node."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y)
-    dx = np.diff(x)
-    if y.ndim > 1:
-        dx = dx.reshape((-1,) + (1,) * (y.ndim - 1))
-    out = np.zeros(y.shape, dtype=np.result_type(y.dtype, float))
-    out[1:] = np.cumsum(0.5 * (y[1:] + y[:-1]) * dx, axis=0)
-    return out
-
-
 def cumquad0(y, x):
     """Cumulative integral with piecewise-parabolic cells, 0 at the first node.
 
     Each cell [x_i, x_{i+1}] integrates the Lagrange parabola through three
     neighbouring nodes (local error O(h^4)); needed where a cumulative
     integral gets divided by r^2 near a singular origin, where trapezoid
-    accuracy is not enough.
+    accuracy is not enough.  Needs at least 3 nodes.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y)
     n = x.size
     if n < 3:
-        return cumtrapz0(y, x)
+        raise GridError("cumulative parabolic quadrature needs at least 3 nodes")
     # stencil (j0,j1,j2) for cell i: (i-1,i,i+1), first cell uses (0,1,2)
     i = np.arange(n - 1)
     j0 = np.maximum(i - 1, 0)

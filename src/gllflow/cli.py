@@ -2,8 +2,9 @@
 
 Exit codes: 0 = pass, 1 = an asserted property failed, 2 = solver failure
 or violated preconditions.  Every run directory receives exactly one
-run_manifest.json; data files are CSV (full-precision decimal) and reports
-JSON.  GLLFLOW_OUT sets the default output root.
+run_manifest.json, which `main` writes with the command's wall time; data
+files are CSV and reports JSON, in the formats of `manifest`.  GLLFLOW_OUT
+sets the default output root.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .evolution import (EvolveConfig, RadialField, evolve, field_from_profile,
                         great_circle_bump, make_grid, residual)
 from .geometry import FlowParams, TangentVec, harmonic_map_jet
 from .hasimoto import compute_q, strichartz_exponents, transport_frame
-from .manifest import RunManifest
+from .manifest import RunManifest, write_csv
 from .selfsim import apriori_identity_residual, solve_profile, tail_limit
 from .verify import SUITES
 
@@ -40,6 +41,13 @@ def _out_dir(args, default_leaf):
     return out
 
 
+def _write_report(out_dir, name, rep):
+    """Write rep's JSON report as out_dir/name; returns it as a dict."""
+    text = rep.to_json()
+    (out_dir / name).write_text(text + "\n")
+    return json.loads(text)
+
+
 def _write_gnuplot(out_dir, csv_name, columns, title):
     lines = [f"set datafile separator ','", f"set key autotitle columnhead",
              f"set title '{title}'",
@@ -52,7 +60,6 @@ def _write_gnuplot(out_dir, csv_name, columns, title):
 # ---------------------------------------------------------------------------
 
 def cmd_selfsim(args):
-    t0 = time.perf_counter()
     params = FlowParams(args.n, args.alpha, args.beta)
     out = _out_dir(args, "out-selfsim")
     trivial = (args.v1 == 0.0 and args.v2 == 0.0)
@@ -71,21 +78,16 @@ def cmd_selfsim(args):
     print(f"max A(r) = {results['max_A']:.6f} (bound 4n = {results['A_bound_4n']:g}): "
           f"{'ok' if a_ok else 'VIOLATED'}")
     if not trivial and prof.r_max >= 10.0:
-        rep = tail_limit(prof)
-        (out / "tail_report.json").write_text(rep.to_json() + "\n")
-        results["tail"] = json.loads(rep.to_json())
-    mani = RunManifest(
+        results["tail"] = _write_report(out, "tail_report.json", tail_limit(prof))
+    if args.gnuplot:
+        _write_gnuplot(out, "profile.csv", (2, 3, 4), "self-similar profile")
+    print(f"wrote {out}")
+    return (EXIT_OK if a_ok else EXIT_ASSERT), out, RunManifest(
         command="selfsim",
         parameters={"n": args.n, "alpha": args.alpha, "beta": args.beta,
                     "v1": args.v1, "v2": args.v2},
         grid={"r_max": args.r_max, "nodes": int(prof.r.size)},
-        tolerances={"rel_tol": args.tol},
-        results=results, wall_time_s=time.perf_counter() - t0)
-    mani.write(out)
-    if args.gnuplot:
-        _write_gnuplot(out, "profile.csv", (2, 3, 4), "self-similar profile")
-    print(f"wrote {out}")
-    return EXIT_OK if a_ok else EXIT_ASSERT
+        tolerances={"rel_tol": args.tol}, results=results)
 
 
 # ---------------------------------------------------------------------------
@@ -95,66 +97,47 @@ def cmd_selfsim(args):
 def cmd_realheat_classify(args):
     rep = rf.classify_uniqueness(args.n)
     out = _out_dir(args, "out-realheat-classify")
-    (out / "classifier_report.json").write_text(rep.to_json() + "\n")
-    RunManifest("realheat classify", {"n": args.n},
-                results=json.loads(rep.to_json())).write(out)
     print(f"n = {args.n}: {rep.verdict} (eta'(pi) = {rep.eta_prime_at_pi:g}, "
           f"min eta' = {rep.min_eta_prime:g}, threshold = {rep.threshold:g})")
-    return EXIT_OK
+    return EXIT_OK, out, RunManifest(
+        "realheat classify", {"n": args.n},
+        results=_write_report(out, "classifier_report.json", rep))
 
 
 def cmd_realheat_stationary(args):
-    t0 = time.perf_counter()
     ns = [int(v) for v in args.n_list.split(",")]
     rs = [float(v) for v in args.r_list.split(",")]
-    rows = []
-    worst = 0.0
-    for n in ns:
-        res = rf.stationary_residual(args.alpha, rs, n)
-        worst = max(worst, res)
-        rows.append((n, res))
+    residuals = [rf.stationary_residual(args.alpha, rs, n) for n in ns]
+    worst = max([0.0] + residuals)
     out = _out_dir(args, "out-realheat-stationary")
-    lines = ["n,max_residual"] + [f"{n},{res:.17g}" for n, res in rows]
-    (out / "stationary_residuals.csv").write_text("\n".join(lines) + "\n")
-    RunManifest("realheat stationary",
-                {"alpha": args.alpha, "n_list": ns, "r_list": rs},
-                results={"max_residual": worst},
-                wall_time_s=time.perf_counter() - t0).write(out)
+    write_csv(out / "stationary_residuals.csv", "n,max_residual", ns, residuals)
     print(f"max residual over n in {ns}: {worst:.3e} (dimension-independent family)")
-    return EXIT_OK if worst <= 1e-10 else EXIT_ASSERT
+    return (EXIT_OK if worst <= 1e-10 else EXIT_ASSERT), out, RunManifest(
+        "realheat stationary", {"alpha": args.alpha, "n_list": ns, "r_list": rs},
+        results={"max_residual": worst})
 
 
 def cmd_realheat_selfsim(args):
-    t0 = time.perf_counter()
     slope = 2.0 * args.beta if args.convention == "label" else args.beta
     prof = rf.solve_selfsim_real(slope, args.n, args.r_max, rel_tol=args.tol)
     out = _out_dir(args, "out-realheat-selfsim")
     prof.to_csv(out / "profile.csv")
     mono = bool(np.all(np.diff(prof.g) >= -1e-8))
     below = bool(prof.g.max() < np.pi)
-    RunManifest("realheat selfsim",
-                {"beta": args.beta, "slope": slope, "n": args.n,
-                 "convention": args.convention},
-                grid={"r_max": args.r_max, "nodes": int(prof.r.size)},
-                tolerances={"rel_tol": args.tol},
-                results={"g_inf": prof.g_inf, "monotone": mono, "below_pi": below},
-                wall_time_s=time.perf_counter() - t0).write(out)
     if args.gnuplot:
         _write_gnuplot(out, "profile.csv", (2,), "scalar self-similar profile")
     print(f"phi(r_max) = {prof.g_inf:.6f}; monotone: {mono}; below pi: {below}")
-    return EXIT_OK if (mono and below) else EXIT_ASSERT
+    return (EXIT_OK if (mono and below) else EXIT_ASSERT), out, RunManifest(
+        "realheat selfsim",
+        {"beta": args.beta, "slope": slope, "n": args.n, "convention": args.convention},
+        grid={"r_max": args.r_max, "nodes": int(prof.r.size)},
+        tolerances={"rel_tol": args.tol},
+        results={"g_inf": prof.g_inf, "monotone": mono, "below_pi": below})
 
 
 def cmd_realheat_witness(args):
-    t0 = time.perf_counter()
     rep = rf.nonuniqueness_witness(args.epsilon, args.delta, quad_nodes=args.quad_nodes)
     out = _out_dir(args, "out-realheat-witness")
-    (out / "witness_report.json").write_text(rep.to_json() + "\n")
-    RunManifest("realheat witness",
-                {"epsilon": args.epsilon, "delta": args.delta},
-                tolerances={"quad_nodes": args.quad_nodes},
-                results=json.loads(rep.to_json()),
-                wall_time_s=time.perf_counter() - t0).write(out)
     sign = "negative" if rep.energy_gap < 0 else "positive"
     print(f"energy gap E(h) - E(equator) = {rep.energy_gap:.6e} ({sign}); "
           f"Hardy saturation ratio = {rep.hardy_ratio:.6f}")
@@ -162,32 +145,30 @@ def cmd_realheat_witness(args):
         print("note: gamma admits no q = 1 quartic Taylor domination; the energy's "
               "potential is 2 gamma, whose classical q = 1 domination (gamma's "
               f"q = 1/2 form) holds for delta <= {rep.taylor_delta_halved}")
-    return EXIT_OK
+    return EXIT_OK, out, RunManifest(
+        "realheat witness", {"epsilon": args.epsilon, "delta": args.delta},
+        tolerances={"quad_nodes": args.quad_nodes},
+        results=_write_report(out, "witness_report.json", rep))
 
 
 def cmd_realheat_figure(args):
-    t0 = time.perf_counter()
     fit = figref.fit_convention()
     curves, _, _ = figref.reproduce_curves(n=fit.n, slope_factor=fit.slope_factor)
     labels = sorted(curves)
     out = _out_dir(args, "out-realheat-figure")
     errs = {}
-    for lbl in labels:
-        data = curves[lbl]
+    for lbl, data in sorted(curves.items()):
         name = f"curve_beta_{str(lbl).replace('.', 'p')}.csv"
-        np.savetxt(out / name, data, delimiter=",",
-                   header="x_plot,y_reference,y_simulated", comments="", fmt="%.17g")
+        write_csv(out / name, "x_plot,y_reference,y_simulated", data)
         errs[str(lbl)] = float(np.max(np.abs(data[:, 1] - data[:, 2])))
-    RunManifest("realheat figure",
-                {"labels": labels, "fitted_n": fit.n,
-                 "fitted_slope_factor": fit.slope_factor},
-                tolerances={"rel_tol": 1e-11},
-                results={"fit_max_err": fit.max_err, "per_curve_err": errs},
-                wall_time_s=time.perf_counter() - t0).write(out)
     print(f"fitted convention: n = {fit.n}, origin slope = {fit.slope_factor:g} x label")
     for lbl in labels:
         print(f"  label {lbl:g}: max plot-unit error {errs[str(lbl)]:.2e}")
-    return EXIT_OK
+    return EXIT_OK, out, RunManifest(
+        "realheat figure",
+        {"labels": labels, "fitted_n": fit.n, "fitted_slope_factor": fit.slope_factor},
+        tolerances={"rel_tol": 1e-11},
+        results={"fit_max_err": fit.max_err, "per_curve_err": errs})
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +199,6 @@ def _evolve_initial(args, params, r):
 
 
 def cmd_evolve(args):
-    t0 = time.perf_counter()
     conf = _read_config_file(args.config) if args.config else {}
     # precedence: explicit flags > config file > defaults
     def pick(name, default, cast):
@@ -256,7 +236,8 @@ def cmd_evolve(args):
         results["stationarity_drift"] = drift
         dr = float(np.min(np.diff(r)))
         print(f"harmonic stationarity drift: {drift:.3e} (dr^2 = {dr**2:.3e})")
-    mani = RunManifest(
+    print(f"wrote {len(traj.frames)} frames to {out}")
+    return EXIT_OK, out, RunManifest(
         "evolve",
         {"preset": args.preset, "n": n, "alpha": alpha, "beta": beta,
          "v1": args.v1, "v2": args.v2, "amplitude": args.amplitude,
@@ -264,10 +245,7 @@ def cmd_evolve(args):
         grid={"r_max": r_max, "nodes": nodes, "grading": args.grading},
         tolerances={"dt_factor": args.dt_factor, "T": T,
                     "outer_boundary": args.outer, "store_every": args.store_every},
-        results=results, wall_time_s=time.perf_counter() - t0)
-    mani.write(out)
-    print(f"wrote {len(traj.frames)} frames to {out}")
-    return EXIT_OK
+        results=results)
 
 
 # ---------------------------------------------------------------------------
@@ -277,16 +255,14 @@ def cmd_evolve(args):
 def cmd_hasimoto_exponents(args):
     table = strichartz_exponents(args.p)
     out = _out_dir(args, "out-hasimoto")
-    (out / "exponent_table.json").write_text(table.to_json() + "\n")
-    RunManifest("hasimoto exponents", {"p": str(args.p)},
-                results=json.loads(table.to_json())).write(out)
     print(f"p = {args.p}: r = {table.r} = {float(table.r)}; "
           f"s(1,1) = {table.s[(1, 1)]}; Holder identity exact: {table.holder_identity_holds()}")
-    return EXIT_OK
+    return EXIT_OK, out, RunManifest(
+        "hasimoto exponents", {"p": str(args.p)},
+        results=_write_report(out, "exponent_table.json", table))
 
 
 def cmd_hasimoto_run(args):
-    t0 = time.perf_counter()
     params = FlowParams(args.n, args.alpha, args.beta)
     r = np.linspace(0.0, args.r_max, args.nodes)
     u, u_r, _ = harmonic_map_jet(TangentVec(args.v1, args.v2, 0.0), r)
@@ -294,15 +270,13 @@ def cmd_hasimoto_run(args):
     qf = compute_q(r, u, frame, params, u_r=u_r)
     out = _out_dir(args, "out-hasimoto")
     qf.to_csv(out / "qfield.csv", u_r_norm=np.linalg.norm(u_r, axis=1))
-    RunManifest("hasimoto run",
-                {"n": args.n, "alpha": args.alpha, "beta": args.beta,
-                 "v1": args.v1, "v2": args.v2},
-                grid={"r_max": args.r_max, "nodes": args.nodes},
-                results={"max_abs_q": float(np.max(np.abs(qf.q))),
-                         "max_alpha_g": float(np.max(np.abs(qf.alpha_g)))},
-                wall_time_s=time.perf_counter() - t0).write(out)
     print(f"wrote frame coordinates for the stationary profile to {out}")
-    return EXIT_OK
+    return EXIT_OK, out, RunManifest(
+        "hasimoto run",
+        {"n": args.n, "alpha": args.alpha, "beta": args.beta, "v1": args.v1, "v2": args.v2},
+        grid={"r_max": args.r_max, "nodes": args.nodes},
+        results={"max_abs_q": float(np.max(np.abs(qf.q))),
+                 "max_alpha_g": float(np.max(np.abs(qf.alpha_g)))})
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +297,7 @@ def cmd_verify(args):
         rows += suite_rows
     passed = sum(c.passed for c in rows)
     print(f"{passed}/{len(rows)} checks passed ({time.perf_counter() - t_all:.1f}s)")
-    return EXIT_OK if passed == len(rows) else EXIT_ASSERT
+    return (EXIT_OK if passed == len(rows) else EXIT_ASSERT), None, None
 
 
 # ---------------------------------------------------------------------------
@@ -431,9 +405,14 @@ def build_parser():
 
 
 def main(argv=None):
+    """Run one command; write the manifest it returns, with its wall time."""
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        t0 = time.perf_counter()
+        code, out, mani = args.fn(args)
+        if mani is not None:
+            mani.write(out, time.perf_counter() - t0)
+        return code
     except GLLFlowError as exc:
         diag = {"error": type(exc).__name__, "message": str(exc)}
         extra = getattr(exc, "diagnostics", None)

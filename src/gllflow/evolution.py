@@ -19,6 +19,7 @@ from ._numerics import (central_difference3, check_grid, derivative_nonuniform,
 from .errors import DomainError, GridError, InstabilityError
 from .geometry import (E3, FlowParams, RadialProfile, _flow_velocity, energy,
                        gll_rhs_arr)
+from .manifest import read_csv, write_csv
 from .selfsim import SelfSimProfile, consistency_second_derivative
 
 UNIT_DRIFT_ABORT = 1e-6
@@ -56,12 +57,11 @@ class RadialField:
         object.__setattr__(self, "u", u)
 
     def to_csv(self, path):
-        data = np.column_stack([self.r, self.u])
-        np.savetxt(path, data, delimiter=",", header="r,u1,u2,u3", comments="", fmt="%.17g")
+        write_csv(path, "r,u1,u2,u3", self.r, self.u)
 
     @classmethod
     def read_csv(cls, path, t=0.0):
-        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        data = read_csv(path)
         return cls(data[:, 0], data[:, 1:4], t)
 
 

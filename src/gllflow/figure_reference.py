@@ -108,13 +108,20 @@ FIGURE_CURVES = {
 }
 
 
-def curve_error(label, n, slope_factor, rel_tol=1e-11):
-    """Max |simulated - reference| in plot y-units for one labeled curve."""
+def simulated_curve(label, n, slope_factor, rel_tol=1e-11):
+    """Columns [x_plot, y_ref, y_sim] of one labeled curve: its reference
+    points and the profile with origin slope slope_factor * label, in plot
+    units."""
     pts = FIGURE_CURVES[label]
     prof = solve_selfsim_real(slope_factor * label, n, 2.55, rel_tol=rel_tol)
-    r = pts[:, 0] * X_SCALE
-    g, _ = prof.eval(r)
-    return float(np.max(np.abs(g / Y_SCALE - pts[:, 1])))
+    g, _ = prof.eval(pts[:, 0] * X_SCALE)
+    return np.column_stack([pts[:, 0], pts[:, 1], g / Y_SCALE])
+
+
+def curve_error(label, n, slope_factor, rel_tol=1e-11):
+    """Max |simulated - reference| in plot y-units for one labeled curve."""
+    data = simulated_curve(label, n, slope_factor, rel_tol)
+    return float(np.max(np.abs(data[:, 2] - data[:, 1])))
 
 
 @dataclass(frozen=True)
@@ -144,10 +151,4 @@ def reproduce_curves(labels=None, n=None, slope_factor=None, rel_tol=1e-11):
         n = fit.n if n is None else n
         slope_factor = fit.slope_factor if slope_factor is None else slope_factor
     labels = sorted(FIGURE_CURVES) if labels is None else list(labels)
-    out = {}
-    for lbl in labels:
-        pts = FIGURE_CURVES[lbl]
-        prof = solve_selfsim_real(slope_factor * lbl, n, 2.55, rel_tol=rel_tol)
-        g, _ = prof.eval(pts[:, 0] * X_SCALE)
-        out[lbl] = np.column_stack([pts[:, 0], pts[:, 1], g / Y_SCALE])
-    return out, n, slope_factor
+    return {lbl: simulated_curve(lbl, n, slope_factor, rel_tol) for lbl in labels}, n, slope_factor

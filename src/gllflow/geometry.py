@@ -219,9 +219,7 @@ def energy_density(u, u_r, r, n) -> float:
     u_r = u_r.array if isinstance(u_r, TangentVec) else np.asarray(u_r, float)
     if r <= 0.0:
         raise DomainError("energy density needs r > 0")
-    u3 = u[2]
-    pot = 1.0 - u3**2 + 2.0 * (2 * n - 2) * (1.0 - u3)
-    return 0.5 * (float(u_r @ u_r) + pot / r**2)
+    return float(energy_density_arr(u, u_r, r, n))
 
 
 def energy_density_l2(u, u_r, r, n) -> float:

@@ -16,7 +16,6 @@ the q equation forward.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -25,6 +24,7 @@ import numpy as np
 from ._numerics import central_difference3, cumquad0, derivative_nonuniform, weighted_norms
 from .errors import DomainError
 from .geometry import E3, FlowParams
+from .manifest import report_json, write_csv
 
 FRAME_TOL = 1e-10
 
@@ -103,9 +103,8 @@ class QField:
 
     def to_csv(self, path, u_r_norm=None):
         u_r_norm = np.abs(self.q) if u_r_norm is None else u_r_norm
-        data = np.column_stack([self.r, self.q.real, self.q.imag, self.alpha_g, u_r_norm])
-        np.savetxt(path, data, delimiter=",", header="r,re_q,im_q,alpha_g,u_r_norm",
-                   comments="", fmt="%.17g")
+        write_csv(path, "r,re_q,im_q,alpha_g,u_r_norm",
+                  self.r, self.q.real, self.q.imag, self.alpha_g, u_r_norm)
 
 
 def _tension_coordinates(r, q, u3, n):
@@ -332,14 +331,14 @@ class ExponentTable:
         return Fraction(i + j, 4) - Fraction(i, 1) / (6 * self.p)
 
     def to_json(self):
-        return json.dumps({
+        return report_json({
             "schema": "gllflow.exponent_table/1",
             "p": str(self.p),
             "r": {"fraction": str(self.r), "float": float(self.r)},
             "s": {f"s({i},{j})": {"fraction": str(v), "float": float(v)}
                   for (i, j), v in sorted(self.s.items())},
             "holder_identity": self.holder_identity_holds(),
-        }, indent=2, sort_keys=True)
+        })
 
 
 def strichartz_exponents(p) -> ExponentTable:

@@ -1,8 +1,9 @@
-"""Run manifests: every CLI output directory carries exactly one.
+"""Output formats: CSV data files, JSON reports and the run manifest.
 
-The manifest separates the deterministic payload (command, parameters,
-grid, tolerances, results) from provenance (wall time); re-running the
-same invocation reproduces the payload and all data files byte for byte.
+Every CLI output directory carries exactly one manifest.  It separates the
+deterministic payload (command, parameters, grid, tolerances, results) from
+provenance (wall time); re-running the same invocation reproduces the
+payload and all data files byte for byte.
 """
 
 from __future__ import annotations
@@ -12,12 +13,26 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
+import numpy as np
+
 SCHEMA_VERSION = "gllflow.run_manifest/1"
 MANIFEST_NAME = "run_manifest.json"
 
 
-def _canonical(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), default=str)
+def write_csv(path, header, *columns):
+    """Columns (1-D or (N, k)) side by side under a header row, full precision."""
+    np.savetxt(path, np.column_stack(columns), delimiter=",", header=header, comments="",
+               fmt="%.17g")
+
+
+def read_csv(path):
+    """The rows of a `write_csv` file below its header, as an (N, k) array."""
+    return np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+
+
+def report_json(doc) -> str:
+    """A report (or manifest) document as sorted, indented JSON text."""
+    return json.dumps(doc, indent=2, sort_keys=True)
 
 
 @dataclass
@@ -27,36 +42,15 @@ class RunManifest:
     grid: dict = field(default_factory=dict)
     tolerances: dict = field(default_factory=dict)
     results: dict = field(default_factory=dict)
-    wall_time_s: float = 0.0
-    schema_version: str = SCHEMA_VERSION
 
-    @property
-    def input_hash(self) -> str:
-        payload = {"command": self.command, "parameters": self.parameters,
-                   "grid": self.grid, "tolerances": self.tolerances}
-        return hashlib.sha256(_canonical(payload).encode()).hexdigest()
-
-    def payload(self) -> dict:
-        return {
-            "schema_version": self.schema_version,
-            "command": self.command,
-            "parameters": self.parameters,
-            "grid": self.grid,
-            "tolerances": self.tolerances,
-            "results": self.results,
-            "input_hash": self.input_hash,
-        }
-
-    def write(self, out_dir) -> Path:
-        out_dir = Path(out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        doc = self.payload()
-        doc["provenance"] = {"wall_time_s": self.wall_time_s}
-        path = out_dir / MANIFEST_NAME
-        path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    def write(self, out_dir, wall_time_s) -> Path:
+        """Write the payload, a sha256 of its inputs and the provenance."""
+        inputs = {"command": self.command, "parameters": self.parameters,
+                  "grid": self.grid, "tolerances": self.tolerances}
+        canonical = json.dumps(inputs, sort_keys=True, separators=(",", ":"), default=str)
+        doc = dict(inputs, schema_version=SCHEMA_VERSION, results=self.results,
+                   input_hash=hashlib.sha256(canonical.encode()).hexdigest(),
+                   provenance={"wall_time_s": wall_time_s})
+        path = Path(out_dir) / MANIFEST_NAME
+        path.write_text(report_json(doc) + "\n")
         return path
-
-    @classmethod
-    def read(cls, out_dir):
-        doc = json.loads((Path(out_dir) / MANIFEST_NAME).read_text())
-        return doc

@@ -15,7 +15,6 @@ reference curves in `figure_reference`.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -23,6 +22,7 @@ import numpy as np
 
 from ._numerics import hermite_eval, trapezoid
 from .errors import DomainError
+from .manifest import report_json, write_csv
 from .singular_ode import DEFAULT_R0, SingularIVP, integrate_rk, series_start
 
 # ---------------------------------------------------------------------------
@@ -78,14 +78,14 @@ class ClassifierReport:
     verdict: str            # "nonunique" | "unique" | "borderline"
 
     def to_json(self):
-        return json.dumps({
+        return report_json({
             "schema": "gllflow.classifier_report/1",
             "n": self.n, "d": self.d,
             "eta_prime_at_pi": self.eta_prime_at_pi,
             "min_eta_prime": self.min_eta_prime,
             "threshold": self.threshold,
             "verdict": self.verdict,
-        }, indent=2, sort_keys=True)
+        })
 
 
 def min_eta_prime(n) -> float:
@@ -202,8 +202,7 @@ class RealProfile:
         return val, der
 
     def to_csv(self, path):
-        data = np.column_stack([self.r, self.g, self.g_r])
-        np.savetxt(path, data, delimiter=",", header="r,g,g_r", comments="", fmt="%.17g")
+        write_csv(path, "r,g,g_r", self.r, self.g, self.g_r)
 
 
 def _selfsim_rhs(n: int):
@@ -269,14 +268,14 @@ class ComparisonReport:
         return all(c.passed for c in self.checks)
 
     def to_json(self):
-        return json.dumps({
+        return report_json({
             "schema": "gllflow.comparison_report/1",
             "n": self.n,
             "beta_labels": list(self.beta_labels),
             "informational": self.informational,
             "checks": [{"name": c.name, "passed": c.passed, "detail": c.detail}
                        for c in self.checks],
-        }, indent=2, sort_keys=True)
+        })
 
 
 ORDERING_TOL = 1e-8
@@ -457,7 +456,7 @@ class WitnessReport:
     quad_nodes: int
 
     def to_json(self):
-        return json.dumps({
+        return report_json({
             "schema": "gllflow.witness_report/1",
             "epsilon": self.epsilon,
             "delta": self.delta,
@@ -468,7 +467,7 @@ class WitnessReport:
             "taylor_C": self.taylor_C,
             "quad_nodes": self.quad_nodes,
             "kink_breakpoints": [self.epsilon, 0.5],
-        }, indent=2, sort_keys=True)
+        })
 
 
 def nonuniqueness_witness(epsilon, delta, quad_nodes=4000, taylor_C=0.05) -> WitnessReport:

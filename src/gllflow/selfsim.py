@@ -18,7 +18,6 @@ origin slope of psi is 2v.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,6 +26,7 @@ from ._numerics import cumquad0, derivative_nonuniform, hermite_eval
 from .errors import DomainError, NonConvergedError, NormDriftError
 from .geometry import (E3, FlowParams, SpherePoint, stereo_lift_arr,
                        stereo_lift_differential)
+from .manifest import report_json, write_csv
 from .singular_ode import DEFAULT_R0, SingularIVP, integrate_rk, series_start
 
 TANGENT_DRIFT_ABORT = 1e-6
@@ -139,14 +139,12 @@ class SelfSimProfile:
         return psi, dpsi
 
     def to_csv(self, path):
-        header = "r,psi1,psi2,psi3,psi_r_norm,A"
-        dn = np.linalg.norm(self.psi_r, axis=1)
-        data = np.column_stack([self.r, self.psi, dn, self.A])
-        np.savetxt(path, data, delimiter=",", header=header, comments="", fmt="%.17g")
+        write_csv(path, "r,psi1,psi2,psi3,psi_r_norm,A",
+                  self.r, self.psi, np.linalg.norm(self.psi_r, axis=1), self.A)
 
 
 def solve_profile(v, params: FlowParams, r_max: float, rel_tol: float | None = None,
-                  r0: float = DEFAULT_R0, max_step: float = np.inf) -> SelfSimProfile:
+                  max_step: float = np.inf) -> SelfSimProfile:
     """Integrate the profile ODE from the singular origin out to r_max.
 
     v = (v1, v2) or (v1, v2, 0).  rel_tol defaults to 1e-10, tightened to
@@ -159,7 +157,7 @@ def solve_profile(v, params: FlowParams, r_max: float, rel_tol: float | None = N
         raise DomainError("initial data must be tangent at the north pole: v = (v1, v2, 0)")
     if params.n < 2:
         raise DomainError("self-similar profiles are solved for n >= 2")
-    if r_max <= r0:
+    if r_max <= DEFAULT_R0:
         raise DomainError("need r_max > r0")
     if rel_tol is None:
         rel_tol = 1e-12 if params.alpha == 0.0 else 1e-10
@@ -171,12 +169,12 @@ def solve_profile(v, params: FlowParams, r_max: float, rel_tol: float | None = N
         return SelfSimProfile(r, psi, zeros, params, v, psi_rr=zeros)
 
     ivp = stereo_selfsim_ivp(v, params)
-    F0, Fp0 = series_start(ivp, r0)
+    F0, Fp0 = series_start(ivp, DEFAULT_R0)
     psi0 = stereo_lift_arr(F0)
     dpsi0 = stereo_lift_differential(F0, Fp0)
     y0 = np.concatenate([psi0, dpsi0])
     fun = sphere_profile_rhs(params)
-    rs, ys, fs = integrate_rk(fun, r0, y0, r_max, rel_tol=rel_tol,
+    rs, ys, fs = integrate_rk(fun, DEFAULT_R0, y0, r_max, rel_tol=rel_tol,
                               max_step=max_step, postprocess=_project_state)
     return SelfSimProfile(rs, ys[:, :3], ys[:, 3:], params, v, psi_rr=fs[:, 3:])
 
@@ -260,7 +258,7 @@ class TailReport:
     grid_nodes: int
 
     def to_json(self):
-        return json.dumps({
+        return report_json({
             "schema": "gllflow.tail_report/1",
             "psi_inf": [self.psi_inf.x1, self.psi_inf.x2, self.psi_inf.x3],
             "r_used": self.r_used,
@@ -269,7 +267,7 @@ class TailReport:
             "empirical_rate_constant": self.empirical_rate_constant,
             "params": {"n": self.params.n, "alpha": self.params.alpha, "beta": self.params.beta},
             "grid_nodes": self.grid_nodes,
-        }, indent=2, sort_keys=True)
+        })
 
 
 def tail_limit(profile: SelfSimProfile, n: int | None = None) -> TailReport:

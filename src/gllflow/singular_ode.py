@@ -23,6 +23,7 @@ import numpy as np
 
 from ._numerics import check_grid, hermite_eval, trapezoid
 from .errors import DomainError, GridError, NonFiniteError, StiffnessError
+from .manifest import read_csv, write_csv
 
 # Dormand-Prince 5(4) tableau in matrix form; the 5th-order solution is
 # propagated and the embedded 4th-order difference drives step control.
@@ -267,13 +268,12 @@ class ProfileGrid:
         return hermite_eval(r_new, self.r, self.f, self.fp)
 
     def to_csv(self, path):
-        header = "r,re_f,im_f,re_fp,im_fp"
-        data = np.column_stack([self.r, self.f.real, self.f.imag, self.fp.real, self.fp.imag])
-        np.savetxt(path, data, delimiter=",", header=header, comments="", fmt="%.17g")
+        write_csv(path, "r,re_f,im_f,re_fp,im_fp",
+                  self.r, self.f.real, self.f.imag, self.fp.real, self.fp.imag)
 
     @classmethod
     def read_csv(cls, path):
-        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        data = read_csv(path)
         return cls(data[:, 0], data[:, 1] + 1j * data[:, 2], data[:, 3] + 1j * data[:, 4])
 
 
@@ -281,31 +281,14 @@ DEFAULT_R0 = 1e-4        # the singular pair amplifies start-up error quadratica
 DEFAULT_REL_TOL = 1e-10
 
 
-def integrate_adaptive(ivp: SingularIVP, r_max: float, rel_tol: float = DEFAULT_REL_TOL,
-                       r0: float = DEFAULT_R0, sample_points=None,
-                       max_step: float = np.inf) -> ProfileGrid:
-    """Solve the singular problem out to r_max.
-
-    The grid holds the solver-chosen accepted nodes; `sample_points`, if
-    given, are merged in via cubic Hermite interpolation.
-    """
-    f0, fp0 = series_start(ivp, r0)
-    fun = ivp.rhs()
-    rs, ys, _ = integrate_rk(fun, r0, np.array([f0, fp0], dtype=complex), r_max,
-                             rel_tol=rel_tol, max_step=max_step)
-    grid = ProfileGrid(rs, ys[:, 0], ys[:, 1])
-    if sample_points is not None:
-        extra = np.asarray(sample_points, dtype=float)
-        extra = extra[(extra > rs[0]) & (extra < rs[-1])]
-        missing = np.setdiff1d(extra, rs)
-        if missing.size:
-            fe, fpe = grid.interpolate(missing)
-            r_all = np.concatenate([rs, missing])
-            order = np.argsort(r_all)
-            grid = ProfileGrid(r_all[order],
-                               np.concatenate([ys[:, 0], fe])[order],
-                               np.concatenate([ys[:, 1], fpe])[order])
-    return grid
+def integrate_adaptive(ivp: SingularIVP, r_max: float,
+                       rel_tol: float = DEFAULT_REL_TOL) -> ProfileGrid:
+    """Solve the singular problem from the series start at DEFAULT_R0 out to
+    r_max; the grid holds the solver-chosen accepted nodes."""
+    f0, fp0 = series_start(ivp, DEFAULT_R0)
+    rs, ys, _ = integrate_rk(ivp.rhs(), DEFAULT_R0, np.array([f0, fp0], dtype=complex), r_max,
+                             rel_tol=rel_tol)
+    return ProfileGrid(rs, ys[:, 0], ys[:, 1])
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,9 @@ import re
 from pathlib import Path
 
 import numpy as np
+import pytest
 
+import gllflow
 from gllflow.cli import main
 from gllflow.figure_reference import reproduce_curves
 from gllflow.manifest import MANIFEST_NAME
@@ -217,3 +219,37 @@ class TestVerifyCommand:
         assert "[FAIL]" not in out
         # one line per check across all six module suites
         assert out.count("[PASS]") >= 20
+
+
+# one small invocation of every command that writes an output directory
+FILE_WRITING_COMMANDS = {
+    "selfsim": ["selfsim", "--r-max", "12"],
+    "realheat classify": ["realheat", "classify", "--n", "2"],
+    "realheat stationary": ["realheat", "stationary", "--n-list", "2,3"],
+    "realheat selfsim": ["realheat", "selfsim", "--beta", "1", "--r-max", "4"],
+    "realheat witness": ["realheat", "witness", "--epsilon", "1e-3", "--quad-nodes", "600"],
+    "realheat figure": ["realheat", "figure"],
+    "evolve": ["evolve", "--preset", "bump", "--nodes", "41", "--r-max", "8",
+               "--T", "0.01"],
+    "hasimoto exponents": ["hasimoto", "exponents", "--p", "2"],
+    "hasimoto run": ["hasimoto", "run", "--r-max", "4", "--nodes", "201"],
+}
+
+
+class TestManifests:
+    @pytest.mark.parametrize("command", sorted(FILE_WRITING_COMMANDS))
+    def test_every_manifest_records_its_wall_time(self, command, tmp_path):
+        out = tmp_path / "run"
+        assert _run(FILE_WRITING_COMMANDS[command] + ["--out-dir", str(out)]) == 0
+        doc = _manifest(out)
+        assert doc["command"] == command
+        assert doc["provenance"]["wall_time_s"] > 0.0
+
+    def test_output_formats_live_in_manifest(self):
+        # the CSV writer, its number format and the JSON layout are decided
+        # in one module; every other module calls it
+        package = Path(gllflow.__file__).parent
+        for path in sorted(package.glob("*.py")):
+            text = path.read_text()
+            for token in ("savetxt", "%.17g", "indent=2"):
+                assert (token in text) == (path.name == "manifest.py"), (path.name, token)

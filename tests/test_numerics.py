@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from gllflow._numerics import (central_difference3, derivative_nonuniform, fd_weights,
-                               stencil_weights, weighted_norms)
+from gllflow._numerics import (central_difference3, cumquad0, derivative_nonuniform,
+                               fd_weights, stencil_weights, weighted_norms)
 from gllflow.errors import GridError
 
 
@@ -110,3 +110,36 @@ class TestCentralDifference3:
         got = central_difference3(y_m, y_0, y_p, 0.25, 0.25)
         assert got.shape == (7, 3)
         assert np.allclose(got, (y_p - y_m) / 0.5, rtol=1e-14, atol=1e-14)
+
+
+class TestCumquad0:
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_exact_on_quadratics_on_a_graded_grid(self, kind, rng):
+        # parabolic cells integrate quadratics exactly; what is left is
+        # rounding, amplified by the cancellation of the cells'
+        # antiderivative differences F(b) - F(a) at b - a << b
+        x = _graded(201, 3.0)
+        c = rng.normal(size=(3, 2))
+        if kind == "complex":
+            c = c + 1j * rng.normal(size=(3, 2))
+        X = x[:, None]
+        y = c[0] + c[1] * X + c[2] * X**2
+        Q = c[0] * X + c[1] * X**2 / 2 + c[2] * X**3 / 3
+        out = cumquad0(y, x)
+        assert out.shape == (201, 2) and out.dtype == y.dtype
+        assert np.all(out[0] == 0.0)
+        assert np.max(np.abs(out - Q)) <= 1e-9 * np.max(np.abs(Q))
+
+    def test_convergence_order_on_graded_grid(self):
+        # local O(h^4) per cell, summed over O(1/h) cells: third order
+        errs = []
+        for N in (101, 201, 401, 801):
+            x = _graded(N, 3.0)
+            exact = 0.5 - 0.5 * np.exp(-x) * (np.sin(x) + np.cos(x))
+            errs.append(np.max(np.abs(cumquad0(np.sin(x) * np.exp(-x), x) - exact)))
+        orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
+        assert np.all(orders >= 2.8), orders
+
+    def test_two_nodes_refused(self):
+        with pytest.raises(GridError):
+            cumquad0(np.array([1.0, 2.0]), np.array([0.0, 1.0]))

@@ -112,8 +112,7 @@ class TestSolveProfile:
         params = FlowParams(2, 0.0, 1.0)
         prof = solve_profile((1.0, 0.0), params, 3.0)
         ivp = stereo_selfsim_ivp((1.0, 0.0), params)
-        chart = integrate_adaptive(ivp, 3.0, rel_tol=1e-11,
-                                   sample_points=[0.5, 1.0, 2.0, 3.0])
+        chart = integrate_adaptive(ivp, 3.0, rel_tol=1e-11)
         for rv in (0.5, 1.0, 2.0, 3.0):
             F, _ = chart.interpolate(np.array([rv]))
             lifted = stereo_lift_arr(F[0])
