@@ -47,15 +47,15 @@ def cumquad0(y, x):
     j0 = np.maximum(i - 1, 0)
     j1 = j0 + 1
     j2 = j0 + 2
-    a, b = x[:-1], x[1:]
+    a = x[:-1]
+    h = x[1:] - a
     x0, x1, x2 = x[j0], x[j1], x[j2]
 
     def basis_integral(xk, xp, xq):
-        # integral over [a,b] of (t-xp)(t-xq) / ((xk-xp)(xk-xq))
-        den = (xk - xp) * (xk - xq)
-        Fb = b**3 / 3.0 - (xp + xq) * b**2 / 2.0 + xp * xq * b
-        Fa = a**3 / 3.0 - (xp + xq) * a**2 / 2.0 + xp * xq * a
-        return (Fb - Fa) / den
+        # integral over [a, a+h] of (t-xp)(t-xq) / ((xk-xp)(xk-xq)) in s = t - a;
+        # absolute coordinates, F(a+h) - F(a), would cancel where h << a
+        dp, dq = a - xp, a - xq
+        return (h**3 / 3.0 + (dp + dq) * h**2 / 2.0 + dp * dq * h) / ((xk - xp) * (xk - xq))
 
     w0 = basis_integral(x0, x1, x2)
     w1 = basis_integral(x1, x0, x2)

@@ -153,7 +153,7 @@ def cmd_realheat_witness(args):
 
 def cmd_realheat_figure(args):
     fit = figref.fit_convention()
-    curves, _, _ = figref.reproduce_curves(n=fit.n, slope_factor=fit.slope_factor)
+    curves = fit.curves
     labels = sorted(curves)
     out = _out_dir(args, "out-realheat-figure")
     errs = {}

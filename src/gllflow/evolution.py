@@ -23,6 +23,7 @@ from .manifest import read_csv, write_csv
 from .selfsim import SelfSimProfile, consistency_second_derivative
 
 UNIT_DRIFT_ABORT = 1e-6
+RESIDUAL_MARGIN = 3       # nodes dropped at each end of a residual norm
 
 
 def make_grid(r_max: float, n_nodes: int, grading: float = 1.0):
@@ -217,7 +218,6 @@ class ResidualReport:
     times: np.ndarray
     l2: np.ndarray        # weighted L2 (r^{2n-1} dr) over interior nodes
     linf: np.ndarray
-    margin: int           # nodes dropped at each end
 
     @property
     def max_l2(self):
@@ -228,8 +228,7 @@ class ResidualReport:
         return float(np.max(self.linf))
 
 
-def residual(trajectory: Trajectory, params: FlowParams | None = None,
-             margin: int = 3) -> ResidualReport:
+def residual(trajectory: Trajectory) -> ResidualReport:
     """Centered-in-time u_t minus the flow velocity, on the stored frames.
 
     u_t is the 3-point difference over each frame's two neighbours, second
@@ -239,12 +238,12 @@ def residual(trajectory: Trajectory, params: FlowParams | None = None,
     order better than the scheme, so the report measures the scheme's
     spatial truncation error; needs >= 3 stored frames.
     """
-    params = trajectory.params if params is None else params
+    params = trajectory.params
     frames = trajectory.frames
     if len(frames) < 3:
         raise DomainError("residual needs at least 3 stored frames")
     r = trajectory.r
-    sl = slice(margin, r.size - margin)
+    sl = slice(RESIDUAL_MARGIN, r.size - RESIDUAL_MARGIN)
     times, l2s, linfs = [], [], []
     for k in range(1, len(frames) - 1):
         u_t = central_difference3(frames[k - 1].u, frames[k].u, frames[k + 1].u,
@@ -259,11 +258,10 @@ def residual(trajectory: Trajectory, params: FlowParams | None = None,
         times.append(frames[k].t)
         l2s.append(l2)
         linfs.append(linf)
-    return ResidualReport(times=np.array(times), l2=np.array(l2s),
-                          linf=np.array(linfs), margin=margin)
+    return ResidualReport(times=np.array(times), l2=np.array(l2s), linf=np.array(linfs))
 
 
-def energy_history(trajectory: Trajectory, r_min: float = 0.0, r_max: float | None = None):
+def energy_history(trajectory: Trajectory):
     """Total energy per stored frame (trapezoid; derivative by 4th-order FD)."""
     r = trajectory.r
     n = trajectory.params.n
@@ -271,7 +269,7 @@ def energy_history(trajectory: Trajectory, r_min: float = 0.0, r_max: float | No
     for f in trajectory.frames:
         ur = derivative_nonuniform(r, f.u, order=1, stencil=5)
         prof = RadialProfile(r, f.u, ur)
-        out.append(energy(prof, n, r_min=r_min, r_max=r_max))
+        out.append(energy(prof, n))
     return np.array(out)
 
 
@@ -307,8 +305,7 @@ def field_from_profile(profile: SelfSimProfile, grid_r, t0: float) -> RadialFiel
     return RadialField(grid_r, psi, t0)
 
 
-def selfsim_consistency(profile: SelfSimProfile, t: float, params: FlowParams,
-                        margin: int = 3):
+def selfsim_consistency(profile: SelfSimProfile, t: float, params: FlowParams):
     """Residual of u(r, t) = psi(r/sqrt(t)) in the flow equation.
 
     psi'' comes from finite differences of the stored psi_r (independent
@@ -322,7 +319,7 @@ def selfsim_consistency(profile: SelfSimProfile, t: float, params: FlowParams,
     psi = profile.psi
     dpsi = profile.psi_r
     ddpsi = consistency_second_derivative(profile)
-    sl = slice(max(margin, 1), rho.size - margin)
+    sl = slice(RESIDUAL_MARGIN, rho.size - RESIDUAL_MARGIN)
     u_t = -(rho[sl] / (2.0 * t))[:, None] * dpsi[sl]
     rhs = gll_rhs_arr(psi[sl], dpsi[sl], ddpsi[sl], rho[sl], params) / t
     return weighted_norms(u_t - rhs, rho[sl], params.n)

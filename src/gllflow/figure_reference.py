@@ -18,7 +18,7 @@ with that slope can do).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -108,14 +108,30 @@ FIGURE_CURVES = {
 }
 
 
+FIT_N = (2, 3, 4)                # candidate dimensions
+FIT_SLOPE_FACTORS = (1.0, 2.0)   # candidate origin slope per unit of label
+FIT_LABELS = (0.25, 1.0)         # the curves the fit is scored on
+
+
+def _curves(labels, n, slope_factor, rel_tol, solved):
+    """label -> columns [x_plot, y_ref, y_sim] (see `simulated_curve`), each
+    profile solved once: `solved` maps (slope, n) to it."""
+    out = {}
+    for lbl in labels:
+        key = (slope_factor * lbl, n)
+        if key not in solved:
+            solved[key] = solve_selfsim_real(key[0], n, 2.55, rel_tol=rel_tol)
+        pts = FIGURE_CURVES[lbl]
+        g, _ = solved[key].eval(pts[:, 0] * X_SCALE)
+        out[lbl] = np.column_stack([pts[:, 0], pts[:, 1], g / Y_SCALE])
+    return out
+
+
 def simulated_curve(label, n, slope_factor, rel_tol=1e-11):
     """Columns [x_plot, y_ref, y_sim] of one labeled curve: its reference
     points and the profile with origin slope slope_factor * label, in plot
     units."""
-    pts = FIGURE_CURVES[label]
-    prof = solve_selfsim_real(slope_factor * label, n, 2.55, rel_tol=rel_tol)
-    g, _ = prof.eval(pts[:, 0] * X_SCALE)
-    return np.column_stack([pts[:, 0], pts[:, 1], g / Y_SCALE])
+    return _curves([label], n, slope_factor, rel_tol, {})[label]
 
 
 def curve_error(label, n, slope_factor, rel_tol=1e-11):
@@ -130,18 +146,21 @@ class ConventionFit:
     slope_factor: float          # profile origin slope = slope_factor * label
     max_err: float               # over the fitted curves, plot y-units
     per_candidate: dict          # (n, slope_factor) -> max err over fit curves
+    curves: dict = field(repr=False, compare=False)  # label -> columns, fitted convention
 
 
-def fit_convention(n_candidates=(2, 3, 4), slope_factors=(1.0, 2.0),
-                   fit_labels=(0.25, 1.0), rel_tol=1e-11) -> ConventionFit:
-    """Grid-fit the unstated dimension and slope convention of the labels."""
-    scores = {}
-    for n in n_candidates:
-        for sf in slope_factors:
-            scores[(n, sf)] = max(curve_error(lbl, n, sf, rel_tol) for lbl in fit_labels)
+def fit_convention(rel_tol=1e-11) -> ConventionFit:
+    """Grid-fit the unstated dimension and slope convention of the labels,
+    and reproduce every reference curve under the convention found."""
+    scores, solved = {}, {}
+    for n in FIT_N:
+        for sf in FIT_SLOPE_FACTORS:
+            curves = _curves(FIT_LABELS, n, sf, rel_tol, solved).values()
+            scores[(n, sf)] = max(float(np.max(np.abs(c[:, 2] - c[:, 1]))) for c in curves)
     (n_best, sf_best) = min(scores, key=scores.get)
-    return ConventionFit(n=n_best, slope_factor=sf_best,
-                         max_err=scores[(n_best, sf_best)], per_candidate=scores)
+    return ConventionFit(n=n_best, slope_factor=sf_best, max_err=scores[(n_best, sf_best)],
+                         per_candidate=scores,
+                         curves=_curves(sorted(FIGURE_CURVES), n_best, sf_best, rel_tol, solved))
 
 
 def reproduce_curves(labels=None, n=None, slope_factor=None, rel_tol=1e-11):
@@ -151,4 +170,4 @@ def reproduce_curves(labels=None, n=None, slope_factor=None, rel_tol=1e-11):
         n = fit.n if n is None else n
         slope_factor = fit.slope_factor if slope_factor is None else slope_factor
     labels = sorted(FIGURE_CURVES) if labels is None else list(labels)
-    return {lbl: simulated_curve(lbl, n, slope_factor, rel_tol) for lbl in labels}, n, slope_factor
+    return _curves(labels, n, slope_factor, rel_tol, {}), n, slope_factor

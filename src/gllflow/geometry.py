@@ -56,8 +56,8 @@ class SpherePoint:
     def array(self):
         return np.array([self.x1, self.x2, self.x3])
 
-    def is_near_south_pole(self, tol=POLE_TOL):
-        return float(np.linalg.norm(self.array - (-E3))) < tol
+    def is_near_south_pole(self):
+        return float(np.linalg.norm(self.array - (-E3))) < POLE_TOL
 
 
 @dataclass(frozen=True)
@@ -81,10 +81,10 @@ class TangentVec:
     def norm(self):
         return float(np.linalg.norm(self.array))
 
-    def check_tangent(self, base: SpherePoint, tol=NORM_TOL):
-        """Raise unless <v, base> = 0 within tol * |v|."""
+    def check_tangent(self, base: SpherePoint):
+        """Raise unless <v, base> = 0 within NORM_TOL * max(|v|, 1)."""
         inner = abs(float(self.array @ base.array))
-        if inner > tol * max(self.norm, 1.0):
+        if inner > NORM_TOL * max(self.norm, 1.0):
             raise NormDriftError(f"tangency violated: <v,u> = {inner!r}")
         return self
 

@@ -27,6 +27,9 @@ from .geometry import E3, FlowParams
 from .manifest import report_json, write_csv
 
 FRAME_TOL = 1e-10
+QPDE_SEED = np.array([1.0, 0.0, 0.0])   # frame seed in T_{e3} for every stored frame
+QPDE_MARGIN = 4                         # nodes dropped at each end of the q-PDE norms
+EIGEN_RNG_SEED = 7
 
 
 @dataclass(frozen=True)
@@ -96,10 +99,9 @@ class QField:
 
     r: np.ndarray
     q: np.ndarray          # complex (N,)
+    V: np.ndarray          # tension coordinates (the bracket of p = (alpha+i beta) V)
     alpha_g: np.ndarray    # real gauge potential, alpha_g(0) = 0
-    u3: np.ndarray
     cum_u3q: np.ndarray    # stored cumulative integral of u3 q
-    n: int
 
     def to_csv(self, path, u_r_norm=None):
         u_r_norm = np.abs(self.q) if u_r_norm is None else u_r_norm
@@ -107,25 +109,15 @@ class QField:
                   self.r, self.q.real, self.q.imag, self.alpha_g, u_r_norm)
 
 
-def _tension_coordinates(r, q, u3, n):
-    """V = q_r + ((2n-1)/r) q - ((2n-2+u3)/r^2) int u3 q, with a parabolic
-    cumulative integral (plain trapezoid loses an order against 1/r^2) and
-    the origin value filled by quadratic extrapolation."""
-    q_r = derivative_nonuniform(r, q, order=1, stencil=5)
-    I = cumquad0(u3 * q, r)
-    safe = np.where(r > 0, r, 1.0)
-    V = q_r + (2 * n - 1) / safe * q - (2 * n - 2 + u3) / safe**2 * I
-    if r[0] == 0.0:
-        V[0] = 3.0 * V[1] - 3.0 * V[2] + V[3]
-    return V, q_r, I
-
-
 def compute_q(r, u, frame: Frame, params: FlowParams, u_r=None) -> QField:
-    """q = <u_r, e> + i <u_r, Je> and the gauge potential along the grid.
+    """q = <u_r, e> + i <u_r, Je>, its tension coordinates V and the gauge
+    potential along the grid.
 
     u_r defaults to a 5-point finite difference of u; pass analytic
-    derivatives when available.  The gauge rate is -Im(p conj(q)) with
-    p = (alpha + i beta) V, integrated from alpha_g(0) = 0.
+    derivatives when available.  V's integral is parabolic (trapezoid loses
+    an order against 1/r^2), its origin value extrapolated quadratically.
+    The gauge rate -Im(p conj(q)), p = (alpha + i beta) V, is integrated
+    from alpha_g(0) = 0.
     """
     r = np.asarray(r, float)
     u = np.asarray(u, float)
@@ -133,17 +125,21 @@ def compute_q(r, u, frame: Frame, params: FlowParams, u_r=None) -> QField:
         u_r = derivative_nonuniform(r, u, order=1, stencil=5)
     q = np.sum(u_r * frame.e, axis=1) + 1j * np.sum(u_r * frame.je, axis=1)
     u3 = u[:, 2]
-    V, _, I = _tension_coordinates(r, q, u3, params.n)
+    q_r = derivative_nonuniform(r, q, order=1, stencil=5)
+    I = cumquad0(u3 * q, r)
+    safe = np.where(r > 0, r, 1.0)
+    V = q_r + (2 * params.n - 1) / safe * q - (2 * params.n - 2 + u3) / safe**2 * I
+    if r[0] == 0.0:
+        V[0] = 3.0 * V[1] - 3.0 * V[2] + V[3]
     p = (params.alpha + 1j * params.beta) * V
     rate = -np.imag(p * np.conj(q))
     alpha_g = cumquad0(rate, r).real
-    return QField(r=r, q=q, alpha_g=alpha_g, u3=u3, cum_u3q=I, n=params.n)
+    return QField(r=r, q=q, V=V, alpha_g=alpha_g, cum_u3q=I)
 
 
 def gauge_rate(qfield: QField, params: FlowParams):
     """d alpha_g / dr from the closed-form rate -Im(p conj(q))."""
-    V, _, _ = _tension_coordinates(qfield.r, qfield.q, qfield.u3, params.n)
-    p = (params.alpha + 1j * params.beta) * V
+    p = (params.alpha + 1j * params.beta) * qfield.V
     return -np.imag(p * np.conj(qfield.q))
 
 
@@ -156,20 +152,9 @@ def ip_residual(u_t, frame: Frame, qfield: QField, params: FlowParams, margin: i
     """
     u_t = np.asarray(u_t, float)
     p = np.sum(u_t * frame.e, axis=1) + 1j * np.sum(u_t * frame.je, axis=1)
-    V, _, _ = _tension_coordinates(qfield.r, qfield.q, qfield.u3, params.n)
-    res = p - (params.alpha + 1j * params.beta) * V
+    res = p - (params.alpha + 1j * params.beta) * qfield.V
     sl = slice(margin, qfield.r.size - margin)
     return weighted_norms(res[sl], qfield.r[sl], params.n)
-
-
-def _default_seed():
-    return np.array([1.0, 0.0, 0.0])
-
-
-def tension_coordinates(qfield: QField):
-    """V along the grid (the bracket of the first-order identity)."""
-    V, _, _ = _tension_coordinates(qfield.r, qfield.q, qfield.u3, qfield.n)
-    return V
 
 
 def pole_projection_coordinates(qfield: QField):
@@ -177,31 +162,29 @@ def pole_projection_coordinates(qfield: QField):
     return -qfield.cum_u3q
 
 
-def qpde_residual(trajectory, params: FlowParams, e_seed=None, margin: int = 4):
+def qpde_residual(trajectory, params: FlowParams):
     """Residual of q_t = (alpha + i beta) V_r - i alpha_g q on a trajectory.
 
-    Every frame is transported from the same seed: the gauge choice
-    alpha_g(0) = 0 together with u(0, t) = e3 makes the origin frame
-    time-independent, so a fixed seed is the time-coherent choice.
+    Every frame is transported from the same seed, QPDE_SEED: the gauge
+    choice alpha_g(0) = 0 together with u(0, t) = e3 makes the origin
+    frame time-independent, so a fixed seed is the time-coherent choice.
     Needs >= 3 stored frames; returns (times, l2, linf) arrays.
     """
     frames = trajectory.frames
     if len(frames) < 3:
         raise DomainError("q-PDE residual needs at least 3 stored frames")
-    e_seed = _default_seed() if e_seed is None else np.asarray(e_seed, float)
     r = trajectory.r
-    sl = slice(margin, r.size - margin)
+    sl = slice(QPDE_MARGIN, r.size - QPDE_MARGIN)
     qfields = []
     for f in frames:
-        fr = transport_frame(r, f.u, e_seed)
+        fr = transport_frame(r, f.u, QPDE_SEED)
         qfields.append(compute_q(r, f.u, fr, params))
     times, l2s, linfs = [], [], []
     for k in range(1, len(frames) - 1):
         q_t = central_difference3(qfields[k - 1].q, qfields[k].q, qfields[k + 1].q,
                                   frames[k].t - frames[k - 1].t, frames[k + 1].t - frames[k].t)
         qf = qfields[k]
-        V, _, _ = _tension_coordinates(r, qf.q, qf.u3, params.n)
-        V_r = derivative_nonuniform(r, V, order=1, stencil=5)
+        V_r = derivative_nonuniform(r, qf.V, order=1, stencil=5)
         res = q_t - (params.alpha + 1j * params.beta) * V_r + 1j * qf.alpha_g * qf.q
         l2, linf = weighted_norms(res[sl], r[sl], params.n)
         times.append(frames[k].t)
@@ -257,7 +240,7 @@ class EigenReport:
     samples: int
 
 
-def eigenfunction_check(n: int, sample_count: int = 100, rng_seed: int = 7) -> EigenReport:
+def eigenfunction_check(n: int, sample_count: int = 100) -> EigenReport:
     """Confirm Delta_{S^{2n-1}} a = -(2n-1) a for a = x1/|x|.
 
     Three routes at random sphere points: the analytic polar split, a
@@ -267,7 +250,7 @@ def eigenfunction_check(n: int, sample_count: int = 100, rng_seed: int = 7) -> E
     """
     if n < 1:
         raise DomainError("need n >= 1")
-    rng = np.random.default_rng(rng_seed)
+    rng = np.random.default_rng(EIGEN_RNG_SEED)
     d = 2 * n
     lam = -(2 * n - 1)
     worst_analytic = worst_fd = worst_radial = 0.0

@@ -279,15 +279,15 @@ class ComparisonReport:
 
 
 ORDERING_TOL = 1e-8
+LIMIT_BETA = 1e3          # the label whose profile must end near pi
 
 
-def comparison_suite(beta_list, n: int, r_max: float, rel_tol: float = 1e-10,
-                     limit_beta: float = 1e3) -> ComparisonReport:
+def comparison_suite(beta_list, n: int, r_max: float, rel_tol: float = 1e-10) -> ComparisonReport:
     """Ordering checks for the self-similar scalar profiles.
 
     For each label beta (slope 2*beta): (i) phi <= matched stationary
     profile, (ii) monotone in r and < pi, (iii) pointwise strictly
-    increasing in beta with the large-beta profile near pi, (iv) the
+    increasing in beta with the label-LIMIT_BETA profile near pi, (iv) the
     r_max value strictly increasing in beta.
     """
     betas = sorted(float(b) for b in beta_list)
@@ -340,11 +340,11 @@ def comparison_suite(beta_list, n: int, r_max: float, rel_tol: float = 1e-10,
         "increasing_in_beta", worst <= ORDERING_TOL,
         f"max(phi_lo - phi_hi) = {worst:.3e} at (beta_lo, beta_hi, r) = {where}"))
 
-    big = solve_selfsim_real(2.0 * limit_beta, n, r_max, rel_tol=rel_tol)
+    big = solve_selfsim_real(2.0 * LIMIT_BETA, n, r_max, rel_tol=rel_tol)
     gap_pi = math.pi - big.g_inf
     checks.append(ComparisonCheck(
         "large_beta_near_pi", 0.0 < gap_pi < 0.05,
-        f"pi - phi_{{{limit_beta:g}}}(r_max) = {gap_pi:.4f}"))
+        f"pi - phi_{{{LIMIT_BETA:g}}}(r_max) = {gap_pi:.4f}"))
 
     ginfs = [profiles[b].g_inf for b in betas]
     incr = all(a < b for a, b in zip(ginfs[:-1], ginfs[1:]))
@@ -359,6 +359,9 @@ def comparison_suite(beta_list, n: int, r_max: float, rel_tol: float = 1e-10,
 # ---------------------------------------------------------------------------
 # non-uniqueness witness machinery (n = 2, d = 4)
 # ---------------------------------------------------------------------------
+
+WITNESS_TAYLOR_C = 0.05   # quartic coefficient of the recorded Taylor domination
+TAYLOR_SAMPLES = 20001    # samples of s in [0.01, 0.5] beyond the expansion
 
 def f_kink(r, epsilon):
     """The near-Hardy-saturating kink family on [0, 1].
@@ -385,7 +388,7 @@ def _witness_nodes(epsilon, quad_nodes):
     return seg1, seg2, seg3
 
 
-def witness_energy_gap(epsilon, delta, n_dim=4, quad_nodes=4000):
+def witness_energy_gap(epsilon, delta, quad_nodes=4000):
     """E(h) - E(pi) on [0, 1] for h = pi - (delta/2) f_epsilon, d = 4.
 
     The flow is the gradient flow of int (g_r^2/2 + gamma(g)/r^2) r^3 dr;
@@ -403,7 +406,7 @@ def witness_energy_gap(epsilon, delta, n_dim=4, quad_nodes=4000):
         hp = -(delta / 2.0) * fp
         with np.errstate(divide="ignore", invalid="ignore"):
             pot = np.where(r > 0, 2.0 * gamma(h, 2) / np.where(r > 0, r, 1.0) ** 2, 0.0)
-        integrand = (hp**2 + pot) * r ** (n_dim - 1)
+        integrand = (hp**2 + pot) * r**3
         total += float(trapezoid(integrand, r))
     return total
 
@@ -421,7 +424,7 @@ def hardy_saturation_ratio(epsilon, quad_nodes=4000):
     return num / den
 
 
-def taylor_domination_delta(C=0.2, quadratic_coefficient=1.0, samples=20001):
+def taylor_domination_delta(C=0.2, quadratic_coefficient=1.0):
     """Largest delta <= 0.5 with gamma(x) - gamma(pi) <= -q (x-pi)^2 - C (x-pi)^4
     on [pi-delta, pi+delta]; None if no delta works.
 
@@ -438,7 +441,7 @@ def taylor_domination_delta(C=0.2, quadratic_coefficient=1.0, samples=20001):
     if q == 0.5 and C >= 1.0 / 12.0:
         return None
     # small |s| is covered by the expansion; sample the rest
-    s = np.linspace(0.01, 0.5, samples)
+    s = np.linspace(0.01, 0.5, TAYLOR_SAMPLES)
     margin = gamma(math.pi + s, 2) + q * s**2 + C * s**4
     bad = s[margin > 1e-14]
     return 0.5 if bad.size == 0 else float(bad.min())
@@ -452,7 +455,6 @@ class WitnessReport:
     hardy_ratio: float
     taylor_delta_literal: float | None     # q = 1 radius for gamma (None: fails)
     taylor_delta_halved: float | None      # q = 1/2 for gamma = q = 1 for 2 gamma
-    taylor_C: float
     quad_nodes: int
 
     def to_json(self):
@@ -464,13 +466,13 @@ class WitnessReport:
             "hardy_ratio": self.hardy_ratio,
             "taylor_delta_literal": self.taylor_delta_literal,
             "taylor_delta_halved": self.taylor_delta_halved,
-            "taylor_C": self.taylor_C,
+            "taylor_C": WITNESS_TAYLOR_C,
             "quad_nodes": self.quad_nodes,
             "kink_breakpoints": [self.epsilon, 0.5],
         })
 
 
-def nonuniqueness_witness(epsilon, delta, quad_nodes=4000, taylor_C=0.05) -> WitnessReport:
+def nonuniqueness_witness(epsilon, delta, quad_nodes=4000) -> WitnessReport:
     """Energy-comparison report for the equator map against the kink family.
 
     The quartic Taylor domination that the classical construction leans on
@@ -489,9 +491,9 @@ def nonuniqueness_witness(epsilon, delta, quad_nodes=4000, taylor_C=0.05) -> Wit
     return WitnessReport(
         epsilon=float(epsilon), delta=float(delta), energy_gap=gap,
         hardy_ratio=hardy_saturation_ratio(epsilon, quad_nodes=quad_nodes),
-        taylor_delta_literal=taylor_domination_delta(taylor_C, 1.0),
-        taylor_delta_halved=taylor_domination_delta(taylor_C, 0.5),
-        taylor_C=taylor_C, quad_nodes=quad_nodes)
+        taylor_delta_literal=taylor_domination_delta(WITNESS_TAYLOR_C, 1.0),
+        taylor_delta_halved=taylor_domination_delta(WITNESS_TAYLOR_C, 0.5),
+        quad_nodes=quad_nodes)
 
 
 def search_negative_gap(epsilons, delta, quad_nodes=4000):

@@ -102,7 +102,7 @@ class SelfSimProfile:
     psi_r: np.ndarray      # (N, 3)
     params: FlowParams
     v: np.ndarray
-    psi_rr: np.ndarray = field(default=None, repr=False)  # from the ODE, for interpolation
+    psi_rr: np.ndarray = field(repr=False)  # from the ODE, for interpolation
 
     def __post_init__(self):
         object.__setattr__(self, "r", np.asarray(self.r, float))
@@ -126,16 +126,12 @@ class SelfSimProfile:
     def r_max(self):
         return float(self.r[-1])
 
-    def eval(self, r_query, renormalize=True):
-        """Hermite-interpolated (psi, psi_r) at query radii."""
+    def eval(self, r_query):
+        """Hermite-interpolated (psi, psi_r) at query radii, projected to the sphere."""
         psi, _ = hermite_eval(r_query, self.r, self.psi, self.psi_r)
-        if self.psi_rr is not None:
-            dpsi, _ = hermite_eval(r_query, self.r, self.psi_r, self.psi_rr)
-        else:
-            _, dpsi = hermite_eval(r_query, self.r, self.psi, self.psi_r)
-        if renormalize:
-            psi = psi / np.linalg.norm(psi, axis=-1, keepdims=True)
-            dpsi = dpsi - np.sum(dpsi * psi, axis=-1, keepdims=True) * psi
+        dpsi, _ = hermite_eval(r_query, self.r, self.psi_r, self.psi_rr)
+        psi = psi / np.linalg.norm(psi, axis=-1, keepdims=True)
+        dpsi = dpsi - np.sum(dpsi * psi, axis=-1, keepdims=True) * psi
         return psi, dpsi
 
     def to_csv(self, path):
@@ -183,8 +179,7 @@ def solve_profile(v, params: FlowParams, r_max: float, rel_tol: float | None = N
 # diagnostics
 # ---------------------------------------------------------------------------
 
-def apriori_identity_residual(profile: SelfSimProfile, n: int | None = None,
-                              alpha: float | None = None, n_resample: int = 4000,
+def apriori_identity_residual(profile: SelfSimProfile, n_resample: int = 4000,
                               r_stop: float | None = None) -> float:
     """Max residual of the integrated derivative-energy identity
 
@@ -194,10 +189,9 @@ def apriori_identity_residual(profile: SelfSimProfile, n: int | None = None,
     Both sides vanish at the origin and the identity holds exactly along
     true solutions, so the residual measures solver plus quadrature error.
     """
-    n = profile.params.n if n is None else n
-    alpha = profile.params.alpha if alpha is None else alpha
+    n = profile.params.n
     r_hi = profile.r_max if r_stop is None else min(r_stop, profile.r_max)
-    psi, A, I = _identity_terms(profile, n, alpha, np.linspace(profile.r[0], r_hi, n_resample))
+    psi, A, I = _identity_terms(profile, np.linspace(profile.r[0], r_hi, n_resample))
     bracket = 2.0 * (2 * n - 2) * (1.0 - psi[:, 2]) + (1.0 - psi[:, 2] ** 2)
     return float(np.max(np.abs(A + I - bracket)))
 
@@ -205,12 +199,13 @@ def apriori_identity_residual(profile: SelfSimProfile, n: int | None = None,
 def identity_integral_at(profile: SelfSimProfile, r_value: float) -> float:
     """The identity's cumulative integral evaluated at one radius."""
     rr = np.linspace(profile.r[0], r_value, 2000)
-    _, _, I = _identity_terms(profile, profile.params.n, profile.params.alpha, rr)
+    _, _, I = _identity_terms(profile, rr)
     return float(I[-1])
 
 
-def _identity_terms(profile: SelfSimProfile, n: int, alpha: float, rr):
+def _identity_terms(profile: SelfSimProfile, rr):
     """psi, A(r) and the cumulative identity integral at the radii rr."""
+    n, alpha = profile.params.n, profile.params.alpha
     psi, dpsi = profile.eval(rr)
     A = rr**2 * np.sum(dpsi**2, axis=1)
     integrand = (2.0 * (2 * n - 2) / rr + alpha * rr) * A
@@ -270,13 +265,13 @@ class TailReport:
         })
 
 
-def tail_limit(profile: SelfSimProfile, n: int | None = None) -> TailReport:
+def tail_limit(profile: SelfSimProfile) -> TailReport:
     """Estimate psi_inf = psi(r_max) and self-check the 40 n^2 / r^2 rate.
 
     Consistency: |psi(r_max/2) - psi(r_max)| must not exceed the rate bound
     at r_max/2; a violation means the tail has not converged.
     """
-    n = profile.params.n if n is None else n
+    n = profile.params.n
     if profile.r_max < 10.0:
         raise DomainError("tail limit needs a profile reaching r_max >= 10")
     r_used = profile.r_max / 2.0
@@ -315,10 +310,10 @@ def limit_map_continuity(v_samples, params: FlowParams, r_max: float,
     return rows, modulus
 
 
-def consistency_second_derivative(profile: SelfSimProfile, stencil: int = 5):
+def consistency_second_derivative(profile: SelfSimProfile):
     """psi_rr by finite differences of the stored psi_r nodes.
 
     Deliberately independent of the ODE rearrangement (which would make
     any substitution check a tautology).
     """
-    return derivative_nonuniform(profile.r, profile.psi_r, order=1, stencil=stencil)
+    return derivative_nonuniform(profile.r, profile.psi_r, order=1, stencil=5)

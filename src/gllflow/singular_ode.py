@@ -45,6 +45,7 @@ _DP_E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200,
 _DP_BE = np.array([_DP_A[6], _DP_E])
 
 ERROR_FLOOR = 1e-14  # absolute term in the mixed error norm (avoids stalls at y ~ 0)
+MAX_STEPS = 5_000_000  # step budget of one integration
 
 
 def _rms(w):
@@ -74,7 +75,7 @@ def _initial_step(fun, r0, y0, f0, rel_tol, max_step):
 
 def integrate_rk(fun: Callable, r0: float, y0: np.ndarray, r_max: float,
                  rel_tol: float = 1e-10, max_step: float = np.inf,
-                 postprocess: Callable | None = None, max_steps: int = 5_000_000):
+                 postprocess: Callable | None = None):
     """Adaptive Dormand-Prince 5(4) from r0 to r_max.
 
     fun(r, y) -> dy/dr on a flat ndarray state (real or complex).
@@ -100,7 +101,7 @@ def integrate_rk(fun: Callable, r0: float, y0: np.ndarray, r_max: float,
     nsteps = 0
     nonfinite = None  # (r, h, first non-finite stage) of the last rejected attempt
     while r < r_max:
-        if nsteps > max_steps:
+        if nsteps > MAX_STEPS:
             raise StiffnessError("step budget exhausted", r_last=r,
                                  partial=(np.array(rs), np.array(ys), np.array(fs)))
         r_new = r + h

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import gllflow
+from gllflow import figure_reference
 from gllflow.cli import main
 from gllflow.figure_reference import reproduce_curves
 from gllflow.manifest import MANIFEST_NAME
@@ -133,6 +134,21 @@ class TestRealheatCommands:
         for lbl, data in curves.items():
             name = f"curve_beta_{str(lbl).replace('.', 'p')}.csv"
             assert np.array_equal(np.loadtxt(out / name, delimiter=",", skiprows=1), data)
+
+    def test_figure_solves_each_profile_once(self, tmp_path, monkeypatch):
+        # the fit scores 12 (slope, n) pairs and the curves need 8 more at
+        # n = 3, of which (0.5, 3), (1.0, 3) and (2.0, 3) the fit solved already
+        solve = figure_reference.solve_selfsim_real
+        calls = []
+
+        def counted(slope, n, *args, **kwargs):
+            calls.append((slope, n))
+            return solve(slope, n, *args, **kwargs)
+
+        monkeypatch.setattr(figure_reference, "solve_selfsim_real", counted)
+        assert _run(["realheat", "figure", "--out-dir", str(tmp_path / "fig")]) == 0
+        assert len(calls) == 17
+        assert len(set(calls)) == 17
 
 
 class TestEvolveCommand:

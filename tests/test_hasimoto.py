@@ -11,7 +11,7 @@ from gllflow.hasimoto import (compute_q, eigenfunction_check, fd_laplacian,
                               gauge_rate, ip_residual, pole_projection_coordinates,
                               qpde_residual, spherical_eigenfunction,
                               spherical_laplacian_x1, strichartz_exponents,
-                              tension_coordinates, transport_frame)
+                              transport_frame)
 
 SCHRODINGER = FlowParams(2, 0.0, 1.0)
 HEAT = FlowParams(2, 1.0, 0.0)
@@ -147,8 +147,7 @@ class TestComputeQ:
         u, u_r = _harmonic_data(r)
         fr = transport_frame(r, u, SEED)
         qf = compute_q(r, u, fr, SCHRODINGER, u_r=u_r)
-        V = tension_coordinates(qf)
-        assert np.max(np.abs(V[3:-3])) <= 1e-6
+        assert np.max(np.abs(qf.V[3:-3])) <= 1e-6
         assert np.max(np.abs(qf.alpha_g)) <= 1e-6
 
     def test_pole_projection_integral_identity(self):

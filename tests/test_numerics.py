@@ -116,8 +116,8 @@ class TestCumquad0:
     @pytest.mark.parametrize("kind", ["real", "complex"])
     def test_exact_on_quadratics_on_a_graded_grid(self, kind, rng):
         # parabolic cells integrate quadratics exactly; what is left is
-        # rounding, amplified by the cancellation of the cells'
-        # antiderivative differences F(b) - F(a) at b - a << b
+        # rounding, which the cell-local weights keep from cancelling at
+        # b - a << b (absolute-coordinate weights F(b) - F(a) lost ~5 digits)
         x = _graded(201, 3.0)
         c = rng.normal(size=(3, 2))
         if kind == "complex":
@@ -128,7 +128,7 @@ class TestCumquad0:
         out = cumquad0(y, x)
         assert out.shape == (201, 2) and out.dtype == y.dtype
         assert np.all(out[0] == 0.0)
-        assert np.max(np.abs(out - Q)) <= 1e-9 * np.max(np.abs(Q))
+        assert np.max(np.abs(out - Q)) <= 1e-13 * np.max(np.abs(Q))
 
     def test_convergence_order_on_graded_grid(self):
         # local O(h^4) per cell, summed over O(1/h) cells: third order

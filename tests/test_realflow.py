@@ -232,7 +232,7 @@ class TestComparisonSuite:
         assert g1[0] < g2[0]
 
     def test_large_label_approaches_pi(self):
-        rep = comparison_suite([1.0], 3, 10.0, limit_beta=1e3)
+        rep = comparison_suite([1.0], 3, 10.0)
         check = {c.name: c for c in rep.checks}["large_beta_near_pi"]
         assert check.passed
 

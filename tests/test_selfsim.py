@@ -220,9 +220,10 @@ class TestTailLimit:
         r = np.linspace(1e-3, 24.0, 400)
         psi = np.stack([np.sin(r), np.zeros_like(r), np.cos(r)], axis=1)
         dpsi = np.stack([np.cos(r), np.zeros_like(r), -np.sin(r)], axis=1)
-        prof = SelfSimProfile(r, psi, dpsi, FlowParams(1, 1.0, 0.0), np.zeros(3))
+        ddpsi = np.stack([-np.sin(r), np.zeros_like(r), -np.cos(r)], axis=1)
+        prof = SelfSimProfile(r, psi, dpsi, FlowParams(1, 1.0, 0.0), np.zeros(3), ddpsi)
         with pytest.raises(NonConvergedError):
-            tail_limit(prof, n=1)
+            tail_limit(prof)
 
     def test_schrodinger_long_run_regression(self):
         # independent-solver value, frozen to four digits
@@ -276,4 +277,5 @@ class TestSerialization:
         r = np.linspace(0.1, 5.0, 50)
         psi = np.tile(E3 * 1.001, (50, 1))
         with pytest.raises(NormDriftError):
-            SelfSimProfile(r, psi, np.zeros((50, 3)), FlowParams(2, 1.0, 0.0), np.zeros(3))
+            SelfSimProfile(r, psi, np.zeros((50, 3)), FlowParams(2, 1.0, 0.0), np.zeros(3),
+                           np.zeros((50, 3)))
