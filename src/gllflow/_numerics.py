@@ -8,7 +8,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import GridError
+from .errors import DomainError, GridError
+
+STENCIL = 5     # points of every sliding finite-difference stencil (4th order)
 
 
 def check_grid(x):
@@ -20,13 +22,6 @@ def check_grid(x):
     if not np.all(np.isfinite(x)):
         raise GridError("grid contains non-finite nodes")
     return x
-
-
-def trapezoid(y, x):
-    """Composite trapezoid on an arbitrary (graded) grid."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y)
-    return np.trapezoid(y, x, axis=0)
 
 
 def cumquad0(y, x):
@@ -115,16 +110,16 @@ def fd_weights(x, x0, m):
     return _fornberg(x[None, :], np.array([float(x0)]), m)[:, :, 0]
 
 
-def stencil_weights(x, order, stencil=5):
+def stencil_weights(x, order):
     """Sliding-stencil weights for the order-th derivative at every node.
 
     Returns (W, lo): W is (N, s) and row i weights y[lo[i]:lo[i]+s], the
-    window of s nodes centred on i where the grid allows, else pushed
-    inward at the ends.
+    window of s = STENCIL nodes (fewer on a shorter grid) centred on i
+    where the grid allows, else pushed inward at the ends.
     """
     x = np.asarray(x, dtype=float)
     n = x.size
-    stencil = min(stencil, n)
+    stencil = min(STENCIL, n)
     if stencil <= order:
         raise GridError("stencil too small for requested derivative order")
     lo = np.clip(np.arange(n) - stencil // 2, 0, n - stencil)
@@ -132,14 +127,14 @@ def stencil_weights(x, order, stencil=5):
     return _fornberg(X, x, order)[order].T, lo
 
 
-def derivative_nonuniform(x, y, order=1, stencil=5):
+def derivative_nonuniform(x, y, order=1):
     """order-th derivative of samples y(x) at every node, nonuniform grid.
 
-    Uses a sliding Fornberg stencil (default 5 points, 4th-order accurate
+    Uses a sliding Fornberg stencil of STENCIL points (4th-order accurate
     for the first derivative on smooth grids). y may be complex or an
     (N, k) array of columns.
     """
-    W, lo = stencil_weights(x, order, stencil)
+    W, lo = stencil_weights(x, order)
     y = np.asarray(y)
     W = W.reshape(W.shape + (1,) * (y.ndim - 1))
     out = W[:, 0] * y[lo]
@@ -159,12 +154,28 @@ def central_difference3(y_m, y_0, y_p, h_m, h_p):
     return (h_m**2 * (y_p - y_0) + h_p**2 * (y_0 - y_m)) / (h_m * h_p * (h_m + h_p))
 
 
-def weighted_norms(res, r, n):
+def frame_rates(values, times):
+    """(k, d values/dt at frame k) for each interior stored frame k, one at a time.
+
+    values[k] is sampled at times[k]; each rate is central_difference3 over
+    frame k's two neighbours, second order also at an uneven last interval.
+    """
+    if len(values) < 3:
+        raise DomainError("a time rate needs at least 3 stored frames")
+    return ((k, central_difference3(values[k - 1], values[k], values[k + 1],
+                                    times[k] - times[k - 1], times[k + 1] - times[k]))
+            for k in range(1, len(values) - 1))
+
+
+def weighted_norms(res, r, n, margin):
     """(L2, Linf) of a residual on the nodes r, L2 with the r^{2n-1} dr weight.
 
     res is (N,) or (N, k), real or complex; its pointwise magnitude sums
     |res|^2 over the trailing axes, and the L2 integral is a trapezoid.
+    margin nodes are dropped at each end, where one-sided stencils sit.
     """
+    sl = slice(margin, len(r) - margin)
+    res, r = res[sl], r[sl]
     mag2 = np.sum(np.abs(res) ** 2, axis=tuple(range(1, np.ndim(res))))
     l2 = float(np.sqrt(np.trapezoid(mag2 * r ** (2 * n - 1), r)))
     return l2, float(np.sqrt(np.max(mag2)))
@@ -174,13 +185,16 @@ def hermite_eval(xq, x, y, d):
     """Evaluate the piecewise cubic Hermite interpolant (and derivative).
 
     x: (N,) increasing nodes; y, d: values and derivatives at the nodes,
-    shape (N,) or (N, k). Returns (H(xq), H'(xq)). Queries outside the
-    node range are clamped to the end intervals.
+    shape (N,) or (N, k). Returns (H(xq), H'(xq)). A query outside
+    [x[0], x[-1]] (or NaN) raises DomainError: the end cubics are not
+    extrapolated.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y)
     d = np.asarray(d)
     xq = np.atleast_1d(np.asarray(xq, dtype=float))
+    if not np.all((xq >= x[0]) & (xq <= x[-1])):
+        raise DomainError(f"interpolation query outside the node range [{x[0]}, {x[-1]}]")
     idx = np.clip(np.searchsorted(x, xq, side="right") - 1, 0, x.size - 2)
     h = x[idx + 1] - x[idx]
     s = (xq - x[idx]) / h

@@ -18,7 +18,8 @@ class GridError(GLLFlowError):
 
 
 class NormDriftError(GLLFlowError):
-    """Unit-norm or tangency drift beyond the repairable threshold (1e-6)."""
+    """Unit-norm or tangency drift beyond geometry.REPAIR_TOL (1e-6), the one
+    repairable threshold: smaller drift is renormalized, larger is an error."""
 
 
 class StiffnessError(GLLFlowError):

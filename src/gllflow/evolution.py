@@ -14,15 +14,13 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ._numerics import (central_difference3, check_grid, derivative_nonuniform,
-                        weighted_norms)
+from ._numerics import check_grid, derivative_nonuniform, frame_rates, weighted_norms
 from .errors import DomainError, GridError, InstabilityError
-from .geometry import (E3, FlowParams, RadialProfile, _flow_velocity, energy,
+from .geometry import (E3, REPAIR_TOL, FlowParams, RadialProfile, _flow_velocity, energy,
                        gll_rhs_arr)
 from .manifest import read_csv, write_csv
 from .selfsim import SelfSimProfile, consistency_second_derivative
 
-UNIT_DRIFT_ABORT = 1e-6
 RESIDUAL_MARGIN = 3       # nodes dropped at each end of a residual norm
 
 
@@ -50,7 +48,7 @@ class RadialField:
         if r.size > 2:
             check_grid(r[1:])
         norms = np.linalg.norm(u, axis=1)
-        if np.max(np.abs(norms - 1.0)) > UNIT_DRIFT_ABORT:
+        if np.max(np.abs(norms - 1.0)) > REPAIR_TOL:
             raise DomainError("field off the unit sphere beyond repair tolerance")
         u = u / norms[:, None]
         u[0] = E3
@@ -196,7 +194,7 @@ def evolve(field0: RadialField, params: FlowParams, T: float,
         dev = np.abs(norms - 1.0)
         drift = float(dev.max())
         max_drift = max(max_drift, drift)
-        if drift > UNIT_DRIFT_ABORT:
+        if drift > REPAIR_TOL:
             raise InstabilityError(
                 "norm drift beyond 1e-6 before projection",
                 diagnostics={"t": field0.t + step * dt, "drift": drift,
@@ -231,34 +229,26 @@ class ResidualReport:
 def residual(trajectory: Trajectory) -> ResidualReport:
     """Centered-in-time u_t minus the flow velocity, on the stored frames.
 
-    u_t is the 3-point difference over each frame's two neighbours, second
-    order also where the two frame intervals differ (the last frame, when
-    store_every does not divide the step count).
-    Spatial derivatives use 5-point (4th-order) stencils, deliberately one
-    order better than the scheme, so the report measures the scheme's
-    spatial truncation error; needs >= 3 stored frames.
+    u_t is `frame_rates` over each frame's two neighbours (needs >= 3
+    stored frames); u_r and u_rr use 5-point stencils, one order better
+    than the scheme.  u_t spans the stored-frame spacing, not dt, so with a
+    large store_every the report includes the frames' time-sampling error:
+    `rarely-schrodinger-201` (benchmark seed 5, every 400th step stored)
+    reads 3.61 where store-often runs read 0.005-0.03.  ROADMAP item 4 has
+    the fix (keep the states one step either side of each stored frame).
     """
     params = trajectory.params
     frames = trajectory.frames
-    if len(frames) < 3:
-        raise DomainError("residual needs at least 3 stored frames")
     r = trajectory.r
-    sl = slice(RESIDUAL_MARGIN, r.size - RESIDUAL_MARGIN)
-    times, l2s, linfs = [], [], []
-    for k in range(1, len(frames) - 1):
-        u_t = central_difference3(frames[k - 1].u, frames[k].u, frames[k + 1].u,
-                                  frames[k].t - frames[k - 1].t, frames[k + 1].t - frames[k].t)
+    rows = []       # (t, l2, linf) per interior frame
+    for k, u_t in frame_rates([f.u for f in frames], [f.t for f in frames]):
         u = frames[k].u
-        ur = derivative_nonuniform(r, u, order=1, stencil=5)
-        urr = derivative_nonuniform(r, u, order=2, stencil=5)
+        ur = derivative_nonuniform(r, u, order=1)
+        urr = derivative_nonuniform(r, u, order=2)
         rhs = np.zeros_like(u)
         rhs[1:] = gll_rhs_arr(u[1:], ur[1:], urr[1:], r[1:], params)
-        res = u_t - rhs
-        l2, linf = weighted_norms(res[sl], r[sl], params.n)
-        times.append(frames[k].t)
-        l2s.append(l2)
-        linfs.append(linf)
-    return ResidualReport(times=np.array(times), l2=np.array(l2s), linf=np.array(linfs))
+        rows.append((frames[k].t, *weighted_norms(u_t - rhs, r, params.n, RESIDUAL_MARGIN)))
+    return ResidualReport(*map(np.array, zip(*rows)))
 
 
 def energy_history(trajectory: Trajectory):
@@ -267,7 +257,7 @@ def energy_history(trajectory: Trajectory):
     n = trajectory.params.n
     out = []
     for f in trajectory.frames:
-        ur = derivative_nonuniform(r, f.u, order=1, stencil=5)
+        ur = derivative_nonuniform(r, f.u, order=1)
         prof = RadialProfile(r, f.u, ur)
         out.append(energy(prof, n))
     return np.array(out)
@@ -319,10 +309,10 @@ def selfsim_consistency(profile: SelfSimProfile, t: float, params: FlowParams):
     psi = profile.psi
     dpsi = profile.psi_r
     ddpsi = consistency_second_derivative(profile)
-    sl = slice(RESIDUAL_MARGIN, rho.size - RESIDUAL_MARGIN)
-    u_t = -(rho[sl] / (2.0 * t))[:, None] * dpsi[sl]
-    rhs = gll_rhs_arr(psi[sl], dpsi[sl], ddpsi[sl], rho[sl], params) / t
-    return weighted_norms(u_t - rhs, rho[sl], params.n)
+    u_t = -(rho / (2.0 * t))[:, None] * dpsi
+    rhs = np.zeros_like(psi)    # node 0 (r = 0 on a trivial profile) lies in the margin
+    rhs[1:] = gll_rhs_arr(psi[1:], dpsi[1:], ddpsi[1:], rho[1:], params) / t
+    return weighted_norms(u_t - rhs, rho, params.n, RESIDUAL_MARGIN)
 
 
 # ---------------------------------------------------------------------------

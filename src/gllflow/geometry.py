@@ -15,13 +15,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._numerics import check_grid, sphere_surface_measure, trapezoid
+from ._numerics import check_grid, sphere_surface_measure
 from .errors import DomainError, GridError, NormDriftError, PoleSingularityError
 
 E3 = np.array([0.0, 0.0, 1.0])
 
 NORM_TOL = 1e-12          # unit-norm invariant after construction
-REPAIR_TOL = 1e-6         # constructors renormalize drift up to this, error beyond
+REPAIR_TOL = 1e-6         # renormalize drift up to this, error beyond (see NormDriftError)
 POLE_TOL = 1e-8           # stereographic chart radius around the south pole
 
 
@@ -286,7 +286,7 @@ def energy(profile: RadialProfile, n: int, r_min: float = 0.0, r_max: float | No
     rr = r[mask]
     dens = energy_density_arr(profile.u[mask], profile.u_r[mask], rr, n)
     sigma = sphere_surface_measure(2 * n)
-    return float(sigma * trapezoid(dens * rr ** (2 * n - 1), rr))
+    return float(sigma * np.trapezoid(dens * rr ** (2 * n - 1), rr))
 
 
 # ---------------------------------------------------------------------------

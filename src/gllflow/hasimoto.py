@@ -21,7 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._numerics import central_difference3, cumquad0, derivative_nonuniform, weighted_norms
+from ._numerics import cumquad0, derivative_nonuniform, frame_rates, weighted_norms
 from .errors import DomainError
 from .geometry import E3, FlowParams
 from .manifest import report_json, write_csv
@@ -40,12 +40,16 @@ class Frame:
     e: np.ndarray        # (N, 3)
     je: np.ndarray       # (N, 3)
 
-    def validate(self, u):
-        bad = max(
+    def defect(self, u):
+        """Largest departure of e from unit length, from T_u and from Je."""
+        return max(
             float(np.max(np.abs(np.linalg.norm(self.e, axis=1) - 1.0))),
             float(np.max(np.abs(np.sum(self.e * u, axis=1)))),
             float(np.max(np.abs(np.sum(self.e * self.je, axis=1)))),
         )
+
+    def validate(self, u):
+        bad = self.defect(u)
         if bad > FRAME_TOL:
             raise DomainError(f"frame invariants violated by {bad:.3e}")
         return self
@@ -122,10 +126,10 @@ def compute_q(r, u, frame: Frame, params: FlowParams, u_r=None) -> QField:
     r = np.asarray(r, float)
     u = np.asarray(u, float)
     if u_r is None:
-        u_r = derivative_nonuniform(r, u, order=1, stencil=5)
+        u_r = derivative_nonuniform(r, u, order=1)
     q = np.sum(u_r * frame.e, axis=1) + 1j * np.sum(u_r * frame.je, axis=1)
     u3 = u[:, 2]
-    q_r = derivative_nonuniform(r, q, order=1, stencil=5)
+    q_r = derivative_nonuniform(r, q, order=1)
     I = cumquad0(u3 * q, r)
     safe = np.where(r > 0, r, 1.0)
     V = q_r + (2 * params.n - 1) / safe * q - (2 * params.n - 2 + u3) / safe**2 * I
@@ -153,8 +157,7 @@ def ip_residual(u_t, frame: Frame, qfield: QField, params: FlowParams, margin: i
     u_t = np.asarray(u_t, float)
     p = np.sum(u_t * frame.e, axis=1) + 1j * np.sum(u_t * frame.je, axis=1)
     res = p - (params.alpha + 1j * params.beta) * qfield.V
-    sl = slice(margin, qfield.r.size - margin)
-    return weighted_norms(res[sl], qfield.r[sl], params.n)
+    return weighted_norms(res, qfield.r, params.n, margin)
 
 
 def pole_projection_coordinates(qfield: QField):
@@ -171,26 +174,15 @@ def qpde_residual(trajectory, params: FlowParams):
     Needs >= 3 stored frames; returns (times, l2, linf) arrays.
     """
     frames = trajectory.frames
-    if len(frames) < 3:
-        raise DomainError("q-PDE residual needs at least 3 stored frames")
     r = trajectory.r
-    sl = slice(QPDE_MARGIN, r.size - QPDE_MARGIN)
-    qfields = []
-    for f in frames:
-        fr = transport_frame(r, f.u, QPDE_SEED)
-        qfields.append(compute_q(r, f.u, fr, params))
-    times, l2s, linfs = [], [], []
-    for k in range(1, len(frames) - 1):
-        q_t = central_difference3(qfields[k - 1].q, qfields[k].q, qfields[k + 1].q,
-                                  frames[k].t - frames[k - 1].t, frames[k + 1].t - frames[k].t)
+    qfields = [compute_q(r, f.u, transport_frame(r, f.u, QPDE_SEED), params) for f in frames]
+    rows = []       # (t, l2, linf) per interior frame
+    for k, q_t in frame_rates([qf.q for qf in qfields], [f.t for f in frames]):
         qf = qfields[k]
-        V_r = derivative_nonuniform(r, qf.V, order=1, stencil=5)
+        V_r = derivative_nonuniform(r, qf.V, order=1)
         res = q_t - (params.alpha + 1j * params.beta) * V_r + 1j * qf.alpha_g * qf.q
-        l2, linf = weighted_norms(res[sl], r[sl], params.n)
-        times.append(frames[k].t)
-        l2s.append(l2)
-        linfs.append(linf)
-    return np.array(times), np.array(l2s), np.array(linfs)
+        rows.append((frames[k].t, *weighted_norms(res, r, params.n, QPDE_MARGIN)))
+    return tuple(map(np.array, zip(*rows)))
 
 
 # ---------------------------------------------------------------------------

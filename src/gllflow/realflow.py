@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._numerics import hermite_eval, trapezoid
+from ._numerics import hermite_eval
 from .errors import DomainError
 from .manifest import report_json, write_csv
 from .singular_ode import DEFAULT_R0, SingularIVP, integrate_rk, series_start
@@ -407,7 +407,7 @@ def witness_energy_gap(epsilon, delta, quad_nodes=4000):
         with np.errstate(divide="ignore", invalid="ignore"):
             pot = np.where(r > 0, 2.0 * gamma(h, 2) / np.where(r > 0, r, 1.0) ** 2, 0.0)
         integrand = (hp**2 + pot) * r**3
-        total += float(trapezoid(integrand, r))
+        total += float(np.trapezoid(integrand, r))
     return total
 
 
@@ -418,9 +418,9 @@ def hardy_saturation_ratio(epsilon, quad_nodes=4000):
         r = seg
         f = f_kink(r, epsilon)
         fp = f_kink_derivative(r, epsilon)
-        num += float(trapezoid(fp**2 * r**3, r))
+        num += float(np.trapezoid(fp**2 * r**3, r))
         with np.errstate(divide="ignore", invalid="ignore"):
-            den += float(trapezoid(np.where(r > 0, (f / np.where(r > 0, r, 1.0)) ** 2, 0.0) * r**3, r))
+            den += float(np.trapezoid(np.where(r > 0, (f / np.where(r > 0, r, 1.0)) ** 2, 0.0) * r**3, r))
     return num / den
 
 

@@ -24,12 +24,11 @@ import numpy as np
 
 from ._numerics import cumquad0, derivative_nonuniform, hermite_eval
 from .errors import DomainError, NonConvergedError, NormDriftError
-from .geometry import (E3, FlowParams, SpherePoint, stereo_lift_arr,
+from .geometry import (E3, REPAIR_TOL, FlowParams, SpherePoint, stereo_lift_arr,
                        stereo_lift_differential)
 from .manifest import report_json, write_csv
 from .singular_ode import DEFAULT_R0, SingularIVP, integrate_rk, series_start
 
-TANGENT_DRIFT_ABORT = 1e-6
 UNIT_NORM_TOL = 1e-10
 TAIL_RATE_CONSTANT = 40.0     # rate bound 40 n^2 / r^2 for |psi_inf - psi(r)|
 
@@ -85,7 +84,7 @@ def sphere_profile_rhs(params: FlowParams):
 def _project_state(r, y):
     psi = y[:3]
     nrm = float(np.sqrt(psi @ psi))
-    if abs(nrm - 1.0) > TANGENT_DRIFT_ABORT:
+    if abs(nrm - 1.0) > REPAIR_TOL:
         raise NormDriftError(f"profile left the sphere at r={r} (|psi|-1 = {nrm - 1.0:.3e})")
     psi = psi / nrm
     d = y[3:]
@@ -316,4 +315,4 @@ def consistency_second_derivative(profile: SelfSimProfile):
     Deliberately independent of the ODE rearrangement (which would make
     any substitution check a tautology).
     """
-    return derivative_nonuniform(profile.r, profile.psi_r, order=1, stencil=5)
+    return derivative_nonuniform(profile.r, profile.psi_r, order=1)

@@ -21,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._numerics import check_grid, hermite_eval, trapezoid
+from ._numerics import check_grid, hermite_eval
 from .errors import DomainError, GridError, NonFiniteError, StiffnessError
 from .manifest import read_csv, write_csv
 
@@ -332,6 +332,6 @@ def _hardy_norms(r, f, f_r, d, p, k):
     r = check_grid(r)
     f = np.asarray(f, dtype=float)
     f_r = np.asarray(f_r, dtype=float)
-    num = trapezoid(np.abs(f / r ** (k + 1)) ** p * r ** (d - 1), r) ** (1.0 / p)
-    den = trapezoid(np.abs(f_r / r**k) ** p * r ** (d - 1), r) ** (1.0 / p)
+    num = np.trapezoid(np.abs(f / r ** (k + 1)) ** p * r ** (d - 1), r) ** (1.0 / p)
+    den = np.trapezoid(np.abs(f_r / r**k) ** p * r ** (d - 1), r) ** (1.0 / p)
     return num, den

@@ -1,14 +1,15 @@
 import numpy as np
 import pytest
 
+from gllflow._numerics import central_difference3, derivative_nonuniform
 from gllflow.errors import DomainError, GridError, InstabilityError
-from gllflow.evolution import (EvolveConfig, RadialField, energy_history,
+from gllflow.evolution import (RESIDUAL_MARGIN, EvolveConfig, RadialField, energy_history,
                                evolve, field_from_profile, great_circle_bump,
                                great_circle_deviation, make_grid, residual,
                                selfsim_consistency)
 from gllflow.geometry import (E3, FlowParams, TangentVec, _second_order_bracket, gll_rhs_arr,
                               harmonic_map_jet, stereo_lift_arr, tangent_project_arr)
-from gllflow.hasimoto import qpde_residual
+from gllflow.hasimoto import QPDE_MARGIN, QPDE_SEED, compute_q, qpde_residual, transport_frame
 from gllflow.selfsim import solve_profile
 
 HEAT = FlowParams(2, 1.0, 0.0)
@@ -272,6 +273,8 @@ class TestResidual:
                       EvolveConfig(store_every=10**9))
         with pytest.raises(DomainError):
             residual(traj)
+        with pytest.raises(DomainError):
+            qpde_residual(traj, HEAT)
 
     def test_uneven_last_frame_interval(self):
         # 115 steps stored every 6: the last frame interval is one step, the
@@ -311,6 +314,80 @@ class TestResidual:
             diffs.append(float(np.max(np.linalg.norm(traj.frames[-1].u - u_chart, axis=1))))
         assert diffs[0] <= 5e-3
         assert diffs[1] <= diffs[0] / 2.5
+
+
+def _oracle_norms(res, r, n, margin):
+    sl = slice(margin, r.size - margin)
+    mag2 = np.abs(res[sl]) ** 2
+    if mag2.ndim > 1:
+        mag2 = np.sum(mag2, axis=1)
+    l2 = float(np.sqrt(np.trapezoid(mag2 * r[sl] ** (2 * n - 1), r[sl])))
+    return l2, float(np.sqrt(np.max(mag2)))
+
+
+def _per_frame_residual(traj):
+    """residual as its own per-frame loop, with the time difference, the
+    margin and the weighted norms written out: the oracle of the shared
+    frame_rates / weighted_norms path."""
+    frames, r, params = traj.frames, traj.r, traj.params
+    rows = []
+    for k in range(1, len(frames) - 1):
+        u_t = central_difference3(frames[k - 1].u, frames[k].u, frames[k + 1].u,
+                                  frames[k].t - frames[k - 1].t, frames[k + 1].t - frames[k].t)
+        u = frames[k].u
+        ur = derivative_nonuniform(r, u, order=1)
+        urr = derivative_nonuniform(r, u, order=2)
+        rhs = np.zeros_like(u)
+        rhs[1:] = gll_rhs_arr(u[1:], ur[1:], urr[1:], r[1:], params)
+        rows.append((frames[k].t,) + _oracle_norms(u_t - rhs, r, params.n, RESIDUAL_MARGIN))
+    return tuple(np.array(c) for c in zip(*rows))
+
+
+def _per_frame_qpde(traj, params):
+    """qpde_residual as its own per-frame loop (the oracle, as above)."""
+    frames, r = traj.frames, traj.r
+    qfields = [compute_q(r, f.u, transport_frame(r, f.u, QPDE_SEED), params) for f in frames]
+    rows = []
+    for k in range(1, len(frames) - 1):
+        q_t = central_difference3(qfields[k - 1].q, qfields[k].q, qfields[k + 1].q,
+                                  frames[k].t - frames[k - 1].t, frames[k + 1].t - frames[k].t)
+        qf = qfields[k]
+        V_r = derivative_nonuniform(r, qf.V, order=1)
+        res = q_t - (params.alpha + 1j * params.beta) * V_r + 1j * qf.alpha_g * qf.q
+        rows.append((frames[k].t,) + _oracle_norms(res, r, params.n, QPDE_MARGIN))
+    return tuple(np.array(c) for c in zip(*rows))
+
+
+# (MOL steps, store_every, stored frame gaps in steps)
+STORE_CASES = {
+    "even": (24, 4, [4] * 6),
+    "uneven_last": (23, 6, [6, 6, 6, 5]),
+    "three_frames": (10, 5, [5, 5]),
+    "three_frames_uneven": (7, 5, [5, 2]),
+}
+
+
+class TestPerFrameOracle:
+    @pytest.mark.parametrize("store", sorted(STORE_CASES))
+    @pytest.mark.parametrize("flow", sorted(FLOWS))
+    def test_residuals_equal_the_per_frame_loops(self, flow, store):
+        params = FlowParams(2, *FLOWS[flow])
+        steps, store_every, gaps = STORE_CASES[store]
+        r = make_grid(8.0, 81)
+        dr = 8.0 / 80
+        f0 = RadialField(r, stereo_lift_arr((0.25 * r * np.exp(-(r**2) / 4.0)).astype(complex)))
+        traj = evolve(f0, params, steps * 0.1 * dr * dr, EvolveConfig(store_every=store_every))
+        assert np.round(np.diff(traj.times) / traj.dt).tolist() == gaps
+        rep = residual(traj)
+        times, l2, linf = _per_frame_residual(traj)
+        assert len(times) == len(gaps) - 1 and np.all(l2 > 0.0)
+        assert np.array_equal(rep.times, times)
+        assert np.array_equal(rep.l2, l2)
+        assert np.array_equal(rep.linf, linf)
+        got = qpde_residual(traj, params)
+        want = _per_frame_qpde(traj, params)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
 
 
 class TestGreatCircle:

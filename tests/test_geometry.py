@@ -8,7 +8,7 @@ from gllflow.geometry import (CPPoint, E3, FlowParams, RadialProfile, SpherePoin
                               harmonic_map, harmonic_map_jet, stereo_lift,
                               stereo_lift_arr, stereo_project, stereo_rhs, tension,
                               tension_arr, unitary_action)
-from gllflow._numerics import sphere_surface_measure, trapezoid
+from gllflow._numerics import sphere_surface_measure
 
 
 class TestTypes:
@@ -215,7 +215,7 @@ class TestTensionAndFlow:
         n = 2
         tau = tension_arr(u, u_r, u_rr, r, n)
         sigma = sphere_surface_measure(2 * n)
-        inner = -sigma * trapezoid(np.sum(tau * w, axis=1) * r ** (2 * n - 1), r)
+        inner = -sigma * np.trapezoid(np.sum(tau * w, axis=1) * r ** (2 * n - 1), r)
 
         def energy_of(eps):
             ue = u + eps * w

@@ -7,7 +7,7 @@ from gllflow._numerics import derivative_nonuniform
 from gllflow.errors import DomainError
 from gllflow.evolution import EvolveConfig, RadialField, evolve, make_grid
 from gllflow.geometry import E3, FlowParams, TangentVec, harmonic_map_jet, stereo_lift_arr
-from gllflow.hasimoto import (compute_q, eigenfunction_check, fd_laplacian,
+from gllflow.hasimoto import (Frame, compute_q, eigenfunction_check, fd_laplacian,
                               gauge_rate, ip_residual, pole_projection_coordinates,
                               qpde_residual, spherical_eigenfunction,
                               spherical_laplacian_x1, strichartz_exponents,
@@ -89,6 +89,16 @@ class TestTransport:
         assert np.max(np.abs(np.sum(fr.e * u, axis=1))) <= 1e-10
         assert np.max(np.abs(np.sum(fr.e * fr.je, axis=1))) <= 1e-10
 
+    def test_defect_is_what_validate_refuses(self):
+        r = np.linspace(0.0, 10.0, 1501)
+        u, _ = _harmonic_data(r)
+        fr = transport_frame(r, u, SEED)
+        assert fr.defect(u) <= 1e-10
+        bent = Frame(fr.r, fr.e + 1e-8 * u, fr.je)     # tilted out of T_u by 1e-8
+        assert bent.defect(u) == pytest.approx(1e-8, rel=1e-6)
+        with pytest.raises(DomainError):
+            bent.validate(u)
+
     def test_seed_validation(self):
         r = np.linspace(0.0, 1.0, 10)
         u = np.tile(E3, (10, 1))
@@ -127,7 +137,7 @@ class TestComputeQ:
         f = traj.frames[len(traj.frames) // 2]
         fr = transport_frame(traj.r, f.u, SEED)
         qf = compute_q(traj.r, f.u, fr, SCHRODINGER)
-        u_r = derivative_nonuniform(traj.r, f.u, order=1, stencil=5)
+        u_r = derivative_nonuniform(traj.r, f.u, order=1)
         assert np.max(np.abs(np.abs(qf.q) - np.linalg.norm(u_r, axis=1))) <= 1e-10
 
     def test_gauge_covariance(self):
@@ -240,7 +250,7 @@ class TestQPdeResidual:
             fr = transport_frame(traj.r, f.u, SEED)
             qf = compute_q(traj.r, f.u, fr, SCHRODINGER)
             rate = gauge_rate(qf, SCHRODINGER)
-            fd = derivative_nonuniform(traj.r, qf.alpha_g, order=1, stencil=5)
+            fd = derivative_nonuniform(traj.r, qf.alpha_g, order=1)
             mask = (traj.r >= 0.25) & (traj.r <= 7.5)   # fixed-radius window
             worst.append(np.max(np.abs(fd[mask] - rate[mask])) / max(1.0, np.max(np.abs(rate))))
         assert worst[1] <= 1e-4

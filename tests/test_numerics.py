@@ -2,8 +2,13 @@ import numpy as np
 import pytest
 
 from gllflow._numerics import (central_difference3, cumquad0, derivative_nonuniform,
-                               fd_weights, stencil_weights, weighted_norms)
-from gllflow.errors import GridError
+                               fd_weights, frame_rates, hermite_eval, stencil_weights,
+                               weighted_norms)
+from gllflow.errors import DomainError, GridError
+from gllflow.geometry import FlowParams
+from gllflow.realflow import solve_selfsim_real
+from gllflow.selfsim import solve_profile
+from gllflow.singular_ode import ProfileGrid
 
 
 def _graded(N, r_max=12.0):
@@ -86,11 +91,18 @@ class TestWeightedNorms:
         res = rng.normal(size=(60, 3))
         mag2 = np.sum(res**2, axis=1)
         expected = (float(np.sqrt(np.trapezoid(mag2 * rr**3, rr))), float(np.sqrt(np.max(mag2))))
-        assert weighted_norms(res, rr, 2) == expected
+        assert weighted_norms(res, rr, 2, 0) == expected
         z = rng.normal(size=60) + 1j * rng.normal(size=60)
         mag2 = np.abs(z) ** 2
         expected = (float(np.sqrt(np.trapezoid(mag2 * rr**5, rr))), float(np.sqrt(np.max(mag2))))
-        assert weighted_norms(z, rr, 3) == expected
+        assert weighted_norms(z, rr, 3, 0) == expected
+
+    def test_margin_drops_end_nodes(self, rng):
+        rr = np.sort(rng.uniform(0.1, 5.0, 60))
+        res = rng.normal(size=(60, 3))
+        res[:4] = res[-4:] = 1e6        # only the dropped nodes are large
+        assert weighted_norms(res, rr, 2, 4) == weighted_norms(res[4:-4], rr[4:-4], 2, 0)
+        assert weighted_norms(res, rr, 2, 4)[1] < 10.0
 
 
 class TestCentralDifference3:
@@ -110,6 +122,55 @@ class TestCentralDifference3:
         got = central_difference3(y_m, y_0, y_p, 0.25, 0.25)
         assert got.shape == (7, 3)
         assert np.allclose(got, (y_p - y_m) / 0.5, rtol=1e-14, atol=1e-14)
+
+
+class TestFrameRates:
+    def test_one_central_difference_per_interior_frame(self, rng):
+        times = np.cumsum(rng.uniform(0.1, 1.0, 6))
+        values = [rng.normal(size=(9, 3)) for _ in times]
+        got = list(frame_rates(values, times))
+        assert [k for k, _ in got] == [1, 2, 3, 4]
+        for k, rate in got:
+            want = central_difference3(values[k - 1], values[k], values[k + 1],
+                                       times[k] - times[k - 1], times[k + 1] - times[k])
+            assert np.array_equal(rate, want)
+
+    def test_fewer_than_three_frames_refused_at_the_call(self):
+        with pytest.raises(DomainError):
+            frame_rates([np.zeros(4), np.ones(4)], [0.0, 1.0])
+
+
+class TestNoExtrapolation:
+    """Hermite evaluation refuses queries outside the node range instead of
+    extrapolating the end cubics; the ends themselves are inside."""
+
+    def _outside(self, rng, lo, hi):
+        width = hi - lo
+        return np.concatenate([lo - width * rng.uniform(1e-6, 0.5, 3),
+                               hi + width * rng.uniform(1e-6, 0.5, 3)])
+
+    def test_hermite_eval(self, rng):
+        x = np.sort(rng.uniform(0.0, 3.0, 20))
+        y, d = np.sin(x), np.cos(x)
+        val, _ = hermite_eval(x[[0, -1]], x, y, d)
+        assert np.array_equal(val, y[[0, -1]])
+        for xq in np.append(self._outside(rng, x[0], x[-1]), np.nan):
+            with pytest.raises(DomainError):
+                hermite_eval(np.array([x[5], xq]), x, y, d)
+
+    def test_profile_evaluators(self, rng):
+        r = np.linspace(0.1, 5.0, 40)
+        grid = ProfileGrid(r, np.sin(r).astype(complex), np.cos(r).astype(complex))
+        sphere = solve_profile((1.0, 0.0), FlowParams(2, 1.0, 0.0), 5.0)
+        scalar = solve_selfsim_real(2.0, 3, 2.0)
+        for name, ev, nodes in (("ProfileGrid.interpolate", grid.interpolate, grid.r),
+                                ("SelfSimProfile.eval", sphere.eval, sphere.r),
+                                ("RealProfile.eval", scalar.eval, scalar.r)):
+            ev(nodes[[0, -1]])
+            for xq in self._outside(rng, nodes[0], nodes[-1]):
+                with pytest.raises(DomainError):
+                    ev(np.array([xq]))
+                    pytest.fail(f"{name} extrapolated to r = {xq!r}")
 
 
 class TestCumquad0:
