@@ -181,39 +181,35 @@ def weighted_norms(res, r, n, margin):
     return l2, float(np.sqrt(np.max(mag2)))
 
 
-def hermite_eval(xq, x, y, d):
-    """Evaluate the piecewise cubic Hermite interpolant (and derivative).
-
-    x: (N,) increasing nodes; y, d: values and derivatives at the nodes,
-    shape (N,) or (N, k). Returns (H(xq), H'(xq)). A query outside
-    [x[0], x[-1]] (or NaN) raises DomainError: the end cubics are not
-    extrapolated.
+def locate(xq, x):
+    """(idx, s): the cell [x[idx], x[idx+1]] of each query and its position
+    s in [0, 1] there.  x: (N,) increasing nodes.  A query outside
+    [x[0], x[-1]] (or NaN) raises DomainError: nothing is extrapolated.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y)
-    d = np.asarray(d)
     xq = np.atleast_1d(np.asarray(xq, dtype=float))
     if not np.all((xq >= x[0]) & (xq <= x[-1])):
         raise DomainError(f"interpolation query outside the node range [{x[0]}, {x[-1]}]")
     idx = np.clip(np.searchsorted(x, xq, side="right") - 1, 0, x.size - 2)
+    return idx, (xq - x[idx]) / (x[idx + 1] - x[idx])
+
+
+def hermite_eval(xq, x, y, d):
+    """Evaluate the piecewise cubic Hermite interpolant of values y and
+    derivatives d, shape (N,) or (N, k), on the nodes x (see `locate`).
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y)
+    d = np.asarray(d)
+    idx, s = locate(xq, x)
     h = x[idx + 1] - x[idx]
-    s = (xq - x[idx]) / h
     h00 = (1 + 2 * s) * (1 - s) ** 2
     h10 = s * (1 - s) ** 2
     h01 = s**2 * (3 - 2 * s)
     h11 = s**2 * (s - 1)
-    g00 = 6 * s * (s - 1) / h
-    g10 = (1 - s) * (1 - 3 * s)
-    g01 = -6 * s * (s - 1) / h
-    g11 = s * (3 * s - 2)
     if y.ndim > 1:
         sh = (-1,) + (1,) * (y.ndim - 1)
-        h00, h10, h01, h11 = (w.reshape(sh) for w in (h00, h10, h01, h11))
-        g00, g10, g01, g11 = (w.reshape(sh) for w in (g00, g10, g01, g11))
-        h = h.reshape(sh)
-    val = h00 * y[idx] + h10 * h * d[idx] + h01 * y[idx + 1] + h11 * h * d[idx + 1]
-    der = g00 * y[idx] + g10 * d[idx] + g01 * y[idx + 1] + g11 * d[idx + 1]
-    return val, der
+        h00, h10, h01, h11, h = (w.reshape(sh) for w in (h00, h10, h01, h11, h))
+    return h00 * y[idx] + h10 * h * d[idx] + h01 * y[idx + 1] + h11 * h * d[idx + 1]
 
 
 def sphere_surface_measure(d):

@@ -73,6 +73,7 @@ def cmd_selfsim(args):
         "A_bound_4n": 4.0 * args.n,
         "identity_residual": None if trivial else apriori_identity_residual(
             prof, r_stop=min(20.0, args.r_max)),
+        "solver": prof.sol.counters(),
     }
     a_ok = results["max_A"] <= results["A_bound_4n"] + 1e-6
     print(f"max A(r) = {results['max_A']:.6f} (bound 4n = {results['A_bound_4n']:g}): "
@@ -132,7 +133,8 @@ def cmd_realheat_selfsim(args):
         {"beta": args.beta, "slope": slope, "n": args.n, "convention": args.convention},
         grid={"r_max": args.r_max, "nodes": int(prof.r.size)},
         tolerances={"rel_tol": args.tol},
-        results={"g_inf": prof.g_inf, "monotone": mono, "below_pi": below})
+        results={"g_inf": prof.g_inf, "monotone": mono, "below_pi": below,
+                 "solver": prof.sol.counters()})
 
 
 def cmd_realheat_witness(args):

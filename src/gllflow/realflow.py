@@ -16,14 +16,16 @@ reference curves in `figure_reference`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from ._numerics import hermite_eval
+# hermite_eval is not called here: perfbench/tracer.py looks it up in this
+# module (ROADMAP item 4)
+from ._numerics import hermite_eval  # noqa: F401
 from .errors import DomainError
 from .manifest import report_json, write_csv
-from .singular_ode import DEFAULT_R0, SingularIVP, integrate_rk, series_start
+from .singular_ode import DEFAULT_R0, DenseSolution, SingularIVP, integrate_rk, series_start
 
 # ---------------------------------------------------------------------------
 # eta and its derivatives (closed forms)
@@ -176,30 +178,36 @@ def real_selfsim_ivp(slope: float, n: int, drift: bool = True) -> SingularIVP:
 
 @dataclass(frozen=True)
 class RealProfile:
-    """Scalar profile g(r) with derivative; g(0) = 0."""
+    """Scalar profile: the dense solution of the state (g, g_r), g(0) = 0."""
 
-    r: np.ndarray
-    g: np.ndarray
-    g_r: np.ndarray
+    sol: DenseSolution     # y = (g, g_r), (N, 2)
     n: int
     slope: float
-    g_rr: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "r", np.asarray(self.r, float))
-        object.__setattr__(self, "g", np.asarray(self.g, float))
-        object.__setattr__(self, "g_r", np.asarray(self.g_r, float))
-        if not np.all(np.isfinite(self.g)):
+        if not np.all(np.isfinite(self.sol.y)):
             raise DomainError("profile contains non-finite values")
+
+    @property
+    def r(self):
+        return self.sol.r
+
+    @property
+    def g(self):
+        return self.sol.y[:, 0]
+
+    @property
+    def g_r(self):
+        return self.sol.y[:, 1]
 
     @property
     def g_inf(self) -> float:
         return float(self.g[-1])
 
     def eval(self, r_query):
-        val, _ = hermite_eval(r_query, self.r, self.g, self.g_r)
-        der, _ = hermite_eval(r_query, self.r, self.g_r, self.g_rr)
-        return val, der
+        """Dense-output (g, g_r) at query radii."""
+        y = self.sol.eval(r_query)
+        return y[:, 0], y[:, 1]
 
     def to_csv(self, path):
         write_csv(path, "r,g,g_r", self.r, self.g, self.g_r)
@@ -236,13 +244,12 @@ def solve_selfsim_real(beta_slope: float, n: int, r_max: float,
     if n < 2:
         raise DomainError("need n >= 2")
     if beta_slope == 0.0:
-        r = np.linspace(0.0, r_max, 201)
-        z = np.zeros_like(r)
-        return RealProfile(r, z, z, n, 0.0, g_rr=z)
+        z = np.zeros((201, 2))
+        return RealProfile(DenseSolution.from_nodes(np.linspace(0.0, r_max, 201), z, z), n, 0.0)
     f0, fp0 = series_start(real_selfsim_ivp(beta_slope, n), DEFAULT_R0)
-    rs, ys, fs = integrate_rk(_selfsim_rhs(n), DEFAULT_R0, np.array([f0.real, fp0.real]),
-                              r_max, rel_tol=rel_tol)
-    return RealProfile(rs, ys[:, 0], ys[:, 1], n, beta_slope, g_rr=fs[:, 1])
+    sol = integrate_rk(_selfsim_rhs(n), DEFAULT_R0, np.array([f0.real, fp0.real]), r_max,
+                       rel_tol=rel_tol)
+    return RealProfile(sol, n, beta_slope)
 
 
 # ---------------------------------------------------------------------------

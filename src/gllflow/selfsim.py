@@ -18,16 +18,19 @@ origin slope of psi is 2v.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from ._numerics import cumquad0, derivative_nonuniform, hermite_eval
+# hermite_eval is not called here: perfbench/tracer.py looks it up in this
+# module (ROADMAP item 4)
+from ._numerics import cumquad0, derivative_nonuniform, hermite_eval  # noqa: F401
 from .errors import DomainError, NonConvergedError, NormDriftError
 from .geometry import (E3, REPAIR_TOL, FlowParams, SpherePoint, stereo_lift_arr,
                        stereo_lift_differential)
 from .manifest import report_json, write_csv
-from .singular_ode import DEFAULT_R0, SingularIVP, integrate_rk, series_start
+from .singular_ode import DEFAULT_R0, DenseSolution, SingularIVP, integrate_rk, series_start
 
 UNIT_NORM_TOL = 1e-10
 TAIL_RATE_CONSTANT = 40.0     # rate bound 40 n^2 / r^2 for |psi_inf - psi(r)|
@@ -82,31 +85,26 @@ def sphere_profile_rhs(params: FlowParams):
 
 
 def _project_state(r, y):
-    psi = y[:3]
-    nrm = float(np.sqrt(psi @ psi))
+    """Back onto the sphere: psi / |psi|, and psi_r made tangent there."""
+    p1, p2, p3, d1, d2, d3 = y.tolist()
+    nrm = math.sqrt(p1 * p1 + p2 * p2 + p3 * p3)
     if abs(nrm - 1.0) > REPAIR_TOL:
         raise NormDriftError(f"profile left the sphere at r={r} (|psi|-1 = {nrm - 1.0:.3e})")
-    psi = psi / nrm
-    d = y[3:]
-    d = d - (d @ psi) * psi
-    return np.concatenate([psi, d])
+    p1, p2, p3 = p1 / nrm, p2 / nrm, p3 / nrm
+    dp = d1 * p1 + d2 * p2 + d3 * p3
+    return np.array([p1, p2, p3, d1 - dp * p1, d2 - dp * p2, d3 - dp * p3])
 
 
 @dataclass(frozen=True)
 class SelfSimProfile:
-    """Solved profile: nodes, field, derivative, and the drift parameters."""
+    """Solved profile: the dense solution of the state (psi, psi_r), and the
+    drift parameters."""
 
-    r: np.ndarray
-    psi: np.ndarray        # (N, 3)
-    psi_r: np.ndarray      # (N, 3)
+    sol: DenseSolution     # y = (psi, psi_r), (N, 6)
     params: FlowParams
     v: np.ndarray
-    psi_rr: np.ndarray = field(repr=False)  # from the ODE, for interpolation
 
     def __post_init__(self):
-        object.__setattr__(self, "r", np.asarray(self.r, float))
-        object.__setattr__(self, "psi", np.asarray(self.psi, float))
-        object.__setattr__(self, "psi_r", np.asarray(self.psi_r, float))
         object.__setattr__(self, "v", np.asarray(self.v, float))
         norms = np.linalg.norm(self.psi, axis=1)
         if np.max(np.abs(norms - 1.0)) > UNIT_NORM_TOL:
@@ -115,6 +113,18 @@ class SelfSimProfile:
             bound = 4.0 * self.params.n + 1e-6
             if np.max(self.A) > bound:
                 raise NormDriftError(f"derivative invariant A(r) exceeded {bound}")
+
+    @property
+    def r(self):
+        return self.sol.r
+
+    @property
+    def psi(self):
+        return self.sol.y[:, :3]
+
+    @property
+    def psi_r(self):
+        return self.sol.y[:, 3:]
 
     @property
     def A(self):
@@ -126,11 +136,10 @@ class SelfSimProfile:
         return float(self.r[-1])
 
     def eval(self, r_query):
-        """Hermite-interpolated (psi, psi_r) at query radii, projected to the sphere."""
-        psi, _ = hermite_eval(r_query, self.r, self.psi, self.psi_r)
-        dpsi, _ = hermite_eval(r_query, self.r, self.psi_r, self.psi_rr)
-        psi = psi / np.linalg.norm(psi, axis=-1, keepdims=True)
-        dpsi = dpsi - np.sum(dpsi * psi, axis=-1, keepdims=True) * psi
+        """Dense-output (psi, psi_r) at query radii, projected to the sphere."""
+        y = self.sol.eval(r_query)
+        psi = y[:, :3] / np.linalg.norm(y[:, :3], axis=-1, keepdims=True)
+        dpsi = y[:, 3:] - np.sum(y[:, 3:] * psi, axis=-1, keepdims=True) * psi
         return psi, dpsi
 
     def to_csv(self, path):
@@ -159,9 +168,8 @@ def solve_profile(v, params: FlowParams, r_max: float, rel_tol: float | None = N
 
     if np.hypot(v[0], v[1]) == 0.0:
         r = np.linspace(0.0, r_max, 201)
-        zeros = np.zeros((r.size, 3))
-        psi = np.tile(E3, (r.size, 1))
-        return SelfSimProfile(r, psi, zeros, params, v, psi_rr=zeros)
+        y = np.concatenate([np.tile(E3, (r.size, 1)), np.zeros((r.size, 3))], axis=1)
+        return SelfSimProfile(DenseSolution.from_nodes(r, y, np.zeros_like(y)), params, v)
 
     ivp = stereo_selfsim_ivp(v, params)
     F0, Fp0 = series_start(ivp, DEFAULT_R0)
@@ -169,9 +177,9 @@ def solve_profile(v, params: FlowParams, r_max: float, rel_tol: float | None = N
     dpsi0 = stereo_lift_differential(F0, Fp0)
     y0 = np.concatenate([psi0, dpsi0])
     fun = sphere_profile_rhs(params)
-    rs, ys, fs = integrate_rk(fun, DEFAULT_R0, y0, r_max, rel_tol=rel_tol,
-                              max_step=max_step, postprocess=_project_state)
-    return SelfSimProfile(rs, ys[:, :3], ys[:, 3:], params, v, psi_rr=fs[:, 3:])
+    sol = integrate_rk(fun, DEFAULT_R0, y0, r_max, rel_tol=rel_tol, max_step=max_step,
+                       postprocess=_project_state)
+    return SelfSimProfile(sol, params, v)
 
 
 # ---------------------------------------------------------------------------
@@ -309,10 +317,22 @@ def limit_map_continuity(v_samples, params: FlowParams, r_max: float,
     return rows, modulus
 
 
-def consistency_second_derivative(profile: SelfSimProfile):
-    """psi_rr by finite differences of the stored psi_r nodes.
+CONSISTENCY_SAMPLES = 4   # psi_r samples per solver step for its finite differences
 
-    Deliberately independent of the ODE rearrangement (which would make
-    any substitution check a tautology).
+
+def consistency_second_derivative(profile: SelfSimProfile):
+    """psi_rr at the nodes by finite differences of psi_r, sampled from the
+    dense output CONSISTENCY_SAMPLES times per solver step.
+
+    The rearranged ODE's psi_rr is not substituted itself (the check would
+    then compare the rearrangement with itself); it reaches the samples
+    only as the dense output's slope, as it reaches the nodes through the
+    integration.  The samples between nodes keep the stencil's truncation
+    error below the solve's own: on the nodes alone, DOP853's long steps
+    would dominate the residual with it.
     """
-    return derivative_nonuniform(profile.r, profile.psi_r, order=1)
+    r = profile.r
+    frac = np.arange(CONSISTENCY_SAMPLES) / CONSISTENCY_SAMPLES
+    rr = np.append((r[:-1, None] + np.diff(r)[:, None] * frac).ravel(), r[-1])
+    _, dpsi = profile.eval(rr)
+    return derivative_nonuniform(rr, dpsi, order=1)[::CONSISTENCY_SAMPLES]

@@ -7,8 +7,10 @@ The problem class is
 with k > 0, A smooth with A(alpha0, 0, 0) = 0, and B vanishing cubically
 at 0.  The unique bounded-slope solution satisfies f''(0) = 0, so it looks
 like f = alpha0 r + c3 r^3 + ... near the origin; `series_start` produces
-high-accuracy data at a small r0 > 0 and `integrate_adaptive` carries it
-outward with an embedded Dormand-Prince 5(4) pair.
+high-accuracy data at a small r0 > 0 and `integrate_rk` carries it outward
+with the DOP853 pair of Hairer, Norsett & Wanner (8th order, 5th/3rd-order
+error estimate) and its 7th-order dense output, returned as a
+`DenseSolution`.
 
 The stepper is deterministic: identical inputs give bit-identical grids.
 """
@@ -17,35 +19,72 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from ._numerics import check_grid, hermite_eval
+from . import _dop853 as dop
+from ._numerics import check_grid, hermite_eval, locate
 from .errors import DomainError, GridError, NonFiniteError, StiffnessError
 from .manifest import read_csv, write_csv
 
-# Dormand-Prince 5(4) tableau in matrix form; the 5th-order solution is
-# propagated and the embedded 4th-order difference drives step control.
-# Row 6 of A is the 5th-order weight row (first same as last), and the rows
-# of _DP_BE are those weights and the error weights, so one product of
-# _DP_BE with the stage matrix gives both the update and the error.
-_DP_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
-_DP_A = np.array([
-    [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
-    [1 / 5, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
-    [3 / 40, 9 / 40, 0.0, 0.0, 0.0, 0.0, 0.0],
-    [44 / 45, -56 / 15, 32 / 9, 0.0, 0.0, 0.0, 0.0],
-    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0.0, 0.0, 0.0],
-    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0.0, 0.0],
-    [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0],
-])
-_DP_E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200,
-                  22 / 525, -1 / 40])
-_DP_BE = np.array([_DP_A[6], _DP_E])
-
 ERROR_FLOOR = 1e-14  # absolute term in the mixed error norm (avoids stalls at y ~ 0)
 MAX_STEPS = 5_000_000  # step budget of one integration
+# Near a singular origin the rhs cancels terms of size k |f'| / r, and their
+# rounding reaches DOP853's 5th-order error estimate (weights of order 1)
+# as about 1e-15 |f'|.  Left alone, start-up steps settle where the estimate
+# is a few percent of the tolerance; below ROUNDING_TOL that rounding is
+# then percent-level noise in it, the steps follow the last bit of the rhs,
+# and start-up nodes move by up to 0.5% (the real and complex forms of one
+# scalar profile).  Steps that grow by at most STARTUP_GROWTH, h <= 0.1 r,
+# hand over to the controller at an estimate near 0.2 of the tolerance.
+ROUNDING_TOL = 1e-9
+STARTUP_GROWTH = 0.1
+# every row that DOP853 applies to its 16 stages: the stage rows A, then the
+# 8th-order update B and the 5th- and 3rd-order error estimates over stages
+# 0-11, then the 4 dense-output rows D
+_ROWS = np.concatenate([dop.A, np.pad([dop.B, dop.E5, dop.E3], ((0, 0), (0, 4))), dop.D])
+
+
+class DenseSolution(NamedTuple):
+    """Accepted nodes r (N,), states y and derivatives f (N, m), and the
+    dense-output correction q (N-1, 4, m) of each step, with the solver's
+    counts (zero for data that no solve produced).
+
+    Between nodes r[i] and r[i+1], at s = (r - r[i]) / (r[i+1] - r[i]),
+    the state is the cubic Hermite of (y, f) at the step ends plus
+    s^2 (1-s)^2 (q0 + s (q1 + (1-s) (q2 + s q3))): DOP853's 7th-order dense
+    output, regrouped.  It is C^1 at the nodes, and q = 0 leaves the cubic
+    Hermite.
+    """
+
+    r: np.ndarray
+    y: np.ndarray
+    f: np.ndarray
+    q: np.ndarray
+    steps_accepted: int = 0
+    steps_rejected: int = 0
+    rhs_evals: int = 0
+
+    @classmethod
+    def from_nodes(cls, r, y, f):
+        """Nodes with values and derivatives only: cubic Hermite between them."""
+        y = np.asarray(y)
+        return cls(np.asarray(r, float), y, np.asarray(f),
+                   np.zeros((y.shape[0] - 1, 4) + y.shape[1:], dtype=y.dtype))
+
+    def eval(self, r_query):
+        """The state at query radii; DomainError outside [r[0], r[-1]]."""
+        val = hermite_eval(r_query, self.r, self.y, self.f)
+        idx, s = locate(r_query, self.r)
+        s = s.reshape((-1,) + (1,) * (self.y.ndim - 1))
+        q0, q1, q2, q3 = np.moveaxis(self.q[idx], 1, 0)
+        return val + (s * (1 - s)) ** 2 * (q0 + s * (q1 + (1 - s) * (q2 + s * q3)))
+
+    def counters(self):
+        """The solver's counts as a manifest entry."""
+        return {"steps_accepted": self.steps_accepted, "steps_rejected": self.steps_rejected,
+                "rhs_evals": self.rhs_evals}
 
 
 def _rms(w):
@@ -55,10 +94,21 @@ def _rms(w):
 
 
 def _error_norm(err, y_old, y_new, rel_tol):
-    return _rms(err / (ERROR_FLOOR + rel_tol * np.maximum(np.abs(y_old), np.abs(y_new))))
+    """DOP853's combined norm of the 5th- and 3rd-order error rows err[0], err[1]:
+    |e5|^2 / sqrt(m (|e5|^2 + |e3|^2 / 100)), each row scaled by
+    ERROR_FLOOR + rel_tol max(|y_old|, |y_new|); above 1 rejects the step."""
+    e5 = e3 = 0.0
+    for a5, a3, yo, yn in zip(err[0].tolist(), err[1].tolist(), y_old.tolist(), y_new.tolist()):
+        scale = ERROR_FLOOR + rel_tol * max(abs(yo), abs(yn))
+        a5, a3 = a5 / scale, a3 / scale
+        e5 += (a5 * a5.conjugate()).real
+        e3 += (a3 * a3.conjugate()).real
+    denom = e5 + 0.01 * e3
+    return e5 / math.sqrt(denom * y_old.size) if denom else 0.0
 
 
 def _initial_step(fun, r0, y0, f0, rel_tol, max_step):
+    """Hairer's starting step for an error estimate of order 7."""
     scale = ERROR_FLOOR + rel_tol * np.abs(y0)
     d0 = _rms(y0 / scale)
     d1 = _rms(f0 / scale)
@@ -69,39 +119,57 @@ def _initial_step(fun, r0, y0, f0, rel_tol, max_step):
     if max(d1, d2) <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
-        h1 = (0.01 / max(d1, d2)) ** 0.2
+        h1 = (0.01 / max(d1, d2)) ** (1 / 8)
     return min(100 * h0, h1, max_step)
 
 
 def integrate_rk(fun: Callable, r0: float, y0: np.ndarray, r_max: float,
                  rel_tol: float = 1e-10, max_step: float = np.inf,
-                 postprocess: Callable | None = None):
-    """Adaptive Dormand-Prince 5(4) from r0 to r_max.
+                 postprocess: Callable | None = None) -> DenseSolution:
+    """Adaptive DOP853 from r0 to r_max, with its dense output.
 
     fun(r, y) -> dy/dr on a flat ndarray state (real or complex).
     postprocess(r, y) -> y is applied to every accepted state (used by the
-    sphere-valued solver to re-project).  Returns (r_nodes, y_nodes,
-    f_nodes) with the derivative stored at every accepted node; the last
-    node is r_max itself.
+    sphere-valued solver to re-project); the node derivative is taken at
+    the result.  Stages run in matrix form, y + h A[i, :i] K[:i], and one
+    product of the 12 step stages gives the update and both error
+    estimates.  Step factor 0.9 err^(-1/8), kept in [0.2, 10] and at most 1
+    right after a rejection.  The last node is r_max itself.
+
+    Radii count from the singular origin of this module's problems: from
+    r0 > 0 and below ROUNDING_TOL, steps grow by at most STARTUP_GROWTH.
     """
     if r_max <= r0:
         raise DomainError("need r_max > r0")
     y = np.array(y0, copy=True)
     r = float(r0)
     f = np.array(fun(r, y))  # a copy: fun may hand back one reused buffer
-    h = _initial_step(fun, r, y, f, rel_tol, min(max_step, r_max - r0))
+    growth = STARTUP_GROWTH if r0 > 0 and rel_tol < ROUNDING_TOL else None
+
+    def limit(r):
+        return max_step if growth is None else min(max_step, growth * r)
+
+    h = _initial_step(fun, r, y, f, rel_tol, min(limit(r), r_max - r0))
+    rhs_evals = 2
     rs = [r]
-    ys = [y.copy()]
+    ys = [y]
     fs = [f]
-    K = np.empty((7,) + y.shape, dtype=y.dtype)
-    # stage rows and the fused update/error rows in the state's dtype, so
-    # no product below casts the tableau
-    A = [_DP_A[i, :i].astype(y.dtype) for i in range(7)]
-    BE = _DP_BE.astype(y.dtype)
-    nsteps = 0
+    qs = []
+    # YK holds the step's start state, then its 16 stages; M = [1, h _ROWS]
+    # (the 1 only on the stage and update rows), so M[i, :i+1] . YK[:i+1] is
+    # stage i's state y + h A[i, :i] K[:i], one product gives the update and
+    # both error estimates, and another the dense-output rows
+    YK = np.empty((17,) + y.shape, dtype=y.dtype)
+    K = YK[1:]
+    M = np.zeros((23, 17), dtype=y.dtype)
+    M[:17, 0] = 1.0
+    stage = [(M[i, :i + 1], YK[:i + 1]) for i in range(16)]
+    C = dop.C.tolist()
+    rejected = 0
+    retry = False  # the current step has had a rejected attempt
     nonfinite = None  # (r, h, first non-finite stage) of the last rejected attempt
     while r < r_max:
-        if nsteps > MAX_STEPS:
+        if len(qs) > MAX_STEPS:
             raise StiffnessError("step budget exhausted", r_last=r,
                                  partial=(np.array(rs), np.array(ys), np.array(fs)))
         r_new = r + h
@@ -112,41 +180,48 @@ def integrate_rk(fun: Callable, r0: float, y0: np.ndarray, r_max: float,
         if h < 1e-14 * max(abs(r), 1.0):
             partial = (np.array(rs), np.array(ys), np.array(fs))
             if nonfinite is not None and nonfinite[0] == r:
-                _, h_bad, stage = nonfinite
-                where = ("error estimate overflowed" if stage is None else
-                         f"stage {stage} at r={float(r + _DP_C[stage] * h_bad)!r}")
+                _, h_bad, bad = nonfinite
+                where = ("error estimate overflowed" if bad is None else
+                         f"stage {bad} at r={float(r + C[bad] * h_bad)!r}")
                 raise NonFiniteError(
                     f"non-finite step from r={r!r} with h={h_bad!r} ({where}); "
                     f"state {y!r}", r_last=r, partial=partial)
             raise StiffnessError("step size underflow (stiffness/blowup)", r_last=r,
                                  partial=partial)
+        np.multiply(_ROWS, h, out=M[:, 1:])
+        YK[0] = y
         K[0] = f
-        for i in range(1, 7):
-            K[i] = fun(r + _DP_C[i] * h, y + h * A[i].dot(K[:i]))
-        step = h * BE.dot(K)  # rows: the 5th-order increment, the error estimate
-        y_new = y + step[0]
-        enorm = _error_norm(step[1], y, y_new, rel_tol)
+        for i in range(1, 12):
+            K[i] = fun(r + C[i] * h, stage[i][0].dot(stage[i][1]))
+        rhs_evals += 11
+        update = M[16:19, :13].dot(YK[:13])  # rows: y_new, the 5th- and 3rd-order errors
+        y_new = update[0]
+        enorm = _error_norm(update[1:], y, y_new, rel_tol)
         if enorm <= 1.0:
-            r = r_new
             if postprocess is not None:
-                y_new = postprocess(r, y_new)
-                f = np.array(fun(r, y_new))
-            else:
-                f = K[6].copy()  # FSAL; a view would be overwritten by the next attempt
-            y = y_new
+                y_new = postprocess(r_new, y_new)
+            K[12] = fun(r_new, y_new)
+            for i in range(13, 16):
+                K[i] = fun(r + C[i] * h, stage[i][0].dot(stage[i][1]))
+            rhs_evals += 4
+            qs.append(M[19:, 1:].dot(K))
+            r, y, f = r_new, y_new, K[12].copy()  # a view would change with the next step
             rs.append(r)
-            ys.append(y.copy())
+            ys.append(y)
             fs.append(f)
-            nsteps += 1
-            factor = 5.0 if enorm == 0.0 else min(5.0, 0.9 * enorm ** -0.2)
-            h = min(h * factor, max_step)
+            factor = 10.0 if enorm == 0.0 else min(10.0, 0.9 * enorm ** -0.125)
+            h = min(h * (min(1.0, factor) if retry else factor), limit(r))
+            retry = False
         else:
             # a NaN/inf error norm is rejected like a large one (max() below
             # returns 0.2); remember it so the underflow it ends in says so
             nonfinite = None if math.isfinite(enorm) else (
-                r, h, next((i for i in range(7) if not np.all(np.isfinite(K[i]))), None))
-            h *= max(0.2, 0.9 * enorm ** -0.2)
-    return np.array(rs), np.array(ys), np.array(fs)
+                r, h, next((i for i in range(12) if not np.all(np.isfinite(K[i]))), None))
+            h *= max(0.2, 0.9 * enorm ** -0.125)
+            rejected += 1
+            retry = True
+    return DenseSolution(np.array(rs), np.array(ys), np.array(fs), np.array(qs),
+                         len(qs), rejected, rhs_evals)
 
 
 # ---------------------------------------------------------------------------
@@ -251,31 +326,45 @@ def series_error_estimate(ivp: SingularIVP, r0: float):
 
 @dataclass(frozen=True)
 class ProfileGrid:
-    """Solver output: strictly increasing nodes with value and derivative."""
+    """Solver output: the dense solution of the state (f, f') on strictly
+    increasing nodes."""
 
-    r: np.ndarray
-    f: np.ndarray
-    fp: np.ndarray
+    sol: DenseSolution
 
     def __post_init__(self):
-        object.__setattr__(self, "r", check_grid(self.r))
-        object.__setattr__(self, "f", np.asarray(self.f, dtype=complex))
-        object.__setattr__(self, "fp", np.asarray(self.fp, dtype=complex))
-        if not (np.all(np.isfinite(self.f)) and np.all(np.isfinite(self.fp))):
+        check_grid(self.sol.r)
+        if not (np.all(np.isfinite(self.sol.y)) and np.all(np.isfinite(self.sol.f))):
             raise GridError("profile contains non-finite values")
 
+    @property
+    def r(self):
+        return self.sol.r
+
+    @property
+    def f(self):
+        return self.sol.y[:, 0]
+
+    @property
+    def fp(self):
+        return self.sol.y[:, 1]
+
     def interpolate(self, r_new):
-        """Cubic Hermite value and derivative at arbitrary query points."""
-        return hermite_eval(r_new, self.r, self.f, self.fp)
+        """Value and derivative at arbitrary query points."""
+        y = self.sol.eval(r_new)
+        return y[:, 0], y[:, 1]
 
     def to_csv(self, path):
-        write_csv(path, "r,re_f,im_f,re_fp,im_fp",
-                  self.r, self.f.real, self.f.imag, self.fp.real, self.fp.imag)
+        fpp = self.sol.f[:, 1]
+        write_csv(path, "r,re_f,im_f,re_fp,im_fp,re_fpp,im_fpp", self.r, self.f.real,
+                  self.f.imag, self.fp.real, self.fp.imag, fpp.real, fpp.imag)
 
     @classmethod
     def read_csv(cls, path):
+        """The nodes of a `to_csv` file, cubic Hermite between them."""
         data = read_csv(path)
-        return cls(data[:, 0], data[:, 1] + 1j * data[:, 2], data[:, 3] + 1j * data[:, 4])
+        f, fp, fpp = (data[:, k] + 1j * data[:, k + 1] for k in (1, 3, 5))
+        return cls(DenseSolution.from_nodes(data[:, 0], np.stack([f, fp], axis=1),
+                                            np.stack([fp, fpp], axis=1)))
 
 
 DEFAULT_R0 = 1e-4        # the singular pair amplifies start-up error quadratically
@@ -287,9 +376,8 @@ def integrate_adaptive(ivp: SingularIVP, r_max: float,
     """Solve the singular problem from the series start at DEFAULT_R0 out to
     r_max; the grid holds the solver-chosen accepted nodes."""
     f0, fp0 = series_start(ivp, DEFAULT_R0)
-    rs, ys, _ = integrate_rk(ivp.rhs(), DEFAULT_R0, np.array([f0, fp0], dtype=complex), r_max,
-                             rel_tol=rel_tol)
-    return ProfileGrid(rs, ys[:, 0], ys[:, 1])
+    return ProfileGrid(integrate_rk(ivp.rhs(), DEFAULT_R0, np.array([f0, fp0], dtype=complex),
+                                    r_max, rel_tol=rel_tol))
 
 
 # ---------------------------------------------------------------------------

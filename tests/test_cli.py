@@ -33,6 +33,11 @@ class TestSelfsimCommand:
         doc = _manifest(out)
         assert doc["results"]["max_A"] <= 8.0
         assert doc["results"]["identity_residual"] <= 1e-6
+        # deterministic counts: in the payload, not in provenance
+        solver = doc["results"]["solver"]
+        assert solver["steps_accepted"] == doc["grid"]["nodes"] - 1
+        assert solver["rhs_evals"] >= 15 * solver["steps_accepted"]
+        assert "solver" not in doc["provenance"]
         assert doc["schema_version"].startswith("gllflow.run_manifest")
 
     def test_trivial_data_warns(self, tmp_path, capsys):
@@ -97,6 +102,9 @@ class TestRealheatCommands:
         doc = _manifest(out)
         assert doc["results"]["monotone"] and doc["results"]["below_pi"]
         assert doc["parameters"]["slope"] == 2.0
+        solver = doc["results"]["solver"]
+        assert solver == gllflow.solve_selfsim_real(2.0, 3, 8.0).sol.counters()
+        assert solver["steps_accepted"] == doc["grid"]["nodes"] - 1
 
     def test_selfsim_scalar_slope_convention(self, tmp_path):
         out = tmp_path / "ss2"

@@ -8,7 +8,7 @@ from gllflow.errors import DomainError, GridError
 from gllflow.geometry import FlowParams
 from gllflow.realflow import solve_selfsim_real
 from gllflow.selfsim import solve_profile
-from gllflow.singular_ode import ProfileGrid
+from gllflow.singular_ode import DenseSolution, ProfileGrid
 
 
 def _graded(N, r_max=12.0):
@@ -152,7 +152,7 @@ class TestNoExtrapolation:
     def test_hermite_eval(self, rng):
         x = np.sort(rng.uniform(0.0, 3.0, 20))
         y, d = np.sin(x), np.cos(x)
-        val, _ = hermite_eval(x[[0, -1]], x, y, d)
+        val = hermite_eval(x[[0, -1]], x, y, d)
         assert np.array_equal(val, y[[0, -1]])
         for xq in np.append(self._outside(rng, x[0], x[-1]), np.nan):
             with pytest.raises(DomainError):
@@ -160,7 +160,8 @@ class TestNoExtrapolation:
 
     def test_profile_evaluators(self, rng):
         r = np.linspace(0.1, 5.0, 40)
-        grid = ProfileGrid(r, np.sin(r).astype(complex), np.cos(r).astype(complex))
+        y = np.stack([np.sin(r), np.cos(r)], axis=1).astype(complex)
+        grid = ProfileGrid(DenseSolution.from_nodes(r, y, np.stack([y[:, 1], -y[:, 0]], axis=1)))
         sphere = solve_profile((1.0, 0.0), FlowParams(2, 1.0, 0.0), 5.0)
         scalar = solve_selfsim_real(2.0, 3, 2.0)
         for name, ev, nodes in (("ProfileGrid.interpolate", grid.interpolate, grid.r),

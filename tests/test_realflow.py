@@ -181,7 +181,7 @@ class TestRealArithmetic:
         for slope, n, r_max, tol in _sweep(24, 7):
             prof = solve_selfsim_real(slope, n, r_max, rel_tol=tol)
             grid = integrate_adaptive(real_selfsim_ivp(slope, n), r_max, rel_tol=tol)
-            for arr in (prof.g, prof.g_r, prof.g_rr):
+            for arr in prof.sol[:4]:
                 assert arr.dtype == np.float64
             # the same steps: node counts agree, and the end values to rounding
             # (rounding-level start-up steps shift interior nodes slightly)
@@ -208,7 +208,7 @@ class TestRealArithmetic:
     def test_reruns_are_bit_identical(self):
         a = solve_selfsim_real(22.113375001669648, 5, 10.0)
         b = solve_selfsim_real(22.113375001669648, 5, 10.0)
-        for x, y in ((a.r, b.r), (a.g, b.g), (a.g_r, b.g_r), (a.g_rr, b.g_rr)):
+        for x, y in zip(a.sol, b.sol):
             assert np.array_equal(x, y)
 
     def test_domain(self):

@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+import gllflow.selfsim as selfsim
 from gllflow.errors import DomainError, NonConvergedError, NormDriftError
-from gllflow.geometry import E3, FlowParams, TangentVec, harmonic_map_jet
+from gllflow.geometry import E3, REPAIR_TOL, FlowParams, TangentVec, harmonic_map_jet
 from gllflow.selfsim import (SelfSimProfile, apriori_identity_residual, decay_exponent,
                              identity_integral_at, limit_map_continuity, solve_profile,
                              sphere_profile_rhs, stereo_selfsim_ivp, tail_limit)
-from gllflow.singular_ode import series_start
+from gllflow.singular_ode import DenseSolution, series_start
 from gllflow.geometry import stereo_lift_arr, stereo_lift_differential
 
 # frozen by cross-validating the package integrator against an independent
@@ -71,6 +72,56 @@ def test_float_unpacked_rhs_is_bit_identical(rng):
         assert np.array_equal(got, _numpy_scalar_rhs(params)(np.float64(r), y))
 
 
+def _numpy_project_state(r, y):
+    """selfsim._project_state as it was on numpy 3-vectors (reference)."""
+    psi = y[:3]
+    nrm = float(np.sqrt(psi @ psi))
+    if abs(nrm - 1.0) > REPAIR_TOL:
+        raise NormDriftError(f"profile left the sphere at r={r}")
+    psi = psi / nrm
+    d = y[3:]
+    d = d - (d @ psi) * psi
+    return np.concatenate([psi, d])
+
+
+# (v, params, r_max, rel_tol): heat, Schroedinger at the alpha = 0 default
+# tolerance, and a mixed n = 3 flow
+THREE_PROFILES = [((1.0, 0.0), FlowParams(2, 1.0, 0.0), 40.0, 1e-10),
+                  ((1.0, 0.0), FlowParams(2, 0.0, 1.0), 60.0, 1e-12),
+                  ((0.6, 0.8), FlowParams(3, 0.6, 0.8), 40.0, 1e-10)]
+
+
+class TestProjectState:
+    def test_float_projection_matches_numpy(self):
+        # the unit vector to 1 ulp; the tangent part to 4 ulp at the scale of
+        # the psi_r it is projected from (numpy's 3-vector dot product rounds
+        # differently from a + b + c, and the projection cancels up to |psi_r|)
+        rng = np.random.default_rng(12)
+        eps = np.finfo(float).eps
+        for _ in range(10_000):
+            psi = rng.normal(size=3)
+            psi *= (1.0 + rng.uniform(-1e-9, 1e-9)) / np.linalg.norm(psi)
+            y = np.concatenate([psi, rng.normal(scale=3.0, size=3)])
+            got, want = selfsim._project_state(1.0, y), _numpy_project_state(1.0, y)
+            assert np.max(np.abs(got[:3] - want[:3])) <= eps
+            assert np.max(np.abs(got[3:] - want[3:])) <= 4 * eps * np.linalg.norm(y[3:])
+
+    def test_drift_beyond_repair_raises(self):
+        y = np.array([0.0, 0.0, 1.0 + 2 * REPAIR_TOL, 0.0, 0.0, 0.0])
+        with pytest.raises(NormDriftError):
+            selfsim._project_state(3.0, y)
+
+    @pytest.mark.parametrize("case", range(3))
+    def test_step_counts_and_limits_match_numpy(self, case, monkeypatch):
+        v, params, r_max, tol = THREE_PROFILES[case]
+        mine = solve_profile(v, params, r_max, rel_tol=tol)
+        monkeypatch.setattr(selfsim, "_project_state", _numpy_project_state)
+        ref = solve_profile(v, params, r_max, rel_tol=tol)
+        # rounding moves a few steps at tol 1e-12, never the limit
+        assert abs(mine.sol.steps_accepted - ref.sol.steps_accepted) <= 0.01 * ref.r.size
+        assert np.max(np.abs(mine.psi[-1] - ref.psi[-1])) <= tol
+
+
 class TestSolveProfile:
     def test_trivial_data(self):
         prof = solve_profile((0.0, 0.0), FlowParams(2, 1.0, 0.0), 10.0)
@@ -122,6 +173,23 @@ class TestSolveProfile:
     def test_unit_norm_everywhere(self):
         prof = solve_profile((0.5, 0.5), FlowParams(2, 0.0, 1.0), 15.0)
         assert np.max(np.abs(np.linalg.norm(prof.psi, axis=1) - 1.0)) <= 1e-10
+
+    @pytest.mark.parametrize("case", range(3))
+    def test_limit_against_scipy_dop853(self, case):
+        # psi(r_max) within 10 times the tolerance of scipy DOP853 at rtol
+        # 1e-13.  The Schroedinger profile runs at 1e-10 here: at r = 60 that
+        # oracle itself moves by 2e-10 between rtol 1e-13 and 2.2e-14.
+        v, params, r_max, tol = THREE_PROFILES[case]
+        tol = max(tol, 1e-10)
+        prof = solve_profile(v, params, r_max, rel_tol=tol)
+        ref = _independent_profile(v, params, r_max, rtol=1e-13)
+        assert np.max(np.abs(prof.psi[-1] - ref.y[:3, -1])) <= 10 * tol
+
+    def test_reruns_are_bit_identical(self):
+        a = solve_profile((0.6, 0.8), FlowParams(3, 0.6, 0.8), 20.0)
+        b = solve_profile((0.6, 0.8), FlowParams(3, 0.6, 0.8), 20.0)
+        for x, y in zip(a.sol, b.sol):
+            assert np.array_equal(x, y)
 
     def test_rotation_equivariance(self):
         theta = 0.7
@@ -221,7 +289,8 @@ class TestTailLimit:
         psi = np.stack([np.sin(r), np.zeros_like(r), np.cos(r)], axis=1)
         dpsi = np.stack([np.cos(r), np.zeros_like(r), -np.sin(r)], axis=1)
         ddpsi = np.stack([-np.sin(r), np.zeros_like(r), -np.cos(r)], axis=1)
-        prof = SelfSimProfile(r, psi, dpsi, FlowParams(1, 1.0, 0.0), np.zeros(3), ddpsi)
+        sol = DenseSolution.from_nodes(r, np.hstack([psi, dpsi]), np.hstack([dpsi, ddpsi]))
+        prof = SelfSimProfile(sol, FlowParams(1, 1.0, 0.0), np.zeros(3))
         with pytest.raises(NonConvergedError):
             tail_limit(prof)
 
@@ -231,6 +300,12 @@ class TestTailLimit:
         assert np.max(np.abs(prof.psi[-1] - PSI_INF_SCHRODINGER_200)) <= 1e-4
         rep = tail_limit(prof)
         assert rep.observed_gap <= rep.rate_bound
+
+    def test_schrodinger_step_count_tripwire(self):
+        # a deterministic count, not a timing: DOP853 takes about 17,400
+        # accepted steps here, a 5th-order pair on the same rhs about 100,000
+        prof = solve_profile((1.0, 0.0), FlowParams(2, 0.0, 1.0), 200.0, rel_tol=1e-12)
+        assert prof.sol.steps_accepted <= 20_000
 
     def test_json_round_trip(self):
         import json
@@ -277,5 +352,6 @@ class TestSerialization:
         r = np.linspace(0.1, 5.0, 50)
         psi = np.tile(E3 * 1.001, (50, 1))
         with pytest.raises(NormDriftError):
-            SelfSimProfile(r, psi, np.zeros((50, 3)), FlowParams(2, 1.0, 0.0), np.zeros(3),
-                           np.zeros((50, 3)))
+            y = np.hstack([psi, np.zeros((50, 3))])
+            SelfSimProfile(DenseSolution.from_nodes(r, y, np.zeros_like(y)),
+                           FlowParams(2, 1.0, 0.0), np.zeros(3))

@@ -1,13 +1,17 @@
 import numpy as np
 import pytest
-from scipy.integrate import RK45, quad, solve_ivp
+from scipy.integrate import DOP853, quad, solve_ivp
+from scipy.integrate._ivp import dop853_coefficients
+from scipy.integrate._ivp.rk import Dop853DenseOutput
 
+from gllflow import _dop853 as dop
+from gllflow._numerics import hermite_eval
 from gllflow.errors import DomainError, NonFiniteError, StiffnessError
-from gllflow.realflow import real_selfsim_ivp
-from gllflow.singular_ode import (_DP_A, _DP_BE, _DP_C, _DP_E, ERROR_FLOOR, ProfileGrid,
-                                  SingularIVP, _error_norm, hardy_check, hardy_ratio_raw,
-                                  integrate_adaptive, integrate_rk, series_error_estimate,
-                                  series_start)
+from gllflow.realflow import _selfsim_rhs, real_selfsim_ivp
+from gllflow.singular_ode import (ERROR_FLOOR, ROUNDING_TOL, STARTUP_GROWTH, DenseSolution,
+                                  ProfileGrid, SingularIVP, _error_norm, _initial_step,
+                                  hardy_check, hardy_ratio_raw, integrate_adaptive,
+                                  integrate_rk, series_error_estimate, series_start)
 from conftest import smooth_bump
 
 
@@ -111,6 +115,8 @@ class TestIntegrateAdaptive:
         assert np.array_equal(g1.r, g2.r)
         assert np.array_equal(g1.f, g2.f)
         assert np.array_equal(g1.fp, g2.fp)
+        for a, b in zip(g1.sol, g2.sol):  # derivatives, dense rows and counts too
+            assert np.array_equal(a, b)
 
     def test_blowup_reports_last_state(self):
         # f'' = 4 f^2 f' + singular pair: derivative grows without bound
@@ -153,13 +159,14 @@ def _oscillator(r, y):
 
 
 class TestStepper:
-    def test_tableau_matches_scipy_rk45(self):
-        assert np.array_equal(_DP_A[:6, :5], RK45.A)
-        assert not np.any(_DP_A[:6, 5:]) and not _DP_A[6, 6]
-        assert np.array_equal(_DP_A[6, :6], RK45.B)      # first same as last
-        assert np.array_equal(_DP_BE, [_DP_A[6], _DP_E])
-        assert np.array_equal(_DP_E, -RK45.E)
-        assert np.array_equal(_DP_C[:6], RK45.C) and _DP_C[6] == 1.0
+    def test_tableau_matches_scipy_dop853(self):
+        assert np.array_equal(dop.C, dop853_coefficients.C)
+        assert np.array_equal(dop.A, dop853_coefficients.A)
+        assert np.array_equal(dop.B, DOP853.B)
+        # stage 12 (the derivative at the new node) has no error weight
+        assert np.array_equal(dop.E5, DOP853.E5[:12]) and DOP853.E5[12] == 0.0
+        assert np.array_equal(dop.E3, DOP853.E3[:12]) and DOP853.E3[12] == 0.0
+        assert np.array_equal(dop.D, DOP853.D)
 
     @pytest.mark.parametrize("dtype", [float, complex])
     def test_matrix_form_matches_term_by_term_stages(self, rng, dtype):
@@ -171,32 +178,43 @@ class TestStepper:
         def fun(r, y):
             return M @ y
 
+        def stages(r, y, K, rows):
+            for i in rows:
+                stage = sum(a * kk for a, kk in zip(dop.A[i, :i], K))
+                K.append(fun(r + dop.C[i] * h, y + h * stage))
+
         h = 1 / 16
-        rs, ys, fs = integrate_rk(fun, 0.0, y0, 1.0, rel_tol=1e-1, max_step=h)
-        assert np.array_equal(rs, np.arange(17) * h)
+        sol = integrate_rk(fun, 0.0, y0, 1.0, rel_tol=1e-1, max_step=h)
+        assert np.array_equal(sol.r, np.arange(17) * h)
         y = y0
-        for k, r in enumerate(rs[:-1]):
+        for k, r in enumerate(sol.r[:-1]):
             K = [fun(r, y)]
-            for i in range(1, 7):
-                stage = sum(a * kk for a, kk in zip(_DP_A[i, :i], K))
-                K.append(fun(r + _DP_C[i] * h, y + h * stage))
-            y = y + h * sum(b * kk for b, kk in zip(_DP_A[6, :6], K))
-            f = fun(rs[k + 1], y)
-            assert np.max(np.abs(ys[k + 1] - y)) <= 1e-13 * np.max(np.abs(y))
-            assert np.max(np.abs(fs[k + 1] - f)) <= 1e-13 * np.max(np.abs(f))
+            stages(r, y, K, range(1, 12))
+            y_new = y + h * sum(b * kk for b, kk in zip(dop.B, K))
+            K.append(fun(sol.r[k + 1], y_new))
+            stages(r, y, K, range(13, 16))
+            q = [h * sum(d * kk for d, kk in zip(row, K)) for row in dop.D]
+            # q cancels terms up to h |D| |K|: rounding is relative to those
+            q_terms = h * np.abs(dop.D).sum(axis=1).max() * max(np.max(np.abs(kk)) for kk in K)
+            y = y_new
+            assert np.max(np.abs(sol.y[k + 1] - y)) <= 1e-13 * np.max(np.abs(y))
+            assert np.max(np.abs(sol.f[k + 1] - K[12])) <= 1e-13 * np.max(np.abs(K[12]))
+            assert np.max(np.abs(sol.q[k] - q)) <= 1e-13 * q_terms
 
     def test_fixed_step_convergence_order(self):
         # rel_tol 1e-1 accepts every step, so max_step pins h; the global
-        # error of the propagated 5th-order solution falls like h^5
-        exact = np.cos(2.0) + np.sin(2.0)
+        # error of the propagated 8th-order solution falls like h^8
+        def fast(r, y):
+            return np.array([4.0 * y[1], -4.0 * y[0]])
+
+        exact = np.cos(8.0) + np.sin(8.0)
         errs = []
-        for h in (0.1, 0.05):
-            rs, ys, _ = integrate_rk(_oscillator, 0.0, np.array([1.0, 1.0]), 2.0,
-                                     rel_tol=1e-1, max_step=h)
-            assert rs.size == round(2.0 / h) + 1
-            assert np.allclose(np.diff(rs), h, rtol=1e-12, atol=0.0)
-            errs.append(abs(ys[-1, 0] - exact))
-        assert np.log2(errs[0] / errs[1]) >= 4.8
+        for h in (0.2, 0.1):
+            sol = integrate_rk(fast, 0.0, np.array([1.0, 1.0]), 2.0, rel_tol=1e-1, max_step=h)
+            assert sol.r.size == round(2.0 / h) + 1
+            assert np.allclose(np.diff(sol.r), h, rtol=1e-12, atol=0.0)
+            errs.append(abs(sol.y[-1, 0] - exact))
+        assert np.log2(errs[0] / errs[1]) >= 7
 
     def test_final_step_lands_on_r_max(self, rng):
         # accepted steps that sum to a hair below r_max used to leave a
@@ -204,12 +222,11 @@ class TestStepper:
         cases = [(0.2, np.array([1.0, 1.0])), (0.025, np.array([1.0, 1.0]))]
         cases += [(2.0 / m, rng.normal(size=2)) for m in rng.integers(3, 200, size=20)]
         for max_step, y0 in cases:
-            rs, ys, _ = integrate_rk(_oscillator, 0.0, y0, 2.0, rel_tol=1e-1,
-                                     max_step=max_step)
-            assert rs[-1] == 2.0, max_step
-            assert np.all(np.diff(rs) > 0.0)
+            sol = integrate_rk(_oscillator, 0.0, y0, 2.0, rel_tol=1e-1, max_step=max_step)
+            assert sol.r[-1] == 2.0, max_step
+            assert np.all(np.diff(sol.r) > 0.0)
             exact = y0[0] * np.cos(2.0) + y0[1] * np.sin(2.0)
-            assert abs(ys[-1, 0] - exact) <= 1e-3 * np.abs(y0).sum()
+            assert abs(sol.y[-1, 0] - exact) <= 1e-3 * np.abs(y0).sum()
 
     @pytest.mark.parametrize("postprocess", [None, lambda r, y: y], ids=["fsal", "postprocess"])
     def test_nodes_independent_of_a_reused_output_buffer(self, postprocess):
@@ -227,14 +244,117 @@ class TestStepper:
             assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("dtype", [float, complex])
-    def test_error_norm_is_the_rms_of_the_scaled_error(self, rng, dtype):
-        # the one-dot norm, taken over (re, im) pairs for a complex state
+    def test_error_norm_is_scipys_dop853_norm(self, rng, dtype):
+        # scipy's _estimate_error_norm on the same stages and scale; ours
+        # takes the error rows with h already applied
         for _ in range(50):
-            y_old, y_new, err = (rng.normal(size=(3, 6)) + 1j * rng.normal(size=(3, 6))
-                                 if dtype is complex else rng.normal(size=(3, 6)))
+            K, y_old, y_new = (rng.normal(size=(3, 13, 6)) + 1j * rng.normal(size=(3, 13, 6))
+                               if dtype is complex else rng.normal(size=(3, 13, 6)))
+            y_old, y_new = y_old[0], y_new[0]
+            h = rng.uniform(1e-3, 1.0)
             scale = ERROR_FLOOR + 1e-8 * np.maximum(np.abs(y_old), np.abs(y_new))
-            ref = np.sqrt(np.mean(np.abs(err / scale) ** 2))
+            ref = DOP853._estimate_error_norm(DOP853, K, h, scale)
+            err = h * np.array([DOP853.E5, DOP853.E3]) @ K
             assert abs(_error_norm(err, y_old, y_new, 1e-8) - ref) <= 1e-15 * ref
+
+    def test_initial_step_uses_the_order_7_exponent(self):
+        # y' = y from y = 1 at rel_tol 1e-6: d0 = d1 = d2 ~ 1e6, so Hairer's
+        # rule gives h1 = (0.01 / d1)^(1/8) = 0.1, below 100 h0 = 1; a 5th-order
+        # exponent, 1/5, would give 0.025
+        y0 = np.array([1.0])
+        d1 = 1.0 / (ERROR_FLOOR + 1e-6)
+        h = _initial_step(lambda r, y: y.copy(), 0.0, y0, y0.copy(), 1e-6, np.inf)
+        assert h == pytest.approx((0.01 / d1) ** (1 / 8), rel=1e-12)
+
+    def test_counters_against_a_counting_rhs(self):
+        calls = []
+        fun = _selfsim_rhs(3)
+
+        def counted(r, y):
+            calls.append(r)
+            return fun(r, y)
+
+        f0, fp0 = series_start(real_selfsim_ivp(3.0, 3), 1e-4)
+        sol = integrate_rk(counted, 1e-4, np.array([f0.real, fp0.real]), 10.0, rel_tol=1e-8)
+        assert sol.steps_rejected > 0
+        assert sol.steps_accepted == sol.r.size - 1 == sol.q.shape[0]
+        assert sol.rhs_evals == len(calls)
+        # the start (f and one probe), 11 stages per attempt, and the node
+        # derivative plus three dense stages per accepted step
+        attempts = sol.steps_accepted + sol.steps_rejected
+        assert sol.rhs_evals == 2 + 11 * attempts + 4 * sol.steps_accepted
+        assert sol.counters() == {"steps_accepted": sol.steps_accepted,
+                                  "steps_rejected": sol.steps_rejected,
+                                  "rhs_evals": len(calls)}
+
+
+    def test_singular_start_up_grows_steps_by_at_most_a_tenth(self):
+        # from r0 > 0 below ROUNDING_TOL, h <= 0.1 r; above it the controller
+        # alone places the nodes, and its start-up steps are longer than r
+        fun = _selfsim_rhs(3)
+        f0, fp0 = series_start(real_selfsim_ivp(0.5, 3), 1e-4)
+        y0 = np.array([f0.real, fp0.real])
+        tight = integrate_rk(fun, 1e-4, y0, 2.0, rel_tol=ROUNDING_TOL / 10)
+        assert np.all(np.diff(tight.r) <= STARTUP_GROWTH * tight.r[:-1] * (1 + 1e-12))
+        loose = integrate_rk(fun, 1e-4, y0, 2.0, rel_tol=ROUNDING_TOL)
+        assert np.max(np.diff(loose.r) / loose.r[:-1]) > 1.0
+
+
+class TestDenseOutput:
+    @staticmethod
+    def _scalar(slope=2.0, n=3, r_max=10.0, tol=1e-10):
+        f0, fp0 = series_start(real_selfsim_ivp(slope, n), 1e-4)
+        y0 = np.array([f0.real, fp0.real])
+        sol = integrate_rk(_selfsim_rhs(n), 1e-4, y0, r_max, rel_tol=tol)
+        return sol, y0
+
+    def test_equals_scipys_dop853_dense_output(self):
+        # each step's (y, f, q) rebuilt as scipy's F rows: the regrouped
+        # polynomial agrees with Dop853DenseOutput to rounding
+        sol, _ = self._scalar()
+        for k in range(0, sol.r.size - 1, 7):
+            r0, r1 = sol.r[k], sol.r[k + 1]
+            h, dy = r1 - r0, sol.y[k + 1] - sol.y[k]
+            F = np.concatenate([[dy, h * sol.f[k] - dy, 2 * dy - h * (sol.f[k + 1] + sol.f[k])],
+                                sol.q[k]])
+            rq = r0 + h * np.array([0.1, 0.37, 0.5, 0.81])
+            ref = Dop853DenseOutput(r0, r1, sol.y[k], F)(rq).T
+            assert np.max(np.abs(sol.eval(rq) - ref)) <= 1e-14 * np.max(np.abs(sol.y[k]))
+
+    @pytest.mark.parametrize("slope,n", [(2.0, 3), (22.113375001669648, 5)])
+    def test_within_tolerance_between_nodes(self, slope, n):
+        # against scipy DOP853 at rtol 1e-13, at three points inside every
+        # step: within rel_tol max|y|, 100 times closer than the cubic
+        # Hermite of the same nodes
+        fun = _selfsim_rhs(n)
+        tol = 1e-10
+        sol, y0 = self._scalar(slope, n, tol=tol)
+        ref = solve_ivp(lambda r, y: fun(r, y), (1e-4, 10.0), y0, method="DOP853",
+                        rtol=1e-13, atol=1e-15, dense_output=True).sol
+        bound = tol * np.max(np.abs(sol.y))
+        for s in (0.25, 0.5, 0.75):
+            rq = sol.r[:-1] + s * np.diff(sol.r)
+            err = np.max(np.abs(sol.eval(rq) - ref(rq).T))
+            cubic = np.max(np.abs(hermite_eval(rq, sol.r, sol.y, sol.f) - ref(rq).T))
+            assert err <= bound, (s, err, bound)
+            assert cubic >= 100.0 * err
+
+    def test_nodes_are_returned_exactly(self):
+        sol, _ = self._scalar()
+        assert np.array_equal(sol.eval(sol.r), sol.y)
+
+    def test_zero_correction_is_cubic_hermite(self, rng):
+        r = np.sort(rng.uniform(0.0, 3.0, 30))
+        y = rng.normal(size=(30, 4))
+        f = rng.normal(size=(30, 4))
+        rq = rng.uniform(r[0], r[-1], 200)
+        assert np.array_equal(DenseSolution.from_nodes(r, y, f).eval(rq),
+                              hermite_eval(rq, r, y, f))
+
+    def test_refuses_queries_outside_the_nodes(self):
+        sol, _ = self._scalar()
+        with pytest.raises(DomainError):
+            sol.eval(np.array([5.0, 10.5]))
 
 
 class TestProfileGrid:
@@ -249,7 +369,8 @@ class TestProfileGrid:
 
     def test_hermite_interpolation_accuracy(self):
         r = np.linspace(0.1, 5.0, 80)
-        grid = ProfileGrid(r, np.sin(r).astype(complex), np.cos(r).astype(complex))
+        y = np.stack([np.sin(r), np.cos(r)], axis=1).astype(complex)
+        grid = ProfileGrid(DenseSolution.from_nodes(r, y, np.stack([y[:, 1], -y[:, 0]], axis=1)))
         rq = np.linspace(0.2, 4.9, 333)
         f, fp = grid.interpolate(rq)
         assert np.max(np.abs(f - np.sin(rq))) <= 1e-6
