@@ -110,16 +110,16 @@ def fd_weights(x, x0, m):
     return _fornberg(x[None, :], np.array([float(x0)]), m)[:, :, 0]
 
 
-def stencil_weights(x, order):
+def stencil_weights(x, order, points=STENCIL):
     """Sliding-stencil weights for the order-th derivative at every node.
 
     Returns (W, lo): W is (N, s) and row i weights y[lo[i]:lo[i]+s], the
-    window of s = STENCIL nodes (fewer on a shorter grid) centred on i
+    window of s = points nodes (fewer on a shorter grid) centred on i
     where the grid allows, else pushed inward at the ends.
     """
     x = np.asarray(x, dtype=float)
     n = x.size
-    stencil = min(STENCIL, n)
+    stencil = min(points, n)
     if stencil <= order:
         raise GridError("stencil too small for requested derivative order")
     lo = np.clip(np.arange(n) - stencil // 2, 0, n - stencil)
@@ -127,14 +127,14 @@ def stencil_weights(x, order):
     return _fornberg(X, x, order)[order].T, lo
 
 
-def derivative_nonuniform(x, y, order=1):
+def derivative_nonuniform(x, y, order=1, points=STENCIL):
     """order-th derivative of samples y(x) at every node, nonuniform grid.
 
-    Uses a sliding Fornberg stencil of STENCIL points (4th-order accurate
-    for the first derivative on smooth grids). y may be complex or an
-    (N, k) array of columns.
+    Uses a sliding Fornberg stencil of `points` nodes (by default STENCIL:
+    4th-order accurate for the first derivative on smooth grids). y may be
+    complex or an (N, k) array of columns.
     """
-    W, lo = stencil_weights(x, order)
+    W, lo = stencil_weights(x, order, points)
     y = np.asarray(y)
     W = W.reshape(W.shape + (1,) * (y.ndim - 1))
     out = W[:, 0] * y[lo]
@@ -193,14 +193,15 @@ def locate(xq, x):
     return idx, (xq - x[idx]) / (x[idx + 1] - x[idx])
 
 
-def hermite_eval(xq, x, y, d):
+def hermite_eval(xq, x, y, d, cell=None):
     """Evaluate the piecewise cubic Hermite interpolant of values y and
     derivatives d, shape (N,) or (N, k), on the nodes x (see `locate`).
+    cell is `locate(xq, x)` where the caller has it already.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y)
     d = np.asarray(d)
-    idx, s = locate(xq, x)
+    idx, s = locate(xq, x) if cell is None else cell
     h = x[idx + 1] - x[idx]
     h00 = (1 + 2 * s) * (1 - s) ** 2
     h10 = s * (1 - s) ** 2

@@ -317,22 +317,16 @@ def limit_map_continuity(v_samples, params: FlowParams, r_max: float,
     return rows, modulus
 
 
-CONSISTENCY_SAMPLES = 4   # psi_r samples per solver step for its finite differences
+CONSISTENCY_STENCIL = 9   # nodes: an 8th-order first derivative, DOP853's order
 
 
 def consistency_second_derivative(profile: SelfSimProfile):
-    """psi_rr at the nodes by finite differences of psi_r, sampled from the
-    dense output CONSISTENCY_SAMPLES times per solver step.
+    """psi_rr by finite differences of the stored psi_r nodes.
 
-    The rearranged ODE's psi_rr is not substituted itself (the check would
-    then compare the rearrangement with itself); it reaches the samples
-    only as the dense output's slope, as it reaches the nodes through the
-    integration.  The samples between nodes keep the stencil's truncation
-    error below the solve's own: on the nodes alone, DOP853's long steps
-    would dominate the residual with it.
+    Deliberately independent of the ODE rearrangement (which would make
+    any substitution check a tautology).  The stencil has the
+    integrator's order, so on its node spacing the truncation error stays
+    below the solve's own; a 5-point stencil would dominate the residual.
     """
-    r = profile.r
-    frac = np.arange(CONSISTENCY_SAMPLES) / CONSISTENCY_SAMPLES
-    rr = np.append((r[:-1, None] + np.diff(r)[:, None] * frac).ravel(), r[-1])
-    _, dpsi = profile.eval(rr)
-    return derivative_nonuniform(rr, dpsi, order=1)[::CONSISTENCY_SAMPLES]
+    return derivative_nonuniform(profile.r, profile.psi_r, order=1,
+                                 points=CONSISTENCY_STENCIL)

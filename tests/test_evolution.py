@@ -10,7 +10,7 @@ from gllflow.evolution import (RESIDUAL_MARGIN, EvolveConfig, RadialField, energ
 from gllflow.geometry import (E3, FlowParams, TangentVec, _second_order_bracket, gll_rhs_arr,
                               harmonic_map_jet, stereo_lift_arr, tangent_project_arr)
 from gllflow.hasimoto import QPDE_MARGIN, QPDE_SEED, compute_q, qpde_residual, transport_frame
-from gllflow.selfsim import solve_profile
+from gllflow.selfsim import SelfSimProfile, solve_profile
 
 HEAT = FlowParams(2, 1.0, 0.0)
 SCHRODINGER = FlowParams(2, 0.0, 1.0)
@@ -436,6 +436,21 @@ class TestSelfsimConsistency:
         prof = solve_profile((1.0, 0.0), HEAT, 25.0, max_step=0.05)
         l2, linf = selfsim_consistency(prof, 1.0, HEAT)
         assert l2 <= 1e-6
+
+    def test_residual_reads_only_the_node_values(self):
+        # psi_rr comes from the stored psi_r alone: the solver's derivatives
+        # and dense rows do not enter it, and nodes moved off the ODE show
+        prof = solve_profile((1.0, 0.0), HEAT, 25.0, max_step=0.05)
+        sol = prof.sol
+        blind = SelfSimProfile(sol._replace(f=np.zeros_like(sol.f), q=np.zeros_like(sol.q)),
+                               HEAT, prof.v)
+        assert selfsim_consistency(blind, 1.0, HEAT) == selfsim_consistency(prof, 1.0, HEAT)
+        y = sol.y.copy()
+        e1 = np.array([1.0, 0.0, 0.0])
+        tangent = e1 - (y[:, :3] @ e1)[:, None] * y[:, :3]
+        y[:, 3:] += 1e-6 * np.sin(sol.r)[:, None] * tangent
+        moved = SelfSimProfile(sol._replace(y=y), HEAT, prof.v)
+        assert selfsim_consistency(moved, 1.0, HEAT)[0] >= 1e-4
 
     def test_time_rescaling_identity(self):
         prof = solve_profile((1.0, 0.0), HEAT, 15.0, max_step=0.1)

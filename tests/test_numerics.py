@@ -72,6 +72,14 @@ class TestStencils:
         orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
         assert np.all(orders >= expected), orders
 
+    def test_nine_points_give_an_eighth_order_first_derivative(self):
+        f = lambda x: np.sin(x) * np.exp(-0.1 * x)
+        exact = lambda x: (np.cos(x) - 0.1 * np.sin(x)) * np.exp(-0.1 * x)
+        errs = [np.max(np.abs(derivative_nonuniform(x, f(x), points=9) - exact(x)))
+                for x in map(_graded, (101, 201, 401))]
+        orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
+        assert np.all(orders >= 7.5), orders
+
     def test_short_grid_and_too_small_stencil(self):
         x = np.array([0.0, 0.5, 1.5])
         # three nodes: the stencil shrinks to the grid and is exact on quadratics

@@ -8,7 +8,7 @@ from gllflow import _dop853 as dop
 from gllflow._numerics import hermite_eval
 from gllflow.errors import DomainError, NonFiniteError, StiffnessError
 from gllflow.realflow import _selfsim_rhs, real_selfsim_ivp
-from gllflow.singular_ode import (ERROR_FLOOR, ROUNDING_TOL, STARTUP_GROWTH, DenseSolution,
+from gllflow.singular_ode import (ERROR_FLOOR, RADIAL_STEP, ROUNDING_TOL, DenseSolution,
                                   ProfileGrid, SingularIVP, _error_norm, _initial_step,
                                   hardy_check, hardy_ratio_raw, integrate_adaptive,
                                   integrate_rk, series_error_estimate, series_start)
@@ -288,14 +288,14 @@ class TestStepper:
                                   "rhs_evals": len(calls)}
 
 
-    def test_singular_start_up_grows_steps_by_at_most_a_tenth(self):
+    def test_steps_from_a_singular_origin_are_at_most_a_tenth_of_r(self):
         # from r0 > 0 below ROUNDING_TOL, h <= 0.1 r; above it the controller
         # alone places the nodes, and its start-up steps are longer than r
         fun = _selfsim_rhs(3)
         f0, fp0 = series_start(real_selfsim_ivp(0.5, 3), 1e-4)
         y0 = np.array([f0.real, fp0.real])
         tight = integrate_rk(fun, 1e-4, y0, 2.0, rel_tol=ROUNDING_TOL / 10)
-        assert np.all(np.diff(tight.r) <= STARTUP_GROWTH * tight.r[:-1] * (1 + 1e-12))
+        assert np.all(np.diff(tight.r) <= RADIAL_STEP * tight.r[:-1] * (1 + 1e-12))
         loose = integrate_rk(fun, 1e-4, y0, 2.0, rel_tol=ROUNDING_TOL)
         assert np.max(np.diff(loose.r) / loose.r[:-1]) > 1.0
 
