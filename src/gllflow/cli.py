@@ -169,7 +169,7 @@ def cmd_realheat_figure(args):
     return EXIT_OK, out, RunManifest(
         "realheat figure",
         {"labels": labels, "fitted_n": fit.n, "fitted_slope_factor": fit.slope_factor},
-        tolerances={"rel_tol": 1e-11},
+        tolerances={"rel_tol": figref.FIT_REL_TOL},
         results={"fit_max_err": fit.max_err, "per_curve_err": errs})
 
 

@@ -10,7 +10,7 @@ truncation error instead of reproducing its own discretization.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -18,7 +18,7 @@ from ._numerics import check_grid, derivative_nonuniform, frame_rates, weighted_
 from .errors import DomainError, GridError, InstabilityError
 from .geometry import (E3, REPAIR_TOL, FlowParams, RadialProfile, _flow_velocity, energy,
                        gll_rhs_arr)
-from .manifest import read_csv, write_csv
+from .manifest import write_csv
 from .selfsim import SelfSimProfile, consistency_second_derivative
 
 RESIDUAL_MARGIN = 3       # nodes dropped at each end of a residual norm
@@ -57,11 +57,6 @@ class RadialField:
 
     def to_csv(self, path):
         write_csv(path, "r,u1,u2,u3", self.r, self.u)
-
-    @classmethod
-    def read_csv(cls, path, t=0.0):
-        data = read_csv(path)
-        return cls(data[:, 0], data[:, 1:4], t)
 
 
 @dataclass(frozen=True)
@@ -234,7 +229,7 @@ def residual(trajectory: Trajectory) -> ResidualReport:
     than the scheme.  u_t spans the stored-frame spacing, not dt, so with a
     large store_every the report includes the frames' time-sampling error:
     `rarely-schrodinger-201` (benchmark seed 5, every 400th step stored)
-    reads 3.61 where store-often runs read 0.005-0.03.  ROADMAP item 4 has
+    reads 3.61 where store-often runs read 0.005-0.03.  ROADMAP item 3 has
     the fix (keep the states one step either side of each stored frame).
     """
     params = trajectory.params

@@ -111,11 +111,13 @@ FIGURE_CURVES = {
 FIT_N = (2, 3, 4)                # candidate dimensions
 FIT_SLOPE_FACTORS = (1.0, 2.0)   # candidate origin slope per unit of label
 FIT_LABELS = (0.25, 1.0)         # the curves the fit is scored on
+FIT_REL_TOL = 1e-11              # the tolerance every figure profile is solved at
 
 
 def _curves(labels, n, slope_factor, rel_tol, solved):
-    """label -> columns [x_plot, y_ref, y_sim] (see `simulated_curve`), each
-    profile solved once: `solved` maps (slope, n) to it."""
+    """label -> columns [x_plot, y_ref, y_sim]: the reference points and the
+    profile with origin slope slope_factor * label, in plot units.  Each
+    profile is solved once: `solved` maps (slope, n) to it."""
     out = {}
     for lbl in labels:
         key = (slope_factor * lbl, n)
@@ -127,16 +129,9 @@ def _curves(labels, n, slope_factor, rel_tol, solved):
     return out
 
 
-def simulated_curve(label, n, slope_factor, rel_tol=1e-11):
-    """Columns [x_plot, y_ref, y_sim] of one labeled curve: its reference
-    points and the profile with origin slope slope_factor * label, in plot
-    units."""
-    return _curves([label], n, slope_factor, rel_tol, {})[label]
-
-
-def curve_error(label, n, slope_factor, rel_tol=1e-11):
+def curve_error(label, n, slope_factor, rel_tol=FIT_REL_TOL):
     """Max |simulated - reference| in plot y-units for one labeled curve."""
-    data = simulated_curve(label, n, slope_factor, rel_tol)
+    data = _curves([label], n, slope_factor, rel_tol, {})[label]
     return float(np.max(np.abs(data[:, 2] - data[:, 1])))
 
 
@@ -149,7 +144,7 @@ class ConventionFit:
     curves: dict = field(repr=False, compare=False)  # label -> columns, fitted convention
 
 
-def fit_convention(rel_tol=1e-11) -> ConventionFit:
+def fit_convention(rel_tol=FIT_REL_TOL) -> ConventionFit:
     """Grid-fit the unstated dimension and slope convention of the labels,
     and reproduce every reference curve under the convention found."""
     scores, solved = {}, {}
@@ -161,13 +156,3 @@ def fit_convention(rel_tol=1e-11) -> ConventionFit:
     return ConventionFit(n=n_best, slope_factor=sf_best, max_err=scores[(n_best, sf_best)],
                          per_candidate=scores,
                          curves=_curves(sorted(FIGURE_CURVES), n_best, sf_best, rel_tol, solved))
-
-
-def reproduce_curves(labels=None, n=None, slope_factor=None, rel_tol=1e-11):
-    """(label -> columns [x_plot, y_ref, y_sim]) under the fitted convention."""
-    if n is None or slope_factor is None:
-        fit = fit_convention(rel_tol=rel_tol)
-        n = fit.n if n is None else n
-        slope_factor = fit.slope_factor if slope_factor is None else slope_factor
-    labels = sorted(FIGURE_CURVES) if labels is None else list(labels)
-    return _curves(labels, n, slope_factor, rel_tol, {}), n, slope_factor

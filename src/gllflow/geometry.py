@@ -133,10 +133,6 @@ class CPPoint:
         return self.coords.size - 1
 
 
-# StereoValue is just a complex number; the chart functions carry the contract.
-StereoValue = complex
-
-
 # ---------------------------------------------------------------------------
 # stereographic chart
 # ---------------------------------------------------------------------------

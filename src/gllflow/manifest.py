@@ -25,11 +25,6 @@ def write_csv(path, header, *columns):
                fmt="%.17g")
 
 
-def read_csv(path):
-    """The rows of a `write_csv` file below its header, as an (N, k) array."""
-    return np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-
-
 def report_json(doc) -> str:
     """A report (or manifest) document as sorted, indented JSON text."""
     return json.dumps(doc, indent=2, sort_keys=True)

@@ -171,7 +171,7 @@ def real_selfsim_ivp(slope: float, n: int, drift: bool = True) -> SingularIVP:
         return -(r / 2.0) * z1 if drift else 0.0 * z1
 
     def B(z):
-        return (2 * n - 2) * np.sin(z) + 0.5 * np.sin(2 * z) - (2 * n - 1) * z
+        return eta(z, n) - (2 * n - 1) * z
 
     return SingularIVP(k=2 * n - 1, A=A, B=B, alpha0=complex(slope))
 
@@ -243,9 +243,6 @@ def solve_selfsim_real(beta_slope: float, n: int, r_max: float,
         raise DomainError("need beta_slope >= 0")
     if n < 2:
         raise DomainError("need n >= 2")
-    if beta_slope == 0.0:
-        z = np.zeros((201, 2))
-        return RealProfile(DenseSolution.from_nodes(np.linspace(0.0, r_max, 201), z, z), n, 0.0)
     f0, fp0 = series_start(real_selfsim_ivp(beta_slope, n), DEFAULT_R0)
     sol = integrate_rk(_selfsim_rhs(n), DEFAULT_R0, np.array([f0.real, fp0.real]), r_max,
                        rel_tol=rel_tol)

@@ -28,7 +28,7 @@ import numpy as np
 from ._numerics import cumquad0, derivative_nonuniform, hermite_eval  # noqa: F401
 from .errors import DomainError, NonConvergedError, NormDriftError
 from .geometry import (E3, REPAIR_TOL, FlowParams, SpherePoint, stereo_lift_arr,
-                       stereo_lift_differential)
+                       stereo_lift_differential, tangent_project_arr)
 from .manifest import report_json, write_csv
 from .singular_ode import DEFAULT_R0, DenseSolution, SingularIVP, integrate_rk, series_start
 
@@ -139,8 +139,7 @@ class SelfSimProfile:
         """Dense-output (psi, psi_r) at query radii, projected to the sphere."""
         y = self.sol.eval(r_query)
         psi = y[:, :3] / np.linalg.norm(y[:, :3], axis=-1, keepdims=True)
-        dpsi = y[:, 3:] - np.sum(y[:, 3:] * psi, axis=-1, keepdims=True) * psi
-        return psi, dpsi
+        return psi, tangent_project_arr(psi, y[:, 3:])
 
     def to_csv(self, path):
         write_csv(path, "r,psi1,psi2,psi3,psi_r_norm,A",
@@ -165,11 +164,6 @@ def solve_profile(v, params: FlowParams, r_max: float, rel_tol: float | None = N
         raise DomainError("need r_max > r0")
     if rel_tol is None:
         rel_tol = 1e-12 if params.alpha == 0.0 else 1e-10
-
-    if np.hypot(v[0], v[1]) == 0.0:
-        r = np.linspace(0.0, r_max, 201)
-        y = np.concatenate([np.tile(E3, (r.size, 1)), np.zeros((r.size, 3))], axis=1)
-        return SelfSimProfile(DenseSolution.from_nodes(r, y, np.zeros_like(y)), params, v)
 
     ivp = stereo_selfsim_ivp(v, params)
     F0, Fp0 = series_start(ivp, DEFAULT_R0)
@@ -201,13 +195,6 @@ def apriori_identity_residual(profile: SelfSimProfile, n_resample: int = 4000,
     psi, A, I = _identity_terms(profile, np.linspace(profile.r[0], r_hi, n_resample))
     bracket = 2.0 * (2 * n - 2) * (1.0 - psi[:, 2]) + (1.0 - psi[:, 2] ** 2)
     return float(np.max(np.abs(A + I - bracket)))
-
-
-def identity_integral_at(profile: SelfSimProfile, r_value: float) -> float:
-    """The identity's cumulative integral evaluated at one radius."""
-    rr = np.linspace(profile.r[0], r_value, 2000)
-    _, _, I = _identity_terms(profile, rr)
-    return float(I[-1])
 
 
 def _identity_terms(profile: SelfSimProfile, rr):

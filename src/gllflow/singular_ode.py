@@ -26,7 +26,7 @@ import numpy as np
 from . import _dop853 as dop
 from ._numerics import check_grid, hermite_eval, locate
 from .errors import DomainError, GridError, NonFiniteError, StiffnessError
-from .manifest import read_csv, write_csv
+from .manifest import write_csv
 
 ERROR_FLOOR = 1e-14  # absolute term in the mixed error norm (avoids stalls at y ~ 0)
 MAX_STEPS = 5_000_000  # step budget of one integration
@@ -306,24 +306,13 @@ def series_start(ivp: SingularIVP, r0: float):
 def series_error_estimate(ivp: SingularIVP, r0: float):
     """Richardson-style bound on the series truncation at r0.
 
-    Starts the series at r0/2, integrates to r0 with fixed fine RK steps,
-    and returns the mismatch against the direct series value at r0.
+    Starts the series at r0/2, integrates to r0 at rel_tol 1e-13, and
+    returns the mismatch against the direct series value at r0.
     """
-    f_half, fp_half = series_start(ivp, r0 / 2)
-    fun = ivp.rhs()
-    y = np.array([f_half, fp_half], dtype=complex)
-    nsub = 64
-    h = (r0 / 2) / nsub
-    r = r0 / 2
-    for _ in range(nsub):
-        k1 = fun(r, y)
-        k2 = fun(r + h / 2, y + h / 2 * k1)
-        k3 = fun(r + h / 2, y + h / 2 * k2)
-        k4 = fun(r + h, y + h * k3)
-        y = y + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-        r += h
+    sol = integrate_rk(ivp.rhs(), r0 / 2, np.array(series_start(ivp, r0 / 2)), r0,
+                       rel_tol=1e-13)
     f_direct, fp_direct = series_start(ivp, r0)
-    return abs(y[0] - f_direct), abs(y[1] - fp_direct)
+    return abs(sol.y[-1, 0] - f_direct), abs(sol.y[-1, 1] - fp_direct)
 
 
 @dataclass(frozen=True)
@@ -359,14 +348,6 @@ class ProfileGrid:
         fpp = self.sol.f[:, 1]
         write_csv(path, "r,re_f,im_f,re_fp,im_fp,re_fpp,im_fpp", self.r, self.f.real,
                   self.f.imag, self.fp.real, self.fp.imag, fpp.real, fpp.imag)
-
-    @classmethod
-    def read_csv(cls, path):
-        """The nodes of a `to_csv` file, cubic Hermite between them."""
-        data = read_csv(path)
-        f, fp, fpp = (data[:, k] + 1j * data[:, k + 1] for k in (1, 3, 5))
-        return cls(DenseSolution.from_nodes(data[:, 0], np.stack([f, fp], axis=1),
-                                            np.stack([fp, fpp], axis=1)))
 
 
 DEFAULT_R0 = 1e-4        # the singular pair amplifies start-up error quadratically

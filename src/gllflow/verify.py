@@ -18,10 +18,10 @@ from .evolution import (EvolveConfig, evolve, great_circle_bump, energy_history,
 from .geometry import (CPPoint, E3, FlowParams, RadialProfile, TangentVec,
                        embed_equivariant, energy, fs_distance, gll_rhs_arr,
                        harmonic_map_jet, stereo_lift_arr, stereo_lift_differential,
-                       stereo_rhs, tension_arr, unitary_action)
+                       stereo_rhs, unitary_action)
 from .hasimoto import compute_q, pole_projection_coordinates, transport_frame
 from .selfsim import apriori_identity_residual, solve_profile
-from .singular_ode import hardy_check, integrate_adaptive
+from .singular_ode import hardy_check, integrate_adaptive, series_start
 
 
 @dataclass(frozen=True)
@@ -32,14 +32,17 @@ class CheckResult:
     detail: str
 
 
+def _bump(t):
+    """The C-infinity bump exp(1 - 1/(1 - t^2)) on |t| < 1, zero outside."""
+    return np.where(np.abs(t) < 1.0, np.exp(1.0 - 1.0 / np.maximum(1e-300, 1.0 - t**2)), 0.0)
+
+
 def _smooth_compact_chart(rng, r):
     """Random smooth compactly-supported chart profile f(r) (complex)."""
     c = rng.normal(size=2) + 1j * rng.normal(size=2)
     center = 1.5 + rng.random()
     width = 0.6 + 0.5 * rng.random()
-    t = (r - center) / width
-    bump = np.where(np.abs(t) < 1.0, np.exp(1.0 - 1.0 / np.maximum(1e-300, 1.0 - t**2)), 0.0)
-    return (c[0] + c[1] * r) * bump
+    return (c[0] + c[1] * r) * _bump((r - center) / width)
 
 
 def _chart_profile_arrays(rng, n_nodes=2001, r_max=6.0):
@@ -202,7 +205,6 @@ def suite_singular():
         fun = ivp.rhs()
         vals = []
         for rr in (1e-2, 1e-3, 1e-4):
-            from .singular_ode import series_start
             f0, fp0 = series_start(ivp, rr)
             vals.append(abs(fun(rr, np.array([f0, fp0]))[1]))
         worst_seq.append(vals)
@@ -216,8 +218,7 @@ def suite_singular():
     for _ in range(50):
         center = 2.0 + 3.0 * rng.random()
         width = 0.5 + 1.5 * rng.random()
-        t = (r - center) / width
-        f = np.where(np.abs(t) < 1, np.exp(1 - 1 / np.maximum(1e-300, 1 - t**2)), 0.0)
+        f = _bump((r - center) / width)
         fr = np.gradient(f, r[1] - r[0], edge_order=2)
         rep = hardy_check(r, f, fr, d=4, p=2, k=0)
         worst = max(worst, rep.ratio / rep.bound)

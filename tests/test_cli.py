@@ -8,7 +8,6 @@ import pytest
 import gllflow
 from gllflow import figure_reference
 from gllflow.cli import main
-from gllflow.figure_reference import reproduce_curves
 from gllflow.manifest import MANIFEST_NAME
 
 
@@ -136,10 +135,12 @@ class TestRealheatCommands:
         assert len(csvs) == 8
         doc = _manifest(out)
         assert doc["parameters"]["fitted_slope_factor"] == 2.0
-        # the written columns are reproduce_curves under the fitted convention
-        curves, _, _ = reproduce_curves(n=doc["parameters"]["fitted_n"],
-                                        slope_factor=doc["parameters"]["fitted_slope_factor"])
-        for lbl, data in curves.items():
+        # the written columns are the fitted convention's curves
+        fit = figure_reference.fit_convention()
+        assert (fit.n, fit.slope_factor) == (doc["parameters"]["fitted_n"],
+                                            doc["parameters"]["fitted_slope_factor"])
+        assert doc["tolerances"]["rel_tol"] == figure_reference.FIT_REL_TOL
+        for lbl, data in fit.curves.items():
             name = f"curve_beta_{str(lbl).replace('.', 'p')}.csv"
             assert np.array_equal(np.loadtxt(out / name, delimiter=",", skiprows=1), data)
 

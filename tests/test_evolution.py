@@ -11,6 +11,7 @@ from gllflow.geometry import (E3, FlowParams, TangentVec, _second_order_bracket,
                               harmonic_map_jet, stereo_lift_arr, tangent_project_arr)
 from gllflow.hasimoto import QPDE_MARGIN, QPDE_SEED, compute_q, qpde_residual, transport_frame
 from gllflow.selfsim import SelfSimProfile, solve_profile
+from gllflow.singular_ode import DEFAULT_R0
 
 HEAT = FlowParams(2, 1.0, 0.0)
 SCHRODINGER = FlowParams(2, 0.0, 1.0)
@@ -428,7 +429,13 @@ class TestEnergyMonotonicity:
 
 class TestSelfsimConsistency:
     def test_trivial_profile(self):
+        # v = 0 takes the one integrator path: psi = e3 exactly from the
+        # series start at DEFAULT_R0, on the steps the radial cap lets grow
         prof = solve_profile((0.0, 0.0), HEAT, 15.0)
+        assert prof.r[0] == DEFAULT_R0
+        assert np.array_equal(prof.psi, np.tile(E3, (prof.r.size, 1)))
+        assert np.max(np.abs(prof.psi_r)) == 0.0
+        assert prof.sol.steps_accepted == prof.r.size - 1 > 0
         l2, linf = selfsim_consistency(prof, 1.0, HEAT)
         assert l2 == 0.0 and linf == 0.0
 

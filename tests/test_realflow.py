@@ -6,7 +6,7 @@ from scipy.integrate import quad, solve_ivp
 
 from gllflow.errors import DomainError
 from gllflow.figure_reference import (FIGURE_CURVES, X_SCALE, Y_SCALE, curve_error,
-                                      fit_convention, reproduce_curves)
+                                      fit_convention)
 from gllflow.geometry import energy_density_arr
 from gllflow.realflow import (classify_uniqueness, comparison_suite, eta,
                               eta_double_prime, eta_prime, eta_prime_at_pi,
@@ -16,7 +16,7 @@ from gllflow.realflow import (classify_uniqueness, comparison_suite, eta,
                               search_negative_gap, solve_selfsim_real, stationary_profile,
                               stationary_residual, taylor_domination_delta,
                               witness_energy_gap, _selfsim_rhs)
-from gllflow.singular_ode import integrate_adaptive
+from gllflow.singular_ode import DEFAULT_R0, integrate_adaptive
 
 
 class TestEta:
@@ -111,8 +111,13 @@ class TestStationary:
 
 class TestScalarSelfsim:
     def test_trivial_slope(self):
+        # slope 0 takes the one integrator path: the exact zero solution
+        # from the series start, on the steps the radial cap lets grow
         prof = solve_selfsim_real(0.0, 3, 10.0)
+        assert prof.r[0] == DEFAULT_R0
         assert np.max(np.abs(prof.g)) == 0.0
+        assert np.max(np.abs(prof.g_r)) == 0.0
+        assert prof.sol.steps_accepted == prof.r.size - 1 > 0
 
     def test_monotone_and_below_pi(self):
         prof = solve_selfsim_real(2.0, 3, 12.0)
@@ -346,8 +351,8 @@ class TestFigureFit:
         assert points >= 20
 
     def test_reproduce_curves_output(self):
-        curves, n, sf = reproduce_curves(labels=[0.25], rel_tol=1e-10)
-        assert n == 3 and sf == 2.0
-        data = curves[0.25]
+        fit = fit_convention(rel_tol=1e-10)
+        assert fit.n == 3 and fit.slope_factor == 2.0
+        data = fit.curves[0.25]
         assert data.shape[1] == 3
         assert np.max(np.abs(data[:, 1] - data[:, 2])) <= 2e-3

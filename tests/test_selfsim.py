@@ -6,7 +6,7 @@ import gllflow.selfsim as selfsim
 from gllflow.errors import DomainError, NonConvergedError, NormDriftError
 from gllflow.geometry import E3, REPAIR_TOL, FlowParams, TangentVec, harmonic_map_jet
 from gllflow.selfsim import (SelfSimProfile, apriori_identity_residual, decay_exponent,
-                             identity_integral_at, limit_map_continuity, solve_profile,
+                             limit_map_continuity, solve_profile,
                              sphere_profile_rhs, stereo_selfsim_ivp, tail_limit)
 from gllflow.singular_ode import DenseSolution, series_start
 from gllflow.geometry import stereo_lift_arr, stereo_lift_differential
@@ -272,7 +272,8 @@ class TestTailLimit:
 
     def test_limit_bracket_exceeds_identity_integral(self):
         prof = solve_profile((1.0, 0.0), FlowParams(2, 1.0, 0.0), 40.0)
-        delta = identity_integral_at(prof, 1.0)
+        _, _, integral = selfsim._identity_terms(prof, np.linspace(prof.r[0], 1.0, 2000))
+        delta = float(integral[-1])
         p3 = prof.psi[-1, 2]
         bracket = 2 * (2 * 2 - 2) * (1 - p3) + (1 - p3**2)
         assert delta > 0.0

@@ -53,6 +53,14 @@ class TestSeriesStart:
         est_f, est_fp = series_error_estimate(real_selfsim_ivp(1.5, 3), 1e-3)
         assert est_f <= 1e-10 and est_fp <= 1e-7
 
+    def test_error_estimate_measures_the_truncation(self):
+        # the series remainder is O(r0^5): ten times r0 is ~1e5 times the
+        # estimate, which integrator noise would not show
+        ivp = real_selfsim_ivp(1.5, 3)
+        est_small, _ = series_error_estimate(ivp, 1e-3)
+        est_large, _ = series_error_estimate(ivp, 1e-2)
+        assert est_large >= 1e4 * est_small
+
     def test_refuses_large_start(self):
         with pytest.raises(DomainError):
             series_start(real_selfsim_ivp(1.0, 2), 0.05)
@@ -362,10 +370,13 @@ class TestProfileGrid:
         grid = integrate_adaptive(real_selfsim_ivp(1.0, 2), 3.0, rel_tol=1e-8)
         path = tmp_path / "grid.csv"
         grid.to_csv(path)
-        back = ProfileGrid.read_csv(path)
-        assert np.array_equal(back.r, grid.r)
-        assert np.array_equal(back.f, grid.f)
-        assert np.array_equal(back.fp, grid.fp)
+        assert path.read_text().splitlines()[0] == "r,re_f,im_f,re_fp,im_fp,re_fpp,im_fpp"
+        r, f_re, f_im, fp_re, fp_im, fpp_re, fpp_im = np.loadtxt(
+            path, delimiter=",", skiprows=1, unpack=True)
+        assert np.array_equal(r, grid.r)
+        assert np.array_equal(f_re + 1j * f_im, grid.f)
+        assert np.array_equal(fp_re + 1j * fp_im, grid.fp)
+        assert np.array_equal(fpp_re + 1j * fpp_im, grid.sol.f[:, 1])
 
     def test_hermite_interpolation_accuracy(self):
         r = np.linspace(0.1, 5.0, 80)
