@@ -26,7 +26,7 @@ from .evolution import (EvolveConfig, RadialField, evolve, field_from_profile,
 from .geometry import FlowParams, TangentVec, harmonic_map_jet
 from .hasimoto import compute_q, strichartz_exponents, transport_frame
 from .manifest import RunManifest, write_csv
-from .selfsim import apriori_identity_residual, solve_profile, tail_limit
+from .selfsim import TAIL_MIN_R_MAX, apriori_identity_residual, solve_profile, tail_limit
 from .verify import SUITES
 
 EXIT_OK = 0
@@ -62,8 +62,7 @@ def _write_gnuplot(out_dir, csv_name, columns, title):
 def cmd_selfsim(args):
     params = FlowParams(args.n, args.alpha, args.beta)
     out = _out_dir(args, "out-selfsim")
-    trivial = (args.v1 == 0.0 and args.v2 == 0.0)
-    if trivial:
+    if args.v1 == 0.0 and args.v2 == 0.0:
         print("warning: trivial data (v = 0); profile is constant at the north pole")
     prof = solve_profile((args.v1, args.v2), params, args.r_max, rel_tol=args.tol)
     prof.to_csv(out / "profile.csv")
@@ -71,14 +70,13 @@ def cmd_selfsim(args):
         "nodes": int(prof.r.size),
         "max_A": float(prof.A.max()),
         "A_bound_4n": 4.0 * args.n,
-        "identity_residual": None if trivial else apriori_identity_residual(
-            prof, r_stop=min(20.0, args.r_max)),
+        "identity_residual": apriori_identity_residual(prof, r_stop=min(20.0, args.r_max)),
         "solver": prof.sol.counters(),
     }
     a_ok = results["max_A"] <= results["A_bound_4n"] + 1e-6
     print(f"max A(r) = {results['max_A']:.6f} (bound 4n = {results['A_bound_4n']:g}): "
           f"{'ok' if a_ok else 'VIOLATED'}")
-    if not trivial and prof.r_max >= 10.0:
+    if prof.r_max >= TAIL_MIN_R_MAX:
         results["tail"] = _write_report(out, "tail_report.json", tail_limit(prof))
     if args.gnuplot:
         _write_gnuplot(out, "profile.csv", (2, 3, 4), "self-similar profile")
@@ -123,7 +121,7 @@ def cmd_realheat_selfsim(args):
     prof = rf.solve_selfsim_real(slope, args.n, args.r_max, rel_tol=args.tol)
     out = _out_dir(args, "out-realheat-selfsim")
     prof.to_csv(out / "profile.csv")
-    mono = bool(np.all(np.diff(prof.g) >= -1e-8))
+    mono = bool(np.all(np.diff(prof.g) >= -rf.ORDERING_TOL))
     below = bool(prof.g.max() < np.pi)
     if args.gnuplot:
         _write_gnuplot(out, "profile.csv", (2,), "scalar self-similar profile")
@@ -177,6 +175,11 @@ def cmd_realheat_figure(args):
 # evolve
 # ---------------------------------------------------------------------------
 
+# the keys an evolve --config file may set, with their defaults and types
+EVOLVE_CONFIG = {"n": (2, int), "alpha": (1.0, float), "beta": (0.0, float),
+                 "r_max": (50.0, float), "nodes": (201, int), "T": (0.1, float)}
+
+
 def _read_config_file(path):
     conf = {}
     for line in Path(path).read_text().splitlines():
@@ -184,7 +187,11 @@ def _read_config_file(path):
         if not line or line.startswith("#"):
             continue
         key, _, value = line.partition("=")
-        conf[key.strip()] = value.strip()
+        key = key.strip()
+        if key not in EVOLVE_CONFIG:
+            raise GLLFlowError(f"unknown config key {key!r} in {path}; "
+                               f"the keys are {', '.join(EVOLVE_CONFIG)}")
+        conf[key] = value.strip()
     return conf
 
 
@@ -203,20 +210,10 @@ def _evolve_initial(args, params, r):
 def cmd_evolve(args):
     conf = _read_config_file(args.config) if args.config else {}
     # precedence: explicit flags > config file > defaults
-    def pick(name, default, cast):
-        flag = getattr(args, name)
-        if flag is not None:
-            return flag
-        if name in conf:
-            return cast(conf[name])
-        return default
-
-    n = pick("n", 2, int)
-    alpha = pick("alpha", 1.0, float)
-    beta = pick("beta", 0.0, float)
-    r_max = pick("r_max", 50.0, float)
-    nodes = pick("nodes", 201, int)
-    T = pick("T", 0.1, float)
+    n, alpha, beta, r_max, nodes, T = (
+        getattr(args, key) if getattr(args, key) is not None
+        else cast(conf[key]) if key in conf else default
+        for key, (default, cast) in EVOLVE_CONFIG.items())
     params = FlowParams(n, alpha, beta)
     r = make_grid(r_max, nodes, grading=args.grading)
     field0 = _evolve_initial(args, params, r)
@@ -307,8 +304,11 @@ def cmd_verify(args):
 def build_parser():
     ap = argparse.ArgumentParser(prog="gllflow", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
+    # shared by every subcommand that writes an output directory
+    writes = argparse.ArgumentParser(add_help=False)
+    writes.add_argument("--out-dir", default=None)
 
-    p = sub.add_parser("selfsim", help="solve a self-similar profile")
+    p = sub.add_parser("selfsim", help="solve a self-similar profile", parents=[writes])
     p.add_argument("--n", type=int, default=2)
     p.add_argument("--alpha", type=float, default=1.0)
     p.add_argument("--beta", type=float, default=0.0)
@@ -316,48 +316,42 @@ def build_parser():
     p.add_argument("--v2", type=float, default=0.0)
     p.add_argument("--r-max", type=float, default=100.0)
     p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--out-dir", default=None)
     p.add_argument("--gnuplot", action="store_true")
     p.set_defaults(fn=cmd_selfsim)
 
     rh = sub.add_parser("realheat", help="scalar great-circle flow tools")
     rsub = rh.add_subparsers(dest="subcommand", required=True)
 
-    p = rsub.add_parser("classify")
+    p = rsub.add_parser("classify", parents=[writes])
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--out-dir", default=None)
     p.set_defaults(fn=cmd_realheat_classify)
 
-    p = rsub.add_parser("stationary")
+    p = rsub.add_parser("stationary", parents=[writes])
     p.add_argument("--alpha", type=float, default=1.0)
     p.add_argument("--n-list", default="2,3,4,5,6,7,8")
     p.add_argument("--r-list", default="0.1,1,10")
-    p.add_argument("--out-dir", default=None)
     p.set_defaults(fn=cmd_realheat_stationary)
 
-    p = rsub.add_parser("selfsim")
+    p = rsub.add_parser("selfsim", parents=[writes])
     p.add_argument("--beta", type=float, required=True)
     p.add_argument("--n", type=int, default=3)
     p.add_argument("--r-max", type=float, default=10.0)
     p.add_argument("--tol", type=float, default=1e-10)
     p.add_argument("--convention", choices=("label", "slope"), default="label",
                    help="'label': origin slope 2*beta (fitted); 'slope': beta itself")
-    p.add_argument("--out-dir", default=None)
     p.add_argument("--gnuplot", action="store_true")
     p.set_defaults(fn=cmd_realheat_selfsim)
 
-    p = rsub.add_parser("witness")
+    p = rsub.add_parser("witness", parents=[writes])
     p.add_argument("--epsilon", type=float, required=True)
     p.add_argument("--delta", type=float, default=0.05)
     p.add_argument("--quad-nodes", type=int, default=4000)
-    p.add_argument("--out-dir", default=None)
     p.set_defaults(fn=cmd_realheat_witness)
 
-    p = rsub.add_parser("figure")
-    p.add_argument("--out-dir", default=None)
+    p = rsub.add_parser("figure", parents=[writes])
     p.set_defaults(fn=cmd_realheat_figure)
 
-    p = sub.add_parser("evolve", help="method-of-lines evolution")
+    p = sub.add_parser("evolve", help="method-of-lines evolution", parents=[writes])
     p.add_argument("--preset", choices=("harmonic", "bump", "selfsim"), default="bump")
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--alpha", type=float, default=None)
@@ -376,18 +370,16 @@ def build_parser():
     p.add_argument("--width", type=float, default=1.0)
     p.add_argument("--t0", type=float, default=1.0)
     p.add_argument("--config", default=None, help="key=value file; flags take precedence")
-    p.add_argument("--out-dir", default=None)
     p.set_defaults(fn=cmd_evolve)
 
     hs = sub.add_parser("hasimoto", help="frame and gauge tools")
     hsub = hs.add_subparsers(dest="subcommand", required=True)
 
-    p = hsub.add_parser("exponents")
+    p = hsub.add_parser("exponents", parents=[writes])
     p.add_argument("--p", default="2")
-    p.add_argument("--out-dir", default=None)
     p.set_defaults(fn=cmd_hasimoto_exponents)
 
-    p = hsub.add_parser("run")
+    p = hsub.add_parser("run", parents=[writes])
     p.add_argument("--n", type=int, default=2)
     p.add_argument("--alpha", type=float, default=0.0)
     p.add_argument("--beta", type=float, default=1.0)
@@ -395,7 +387,6 @@ def build_parser():
     p.add_argument("--v2", type=float, default=0.0)
     p.add_argument("--r-max", type=float, default=10.0)
     p.add_argument("--nodes", type=int, default=2001)
-    p.add_argument("--out-dir", default=None)
     p.set_defaults(fn=cmd_hasimoto_run)
 
     p = sub.add_parser("verify", help="run invariant suites; exit 0 iff all pass")

@@ -286,7 +286,6 @@ def field_from_profile(profile: SelfSimProfile, grid_r, t0: float) -> RadialFiel
     rho = grid_r / np.sqrt(t0)
     rho = np.clip(rho, profile.r[0], profile.r[-1])
     psi, _ = profile.eval(rho)
-    psi[grid_r == 0.0] = E3
     return RadialField(grid_r, psi, t0)
 
 
@@ -305,8 +304,7 @@ def selfsim_consistency(profile: SelfSimProfile, t: float, params: FlowParams):
     dpsi = profile.psi_r
     ddpsi = consistency_second_derivative(profile)
     u_t = -(rho / (2.0 * t))[:, None] * dpsi
-    rhs = np.zeros_like(psi)    # node 0 (r = 0 on a trivial profile) lies in the margin
-    rhs[1:] = gll_rhs_arr(psi[1:], dpsi[1:], ddpsi[1:], rho[1:], params) / t
+    rhs = gll_rhs_arr(psi, dpsi, ddpsi, rho, params) / t
     return weighted_norms(u_t - rhs, rho, params.n, RESIDUAL_MARGIN)
 
 

@@ -256,9 +256,7 @@ def energy_density_arr(u, u_r, r, n):
     r = np.asarray(r, float)
     kin = np.sum(u_r * u_r, axis=-1)
     pot = 1.0 - u[..., 2] ** 2 + 2.0 * (2 * n - 2) * (1.0 - u[..., 2])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        dens = 0.5 * (kin + np.where(r > 0, pot / np.where(r > 0, r, 1.0) ** 2, 0.0))
-    return dens
+    return 0.5 * (kin + np.where(r > 0, pot / np.where(r > 0, r, 1.0) ** 2, 0.0))
 
 
 def energy(profile: RadialProfile, n: int, r_min: float = 0.0, r_max: float | None = None) -> float:
@@ -270,8 +268,6 @@ def energy(profile: RadialProfile, n: int, r_min: float = 0.0, r_max: float | No
     if r_min < 0:
         raise DomainError("r_min must be >= 0")
     r = profile.r
-    if r.size == 0:
-        raise GridError("empty profile grid")
     mask = r >= r_min
     if r_max is not None:
         if r_max <= r_min:

@@ -141,12 +141,6 @@ def compute_q(r, u, frame: Frame, params: FlowParams, u_r=None) -> QField:
     return QField(r=r, q=q, V=V, alpha_g=alpha_g, cum_u3q=I)
 
 
-def gauge_rate(qfield: QField, params: FlowParams):
-    """d alpha_g / dr from the closed-form rate -Im(p conj(q))."""
-    p = (params.alpha + 1j * params.beta) * qfield.V
-    return -np.imag(p * np.conj(qfield.q))
-
-
 def ip_residual(u_t, frame: Frame, qfield: QField, params: FlowParams, margin: int = 3):
     """Residual of the first-order identity p = (alpha + i beta) V.
 

@@ -16,7 +16,7 @@ reference curves in `figure_reference`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -80,14 +80,7 @@ class ClassifierReport:
     verdict: str            # "nonunique" | "unique" | "borderline"
 
     def to_json(self):
-        return report_json({
-            "schema": "gllflow.classifier_report/1",
-            "n": self.n, "d": self.d,
-            "eta_prime_at_pi": self.eta_prime_at_pi,
-            "min_eta_prime": self.min_eta_prime,
-            "threshold": self.threshold,
-            "verdict": self.verdict,
-        })
+        return report_json(dict(asdict(self), schema="gllflow.classifier_report/1"))
 
 
 def min_eta_prime(n) -> float:
@@ -150,8 +143,6 @@ def stationary_residual(alpha, r_samples, n) -> float:
     r = np.asarray(r_samples, float)
     if np.any(r <= 0):
         raise DomainError("samples must have r > 0")
-    if alpha == 0.0:
-        return 0.0
     g = stationary_profile(alpha, r)
     gp = stationary_profile_derivative(alpha, r)
     gpp = -4.0 * alpha**3 * r / (1.0 + (alpha * r) ** 2) ** 2
@@ -272,14 +263,7 @@ class ComparisonReport:
         return all(c.passed for c in self.checks)
 
     def to_json(self):
-        return report_json({
-            "schema": "gllflow.comparison_report/1",
-            "n": self.n,
-            "beta_labels": list(self.beta_labels),
-            "informational": self.informational,
-            "checks": [{"name": c.name, "passed": c.passed, "detail": c.detail}
-                       for c in self.checks],
-        })
+        return report_json(dict(asdict(self), schema="gllflow.comparison_report/1"))
 
 
 ORDERING_TOL = 1e-8
@@ -320,7 +304,7 @@ def comparison_suite(beta_list, n: int, r_max: float, rel_tol: float = 1e-10) ->
     top, top_where = -np.inf, None
     for b in betas:
         p = profiles[b]
-        dec = -np.min(np.diff(p.g)) if p.g.size > 1 else 0.0
+        dec = -np.min(np.diff(p.g))
         if dec > worst:
             worst, where = float(dec), b
         if p.g.max() > top:
@@ -408,8 +392,7 @@ def witness_energy_gap(epsilon, delta, quad_nodes=4000):
         fp = f_kink_derivative(r, epsilon)
         h = math.pi - (delta / 2.0) * f
         hp = -(delta / 2.0) * fp
-        with np.errstate(divide="ignore", invalid="ignore"):
-            pot = np.where(r > 0, 2.0 * gamma(h, 2) / np.where(r > 0, r, 1.0) ** 2, 0.0)
+        pot = np.where(r > 0, 2.0 * gamma(h, 2) / np.where(r > 0, r, 1.0) ** 2, 0.0)
         integrand = (hp**2 + pot) * r**3
         total += float(np.trapezoid(integrand, r))
     return total
@@ -423,8 +406,7 @@ def hardy_saturation_ratio(epsilon, quad_nodes=4000):
         f = f_kink(r, epsilon)
         fp = f_kink_derivative(r, epsilon)
         num += float(np.trapezoid(fp**2 * r**3, r))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            den += float(np.trapezoid(np.where(r > 0, (f / np.where(r > 0, r, 1.0)) ** 2, 0.0) * r**3, r))
+        den += float(np.trapezoid(np.where(r > 0, (f / np.where(r > 0, r, 1.0)) ** 2, 0.0) * r**3, r))
     return num / den
 
 
@@ -462,18 +444,9 @@ class WitnessReport:
     quad_nodes: int
 
     def to_json(self):
-        return report_json({
-            "schema": "gllflow.witness_report/1",
-            "epsilon": self.epsilon,
-            "delta": self.delta,
-            "energy_gap": self.energy_gap,
-            "hardy_ratio": self.hardy_ratio,
-            "taylor_delta_literal": self.taylor_delta_literal,
-            "taylor_delta_halved": self.taylor_delta_halved,
-            "taylor_C": WITNESS_TAYLOR_C,
-            "quad_nodes": self.quad_nodes,
-            "kink_breakpoints": [self.epsilon, 0.5],
-        })
+        return report_json(dict(asdict(self), schema="gllflow.witness_report/1",
+                                taylor_C=WITNESS_TAYLOR_C,
+                                kink_breakpoints=[self.epsilon, 0.5]))
 
 
 def nonuniqueness_witness(epsilon, delta, quad_nodes=4000) -> WitnessReport:

@@ -19,7 +19,7 @@ origin slope of psi is 2v.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -34,6 +34,7 @@ from .singular_ode import DEFAULT_R0, DenseSolution, SingularIVP, integrate_rk, 
 
 UNIT_NORM_TOL = 1e-10
 TAIL_RATE_CONSTANT = 40.0     # rate bound 40 n^2 / r^2 for |psi_inf - psi(r)|
+TAIL_MIN_R_MAX = 10.0         # shortest profile whose tail limit is estimated
 
 
 def stereo_selfsim_ivp(v, params: FlowParams) -> SingularIVP:
@@ -160,8 +161,6 @@ def solve_profile(v, params: FlowParams, r_max: float, rel_tol: float | None = N
         raise DomainError("initial data must be tangent at the north pole: v = (v1, v2, 0)")
     if params.n < 2:
         raise DomainError("self-similar profiles are solved for n >= 2")
-    if r_max <= DEFAULT_R0:
-        raise DomainError("need r_max > r0")
     if rel_tol is None:
         rel_tol = 1e-12 if params.alpha == 0.0 else 1e-10
 
@@ -247,16 +246,8 @@ class TailReport:
     grid_nodes: int
 
     def to_json(self):
-        return report_json({
-            "schema": "gllflow.tail_report/1",
-            "psi_inf": [self.psi_inf.x1, self.psi_inf.x2, self.psi_inf.x3],
-            "r_used": self.r_used,
-            "rate_bound": self.rate_bound,
-            "observed_gap": self.observed_gap,
-            "empirical_rate_constant": self.empirical_rate_constant,
-            "params": {"n": self.params.n, "alpha": self.params.alpha, "beta": self.params.beta},
-            "grid_nodes": self.grid_nodes,
-        })
+        return report_json(dict(asdict(self), schema="gllflow.tail_report/1",
+                                psi_inf=self.psi_inf.array.tolist()))
 
 
 def tail_limit(profile: SelfSimProfile) -> TailReport:
@@ -266,8 +257,8 @@ def tail_limit(profile: SelfSimProfile) -> TailReport:
     at r_max/2; a violation means the tail has not converged.
     """
     n = profile.params.n
-    if profile.r_max < 10.0:
-        raise DomainError("tail limit needs a profile reaching r_max >= 10")
+    if profile.r_max < TAIL_MIN_R_MAX:
+        raise DomainError(f"tail limit needs a profile reaching r_max >= {TAIL_MIN_R_MAX:g}")
     r_used = profile.r_max / 2.0
     psi_half, _ = profile.eval(np.array([r_used]))
     psi_end = profile.psi[-1]

@@ -1,5 +1,6 @@
 import json
 import re
+from dataclasses import asdict, fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -7,8 +8,11 @@ import pytest
 
 import gllflow
 from gllflow import figure_reference
+from gllflow import realflow as rf
 from gllflow.cli import main
+from gllflow.geometry import FlowParams, SpherePoint
 from gllflow.manifest import MANIFEST_NAME
+from gllflow.selfsim import solve_profile, tail_limit
 
 
 def _run(argv):
@@ -45,6 +49,12 @@ class TestSelfsimCommand:
                      "--out-dir", str(out)])
         assert code == 0
         assert "trivial data" in capsys.readouterr().out
+        # the constant profile is an ordinary solve: its identity residual
+        # and tail gap are exact zeros
+        assert _manifest(out)["results"]["identity_residual"] == 0.0
+        tail = json.loads((out / "tail_report.json").read_text())
+        assert tail["psi_inf"] == [0, 0, 1]
+        assert tail["observed_gap"] == 0.0
 
     def test_deterministic_reruns(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -187,6 +197,15 @@ class TestEvolveCommand:
         assert doc["grid"]["nodes"] == 51
         assert doc["tolerances"]["T"] == 0.02
 
+    def test_config_file_refuses_unknown_keys(self, tmp_path, capsys):
+        conf = tmp_path / "run.conf"
+        conf.write_text("nodes = 41\nstore_every = 3\n")
+        out = tmp_path / "ev4"
+        assert _run(["evolve", "--preset", "bump", "--config", str(conf),
+                     "--out-dir", str(out)]) == 2
+        assert "'store_every'" in json.loads(capsys.readouterr().err)["message"]
+        assert not (out / MANIFEST_NAME).exists()
+
     def test_exactly_one_manifest(self, tmp_path):
         out = tmp_path / "ev3"
         assert _run(["evolve", "--preset", "bump", "--nodes", "41", "--r-max", "8",
@@ -261,7 +280,59 @@ FILE_WRITING_COMMANDS = {
 }
 
 
+# each report's JSON keys and schema string, as written before the reports
+# were serialized from their dataclass fields
+REPORT_KEYS = {
+    "classifier": ("gllflow.classifier_report/1", {
+        "schema", "n", "d", "eta_prime_at_pi", "min_eta_prime", "threshold", "verdict"}),
+    "comparison": ("gllflow.comparison_report/1", {
+        "schema", "n", "beta_labels", "informational", "checks"}),
+    "witness": ("gllflow.witness_report/1", {
+        "schema", "epsilon", "delta", "energy_gap", "hardy_ratio", "taylor_delta_literal",
+        "taylor_delta_halved", "taylor_C", "quad_nodes", "kink_breakpoints"}),
+    "tail": ("gllflow.tail_report/1", {
+        "schema", "psi_inf", "r_used", "rate_bound", "observed_gap",
+        "empirical_rate_constant", "params", "grid_nodes"}),
+}
+
+REPORTS = {
+    "classifier": lambda: rf.classify_uniqueness(2),
+    "comparison": lambda: rf.comparison_suite([0.5, 1.0], 3, 4.0),
+    "witness": lambda: rf.nonuniqueness_witness(1e-3, 0.05, quad_nodes=600),
+    "tail": lambda: tail_limit(solve_profile((1.0, 0.0), FlowParams(2, 1.0, 0.0), 12.0)),
+}
+
+
+def _field_as_json(value):
+    """A report field as its JSON form: points as [x1, x2, x3], nested
+    dataclasses as dicts, tuples as lists."""
+    if isinstance(value, SpherePoint):
+        return [value.x1, value.x2, value.x3]
+    if is_dataclass(value):
+        return asdict(value)
+    if isinstance(value, tuple):
+        return [_field_as_json(v) for v in value]
+    return value
+
+
 class TestManifests:
+    @pytest.mark.parametrize("name", sorted(REPORTS))
+    def test_report_keys_schema_and_fields(self, name):
+        rep = REPORTS[name]()
+        doc = json.loads(rep.to_json())
+        schema, keys = REPORT_KEYS[name]
+        assert doc["schema"] == schema
+        assert set(doc) == keys
+        for f in fields(rep):
+            assert doc[f.name] == _field_as_json(getattr(rep, f.name)), f.name
+        if name == "comparison":
+            assert all(set(c) == {"name", "passed", "detail"} for c in doc["checks"])
+        if name == "witness":
+            assert doc["taylor_C"] == rf.WITNESS_TAYLOR_C
+            assert doc["kink_breakpoints"] == [rep.epsilon, 0.5]
+        if name == "tail":
+            assert doc["params"] == {"n": 2, "alpha": 1.0, "beta": 0.0}
+
     @pytest.mark.parametrize("command", sorted(FILE_WRITING_COMMANDS))
     def test_every_manifest_records_its_wall_time(self, command, tmp_path):
         out = tmp_path / "run"

@@ -8,7 +8,7 @@ from gllflow.errors import DomainError
 from gllflow.evolution import EvolveConfig, RadialField, evolve, make_grid
 from gllflow.geometry import E3, FlowParams, TangentVec, harmonic_map_jet, stereo_lift_arr
 from gllflow.hasimoto import (Frame, compute_q, eigenfunction_check, fd_laplacian,
-                              gauge_rate, ip_residual, pole_projection_coordinates,
+                              ip_residual, pole_projection_coordinates,
                               qpde_residual, spherical_eigenfunction,
                               spherical_laplacian_x1, strichartz_exponents,
                               transport_frame)
@@ -249,7 +249,8 @@ class TestQPdeResidual:
             f = traj.frames[len(traj.frames) // 2]
             fr = transport_frame(traj.r, f.u, SEED)
             qf = compute_q(traj.r, f.u, fr, SCHRODINGER)
-            rate = gauge_rate(qf, SCHRODINGER)
+            p = (SCHRODINGER.alpha + 1j * SCHRODINGER.beta) * qf.V
+            rate = -np.imag(p * np.conj(qf.q))
             fd = derivative_nonuniform(traj.r, qf.alpha_g, order=1)
             mask = (traj.r >= 0.25) & (traj.r <= 7.5)   # fixed-radius window
             worst.append(np.max(np.abs(fd[mask] - rate[mask])) / max(1.0, np.max(np.abs(rate))))
