@@ -132,14 +132,14 @@ def derivative_nonuniform(x, y, order=1, points=STENCIL):
 
     Uses a sliding Fornberg stencil of `points` nodes (by default STENCIL:
     4th-order accurate for the first derivative on smooth grids). y may be
-    complex or an (N, k) array of columns.
+    complex and have trailing axes: (N, k) columns, (N, F, 3) frames.
     """
     W, lo = stencil_weights(x, order, points)
     y = np.asarray(y)
     W = W.reshape(W.shape + (1,) * (y.ndim - 1))
     out = W[:, 0] * y[lo]
     for j in range(1, W.shape[1]):
-        out = out + W[:, j] * y[lo + j]
+        out += W[:, j] * y[lo + j]
     return out
 
 

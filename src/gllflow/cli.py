@@ -191,7 +191,11 @@ def _read_config_file(path):
         if key not in EVOLVE_CONFIG:
             raise GLLFlowError(f"unknown config key {key!r} in {path}; "
                                f"the keys are {', '.join(EVOLVE_CONFIG)}")
-        conf[key] = value.strip()
+        try:
+            conf[key] = EVOLVE_CONFIG[key][1](value.strip())
+        except ValueError:
+            raise GLLFlowError(f"config key {key!r} in {path}: malformed value "
+                               f"{value.strip()!r}") from None
     return conf
 
 
@@ -212,8 +216,7 @@ def cmd_evolve(args):
     # precedence: explicit flags > config file > defaults
     n, alpha, beta, r_max, nodes, T = (
         getattr(args, key) if getattr(args, key) is not None
-        else cast(conf[key]) if key in conf else default
-        for key, (default, cast) in EVOLVE_CONFIG.items())
+        else conf.get(key, default) for key, (default, _) in EVOLVE_CONFIG.items())
     params = FlowParams(n, alpha, beta)
     r = make_grid(r_max, nodes, grading=args.grading)
     field0 = _evolve_initial(args, params, r)

@@ -20,9 +20,10 @@ MANIFEST_NAME = "run_manifest.json"
 
 
 def write_csv(path, header, *columns):
-    """Columns (1-D or (N, k)) side by side under a header row, full precision."""
-    np.savetxt(path, np.column_stack(columns), delimiter=",", header=header, comments="",
-               fmt="%.17g")
+    """Columns (1-D or (N, k)) side by side under a header row, each value as %.17g."""
+    table = np.column_stack(columns)
+    row = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    Path(path).write_text(header + "\n" + "".join([row % tuple(v) for v in table.tolist()]))
 
 
 def report_json(doc) -> str:

@@ -80,7 +80,7 @@ def sphere_profile_rhs(params: FlowParams):
         a1 = -dd * p1 - c1 * d1 - c2 * e1 - half_r * (al * d1 - be * x1)
         a2 = -dd * p2 - c1 * d2 - c2 * e2 - half_r * (al * d2 - be * x2)
         a3 = -dd * p3 - c1 * d3 - c2 * e3c - half_r * (al * d3 - be * x3)
-        return np.array([d1, d2, d3, a1, a2, a3])
+        return d1, d2, d3, a1, a2, a3  # integrate_rk stores a copy
 
     return fun
 

@@ -17,6 +17,7 @@ The stepper is deterministic: identical inputs give bit-identical grids.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -98,13 +99,16 @@ def _rms(w):
 def _error_norm(err, y_old, y_new, rel_tol):
     """DOP853's combined norm of the 5th- and 3rd-order error rows err[0], err[1]:
     |e5|^2 / sqrt(m (|e5|^2 + |e3|^2 / 100)), each row scaled by
-    ERROR_FLOOR + rel_tol max(|y_old|, |y_new|); above 1 rejects the step."""
+    ERROR_FLOOR + rel_tol max(|y_old|, |y_new|); above 1 rejects the step.
+    A complex entry adds re^2 + im^2, which is (a conj(a)).real to the bit."""
     e5 = e3 = 0.0
-    for a5, a3, yo, yn in zip(err[0].tolist(), err[1].tolist(), y_old.tolist(), y_new.tolist()):
-        scale = ERROR_FLOOR + rel_tol * max(abs(yo), abs(yn))
+    real = err.dtype.kind != "c"
+    for a5, a3, yo, yn in zip(*err.tolist(), y_old.tolist(), y_new.tolist()):
+        ao, an = abs(yo), abs(yn)
+        scale = ERROR_FLOOR + rel_tol * (an if an > ao else ao)  # max(ao, an), NaN too
         a5, a3 = a5 / scale, a3 / scale
-        e5 += (a5 * a5.conjugate()).real
-        e3 += (a3 * a3.conjugate()).real
+        e5 += a5 * a5 if real else a5.real * a5.real + a5.imag * a5.imag
+        e3 += a3 * a3 if real else a3.real * a3.real + a3.imag * a3.imag
     denom = e5 + 0.01 * e3
     return e5 / math.sqrt(denom * y_old.size) if denom else 0.0
 
@@ -130,7 +134,8 @@ def integrate_rk(fun: Callable, r0: float, y0: np.ndarray, r_max: float,
                  postprocess: Callable | None = None) -> DenseSolution:
     """Adaptive DOP853 from r0 to r_max, with its dense output.
 
-    fun(r, y) -> dy/dr on a flat ndarray state (real or complex).
+    fun(r, y) -> dy/dr on a flat ndarray state (real or complex), as any length-m
+    sequence, stored by copy (the sphere and scalar rhs return tuples).
     postprocess(r, y) -> y is applied to every accepted state (used by the
     sphere-valued solver to re-project); the node derivative is taken at
     the result.  Stages run in matrix form, y + h A[i, :i] K[:i], and one
@@ -160,13 +165,17 @@ def integrate_rk(fun: Callable, r0: float, y0: np.ndarray, r_max: float,
     # YK holds the step's start state, then its 16 stages; M = [1, h _ROWS]
     # (the 1 only on the stage and update rows), so M[i, :i+1] . YK[:i+1] is
     # stage i's state y + h A[i, :i] K[:i], one product gives the update and
-    # both error estimates, and another the dense-output rows
+    # both error estimates, and another the dense-output rows.  Each product
+    # is bound once: the views follow M and YK as they are refilled.
     YK = np.empty((17,) + y.shape, dtype=y.dtype)
     K = YK[1:]
     M = np.zeros((23, 17), dtype=y.dtype)
     M[:17, 0] = 1.0
-    stage = [(M[i, :i + 1], YK[:i + 1]) for i in range(16)]
-    C = dop.C.tolist()
+    hM, C = M[:, 1:], dop.C.tolist()
+    stages = [(i, C[i], M[i, :i + 1].dot, YK[:i + 1]) for i in range(16)]
+    front, back = stages[1:12], stages[13:]
+    update = functools.partial(M[16:19, :13].dot, YK[:13])
+    dense = functools.partial(M[19:, 1:].dot, K)
     rejected = 0
     retry = False  # the current step has had a rejected attempt
     nonfinite = None  # (r, h, first non-finite stage) of the last rejected attempt
@@ -190,23 +199,23 @@ def integrate_rk(fun: Callable, r0: float, y0: np.ndarray, r_max: float,
                     f"state {y!r}", r_last=r, partial=partial)
             raise StiffnessError("step size underflow (stiffness/blowup)", r_last=r,
                                  partial=partial)
-        np.multiply(_ROWS, h, out=M[:, 1:])
+        np.multiply(_ROWS, h, out=hM)
         YK[0] = y
         K[0] = f
-        for i in range(1, 12):
-            K[i] = fun(r + C[i] * h, stage[i][0].dot(stage[i][1]))
+        for i, c, dot, yk in front:
+            K[i] = fun(r + c * h, dot(yk))
         rhs_evals += 11
-        update = M[16:19, :13].dot(YK[:13])  # rows: y_new, the 5th- and 3rd-order errors
-        y_new = update[0]
-        enorm = _error_norm(update[1:], y, y_new, rel_tol)
+        rows = update()  # y_new, the 5th- and 3rd-order errors
+        y_new = rows[0]
+        enorm = _error_norm(rows[1:], y, y_new, rel_tol)
         if enorm <= 1.0:
             if postprocess is not None:
                 y_new = postprocess(r_new, y_new)
             K[12] = fun(r_new, y_new)
-            for i in range(13, 16):
-                K[i] = fun(r + C[i] * h, stage[i][0].dot(stage[i][1]))
+            for i, c, dot, yk in back:
+                K[i] = fun(r + c * h, dot(yk))
             rhs_evals += 4
-            qs.append(M[19:, 1:].dot(K))
+            qs.append(dense())
             r, y, f = r_new, y_new, K[12].copy()  # a view would change with the next step
             rs.append(r)
             ys.append(y)

@@ -11,7 +11,7 @@ from gllflow import figure_reference
 from gllflow import realflow as rf
 from gllflow.cli import main
 from gllflow.geometry import FlowParams, SpherePoint
-from gllflow.manifest import MANIFEST_NAME
+from gllflow.manifest import MANIFEST_NAME, write_csv
 from gllflow.selfsim import solve_profile, tail_limit
 
 
@@ -206,6 +206,16 @@ class TestEvolveCommand:
         assert "'store_every'" in json.loads(capsys.readouterr().err)["message"]
         assert not (out / MANIFEST_NAME).exists()
 
+    def test_config_file_refuses_a_malformed_value(self, tmp_path, capsys):
+        conf = tmp_path / "run.conf"
+        conf.write_text("nodes = abc\n")
+        out = tmp_path / "ev5"
+        assert _run(["evolve", "--preset", "bump", "--config", str(conf),
+                     "--out-dir", str(out)]) == 2
+        message = json.loads(capsys.readouterr().err)["message"]
+        assert "'nodes'" in message and "'abc'" in message
+        assert not (out / MANIFEST_NAME).exists()
+
     def test_exactly_one_manifest(self, tmp_path):
         out = tmp_path / "ev3"
         assert _run(["evolve", "--preset", "bump", "--nodes", "41", "--r-max", "8",
@@ -347,5 +357,24 @@ class TestManifests:
         package = Path(gllflow.__file__).parent
         for path in sorted(package.glob("*.py")):
             text = path.read_text()
-            for token in ("savetxt", "%.17g", "indent=2"):
+            # write_csv formats its rows itself: no module calls numpy's writer
+            assert "savetxt" not in text, path.name
+            for token in ("%.17g", "indent=2"):
                 assert (token in text) == (path.name == "manifest.py"), (path.name, token)
+
+    def test_write_csv_bytes_equal_savetxt(self, tmp_path):
+        # np.savetxt with these arguments is the reference the writer replaced
+        cols = (np.array([0.0, -0.0, 1.5, np.nan, np.inf]),
+                np.array([[1e308, 5e-324], [-np.inf, 0.1], [1 / 3, -2.5e-17],
+                          [np.pi, -1e-300], [12345678901234567.0, np.e]]),
+                np.arange(5), np.array([-7, 0, 3, 2**53 + 1, -(2**40)]))
+        header = "a,b1,b2,i,j"
+        write_csv(tmp_path / "mine.csv", header, *cols)
+        np.savetxt(tmp_path / "ref.csv", np.column_stack(cols), delimiter=",", header=header,
+                   comments="", fmt="%.17g")
+        assert (tmp_path / "mine.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+        ints = (np.arange(3), np.array([5, -6, 2**53 + 1]))   # an all-integer table
+        write_csv(tmp_path / "mine_int.csv", "i,j", *ints)
+        np.savetxt(tmp_path / "ref_int.csv", np.column_stack(ints), delimiter=",", header="i,j",
+                   comments="", fmt="%.17g")
+        assert (tmp_path / "mine_int.csv").read_bytes() == (tmp_path / "ref_int.csv").read_bytes()

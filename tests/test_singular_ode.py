@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.integrate import DOP853, quad, solve_ivp
@@ -236,18 +238,24 @@ class TestStepper:
             exact = y0[0] * np.cos(2.0) + y0[1] * np.sin(2.0)
             assert abs(sol.y[-1, 0] - exact) <= 1e-3 * np.abs(y0).sum()
 
-    @pytest.mark.parametrize("postprocess", [None, lambda r, y: y], ids=["fsal", "postprocess"])
-    def test_nodes_independent_of_a_reused_output_buffer(self, postprocess):
+    @pytest.mark.parametrize("postprocess,returns", [
+        (None, "buffer"), (lambda r, y: y, "buffer"), (None, "tuple")],
+        ids=["fsal", "postprocess", "tuple"])
+    def test_nodes_independent_of_a_reused_output_buffer(self, postprocess, returns):
         buf = np.empty(2)
 
         def reused(r, y):
             buf[0], buf[1] = y[1], -y[0]
             return buf
 
+        def as_tuple(r, y):
+            y0, y1 = y.tolist()
+            return y1, -y0
+
         fresh = integrate_rk(_oscillator, 0.0, np.array([1.0, 0.5]), 3.0, rel_tol=1e-6,
                              postprocess=postprocess)
-        shared = integrate_rk(reused, 0.0, np.array([1.0, 0.5]), 3.0, rel_tol=1e-6,
-                              postprocess=postprocess)
+        shared = integrate_rk(reused if returns == "buffer" else as_tuple, 0.0,
+                              np.array([1.0, 0.5]), 3.0, rel_tol=1e-6, postprocess=postprocess)
         for a, b in zip(fresh, shared):
             assert np.array_equal(a, b)
 
@@ -264,6 +272,38 @@ class TestStepper:
             ref = DOP853._estimate_error_norm(DOP853, K, h, scale)
             err = h * np.array([DOP853.E5, DOP853.E3]) @ K
             assert abs(_error_norm(err, y_old, y_new, 1e-8) - ref) <= 1e-15 * ref
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_error_norm_is_the_conjugate_product_formula_to_the_bit(self, rng, dtype):
+        def reference(err, y_old, y_new, rel_tol):
+            e5 = e3 = 0.0
+            for a5, a3, yo, yn in zip(err[0].tolist(), err[1].tolist(), y_old.tolist(),
+                                      y_new.tolist()):
+                scale = ERROR_FLOOR + rel_tol * max(abs(yo), abs(yn))
+                a5, a3 = a5 / scale, a3 / scale
+                e5 += (a5 * a5.conjugate()).real
+                e3 += (a3 * a3.conjugate()).real
+            denom = e5 + 0.01 * e3
+            return e5 / math.sqrt(denom * y_old.size) if denom else 0.0
+
+        def sample(*shape):
+            x = rng.normal(size=shape) * 10.0 ** rng.integers(-12, 4, size=shape)
+            return x + 1j * rng.normal(size=shape) if dtype is complex else x
+
+        cases = [(sample(2, m), sample(m), sample(m), tol)
+                 for m in (1, 2, 6) for tol in (1e-6, 1e-10, 1e-13) for _ in range(30)]
+        for err, y_old, y_new, tol in cases:
+            assert _error_norm(err, y_old, y_new, tol) == reference(err, y_old, y_new, tol)
+        zeros = np.zeros((2, 6), dtype=dtype)   # denominator 0
+        assert _error_norm(zeros, zeros[0], zeros[0], 1e-10) == 0.0
+        assert reference(zeros, zeros[0], zeros[0], 1e-10) == 0.0
+        for row, (i, j) in ((0, (0, 2)), (1, (1, 5))):    # a NaN in an error row or a state
+            err, y_old = sample(2, 6), sample(6)
+            err[row, i] = np.nan
+            y_old[j] = np.nan
+            for args in ((err, sample(6), sample(6)), (sample(2, 6), y_old, sample(6))):
+                assert math.isnan(_error_norm(*args, 1e-10))
+                assert math.isnan(reference(*args, 1e-10))
 
     def test_initial_step_uses_the_order_7_exponent(self):
         # y' = y from y = 1 at rel_tol 1e-6: d0 = d1 = d2 ~ 1e6, so Hairer's
