@@ -26,7 +26,8 @@ from .evolution import (EvolveConfig, RadialField, evolve, field_from_profile,
 from .geometry import FlowParams, TangentVec, harmonic_map_jet
 from .hasimoto import compute_q, strichartz_exponents, transport_frame
 from .manifest import RunManifest, write_csv
-from .selfsim import TAIL_MIN_R_MAX, apriori_identity_residual, solve_profile, tail_limit
+from .selfsim import (TAIL_MIN_R_MAX, apriori_identity_residual, derivative_energy_bound,
+                      solve_profile, tail_limit)
 from .verify import SUITES
 
 EXIT_OK = 0
@@ -73,7 +74,7 @@ def cmd_selfsim(args):
         "identity_residual": apriori_identity_residual(prof, r_stop=min(20.0, args.r_max)),
         "solver": prof.sol.counters(),
     }
-    a_ok = results["max_A"] <= results["A_bound_4n"] + 1e-6
+    a_ok = results["max_A"] <= derivative_energy_bound(args.n)
     print(f"max A(r) = {results['max_A']:.6f} (bound 4n = {results['A_bound_4n']:g}): "
           f"{'ok' if a_ok else 'VIOLATED'}")
     if prof.r_max >= TAIL_MIN_R_MAX:
@@ -103,16 +104,24 @@ def cmd_realheat_classify(args):
         results=_write_report(out, "classifier_report.json", rep))
 
 
+# argparse types: a malformed list exits 2 with the flag and the value named
+def int_list(text):
+    return [int(v) for v in text.split(",")]
+
+
+def float_list(text):
+    return [float(v) for v in text.split(",")]
+
+
 def cmd_realheat_stationary(args):
-    ns = [int(v) for v in args.n_list.split(",")]
-    rs = [float(v) for v in args.r_list.split(",")]
-    residuals = [rf.stationary_residual(args.alpha, rs, n) for n in ns]
+    ns = args.n_list
+    residuals = [rf.stationary_residual(args.alpha, args.r_list, n) for n in ns]
     worst = max([0.0] + residuals)
     out = _out_dir(args, "out-realheat-stationary")
     write_csv(out / "stationary_residuals.csv", "n,max_residual", ns, residuals)
     print(f"max residual over n in {ns}: {worst:.3e} (dimension-independent family)")
     return (EXIT_OK if worst <= 1e-10 else EXIT_ASSERT), out, RunManifest(
-        "realheat stationary", {"alpha": args.alpha, "n_list": ns, "r_list": rs},
+        "realheat stationary", {"alpha": args.alpha, "n_list": ns, "r_list": args.r_list},
         results={"max_residual": worst})
 
 
@@ -293,7 +302,7 @@ def cmd_verify(args):
         t0 = time.perf_counter()
         suite_rows = SUITES[name]()
         for c in suite_rows:
-            print(f"[{'PASS' if c.passed else 'FAIL'}] {c.suite}.{c.name}: {c.detail}")
+            print(f"[{'PASS' if c.passed else 'FAIL'}] {name}.{c.name}: {c.detail}")
         print(f"suite {name}: {sum(c.passed for c in suite_rows)}/{len(suite_rows)} "
               f"in {time.perf_counter() - t0:.2f} s")
         rows += suite_rows
@@ -331,8 +340,8 @@ def build_parser():
 
     p = rsub.add_parser("stationary", parents=[writes])
     p.add_argument("--alpha", type=float, default=1.0)
-    p.add_argument("--n-list", default="2,3,4,5,6,7,8")
-    p.add_argument("--r-list", default="0.1,1,10")
+    p.add_argument("--n-list", type=int_list, default="2,3,4,5,6,7,8")
+    p.add_argument("--r-list", type=float_list, default="0.1,1,10")
     p.set_defaults(fn=cmd_realheat_stationary)
 
     p = rsub.add_parser("selfsim", parents=[writes])

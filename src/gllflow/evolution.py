@@ -86,7 +86,6 @@ class EvolveConfig:
 class Trajectory:
     frames: tuple
     params: FlowParams
-    config: EvolveConfig
     dt: float
     max_norm_drift: float
     n_steps: int        # RK4 steps taken
@@ -198,7 +197,7 @@ def evolve(field0: RadialField, params: FlowParams, T: float,
         u[:, 0] = E3
         if step % config.store_every == 0 or step == n_steps:
             frames.append(RadialField(r, u.T.copy(), field0.t + step * dt))
-    return Trajectory(frames=tuple(frames), params=params, config=config,
+    return Trajectory(frames=tuple(frames), params=params,
                       dt=dt, max_norm_drift=max_drift, n_steps=n_steps)
 
 

@@ -129,9 +129,9 @@ def _curves(labels, n, slope_factor, rel_tol, solved):
     return out
 
 
-def curve_error(label, n, slope_factor, rel_tol=FIT_REL_TOL):
+def curve_error(label, n, slope_factor):
     """Max |simulated - reference| in plot y-units for one labeled curve."""
-    data = _curves([label], n, slope_factor, rel_tol, {})[label]
+    data = _curves([label], n, slope_factor, FIT_REL_TOL, {})[label]
     return float(np.max(np.abs(data[:, 2] - data[:, 1])))
 
 

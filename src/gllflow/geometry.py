@@ -25,14 +25,6 @@ REPAIR_TOL = 1e-6         # renormalize drift up to this, error beyond (see Norm
 POLE_TOL = 1e-8           # stereographic chart radius around the south pole
 
 
-def _normalize3(vec, what="vector"):
-    vec = np.asarray(vec, dtype=float)
-    nrm = float(np.linalg.norm(vec))
-    if abs(nrm - 1.0) > REPAIR_TOL:
-        raise NormDriftError(f"{what} has norm {nrm!r}; drift beyond {REPAIR_TOL}")
-    return vec / nrm
-
-
 @dataclass(frozen=True)
 class SpherePoint:
     """Point on the unit sphere S^2 in R^3."""
@@ -42,7 +34,11 @@ class SpherePoint:
     x3: float
 
     def __post_init__(self):
-        v = _normalize3((self.x1, self.x2, self.x3), "SpherePoint")
+        v = np.asarray((self.x1, self.x2, self.x3), dtype=float)
+        nrm = float(np.linalg.norm(v))
+        if abs(nrm - 1.0) > REPAIR_TOL:
+            raise NormDriftError(f"SpherePoint has norm {nrm!r}; drift beyond {REPAIR_TOL}")
+        v = v / nrm
         object.__setattr__(self, "x1", float(v[0]))
         object.__setattr__(self, "x2", float(v[1]))
         object.__setattr__(self, "x3", float(v[2]))

@@ -107,8 +107,7 @@ class QField:
     alpha_g: np.ndarray    # real gauge potential, alpha_g(0) = 0
     cum_u3q: np.ndarray    # stored cumulative integral of u3 q
 
-    def to_csv(self, path, u_r_norm=None):
-        u_r_norm = np.abs(self.q) if u_r_norm is None else u_r_norm
+    def to_csv(self, path, u_r_norm):
         write_csv(path, "r,re_q,im_q,alpha_g,u_r_norm",
                   self.r, self.q.real, self.q.imag, self.alpha_g, u_r_norm)
 
@@ -204,9 +203,10 @@ def spherical_laplacian_x1(x):
     return x[..., 0] * (g2 + (d + 1) * g1 / rr) * rr**2  # times r^2: spherical part
 
 
-def fd_laplacian(fn, x, h=5e-3):
+def fd_laplacian(fn, x):
     """4th-order finite-difference Laplacian of fn at x (oracle helper)."""
     x = np.asarray(x, float)
+    h = 5e-3
     total = 0.0
     for i in range(x.size):
         ei = np.zeros_like(x)
@@ -223,7 +223,6 @@ class EigenReport:
     max_analytic_residual: float
     max_fd_residual: float
     max_radial_reconstruction: float
-    samples: int
 
 
 def eigenfunction_check(n: int, sample_count: int = 100) -> EigenReport:
@@ -268,8 +267,7 @@ def eigenfunction_check(n: int, sample_count: int = 100) -> EigenReport:
         rhs = (q_fn_d2(rr) + (d - 1) / rr * q_fn_d1(rr) + lam / rr**2 * q_fn(rr)) * spherical_eigenfunction(y)
         worst_radial = max(worst_radial, abs(lhs - rhs))
     return EigenReport(n=n, eigenvalue=lam, max_analytic_residual=worst_analytic,
-                       max_fd_residual=worst_fd, max_radial_reconstruction=worst_radial,
-                       samples=sample_count)
+                       max_fd_residual=worst_fd, max_radial_reconstruction=worst_radial)
 
 
 # ---------------------------------------------------------------------------
@@ -279,9 +277,14 @@ def eigenfunction_check(n: int, sample_count: int = 100) -> EigenReport:
 STANDARD_PAIRS = ((1, 0), (1, 1), (2, 0), (2, 1), (3, 1))
 
 
+def _inverse_index(i, j, p):
+    """1/s(i,j) = (i+j)/4 - i/(6p); the pair (1, 1) gives 1/r."""
+    return Fraction(i + j, 4) - Fraction(i, 1) / (6 * p)
+
+
 @dataclass(frozen=True)
 class ExponentTable:
-    """Lebesgue indices 1/s(i,j) = (i+j)/4 - i/(6p), exact rationals."""
+    """Lebesgue indices s(i,j) = 1 / `_inverse_index(i, j, p)`, exact rationals."""
 
     p: Fraction
     r: Fraction
@@ -289,15 +292,9 @@ class ExponentTable:
 
     def holder_identity_holds(self):
         """1/s(i+k, j+m) = 1/s(i,j) + 1/s(k,m), exact, for tabled pairs."""
-        for (i, j) in self.s:
-            for (k, m) in self.s:
-                left = self._inv(i + k, j + m)
-                if left != self._inv(i, j) + self._inv(k, m):
-                    return False
-        return True
-
-    def _inv(self, i, j):
-        return Fraction(i + j, 4) - Fraction(i, 1) / (6 * self.p)
+        return all(_inverse_index(i + k, j + m, self.p)
+                   == _inverse_index(i, j, self.p) + _inverse_index(k, m, self.p)
+                   for (i, j) in self.s for (k, m) in self.s)
 
     def to_json(self):
         return report_json({
@@ -312,14 +309,16 @@ class ExponentTable:
 
 def strichartz_exponents(p) -> ExponentTable:
     """Fill the index table for p in [1, 2]; s(1,1) coincides with r."""
-    p = Fraction(str(p)) if not isinstance(p, Fraction) else p
+    try:
+        p = Fraction(str(p))
+    except (ValueError, ZeroDivisionError):
+        raise DomainError(f"p must be a rational number, got {str(p)!r}") from None
     if not (1 <= p <= 2):
         raise DomainError("p must lie in [1, 2]")
     def s_of(i, j):
-        inv = Fraction(i + j, 4) - Fraction(i, 1) / (6 * p)
+        inv = _inverse_index(i, j, p)
         if inv <= 0:
             raise DomainError(f"index s({i},{j}) undefined for p={p}")
         return 1 / inv
     table = {pair: s_of(*pair) for pair in STANDARD_PAIRS}
-    r = 1 / (Fraction(1, 2) - Fraction(1, 1) / (6 * p))
-    return ExponentTable(p=p, r=r, s=table)
+    return ExponentTable(p=p, r=table[(1, 1)], s=table)

@@ -172,8 +172,6 @@ class RealProfile:
     """Scalar profile: the dense solution of the state (g, g_r), g(0) = 0."""
 
     sol: DenseSolution     # y = (g, g_r), (N, 2)
-    n: int
-    slope: float
 
     def __post_init__(self):
         if not np.all(np.isfinite(self.sol.y)):
@@ -237,7 +235,7 @@ def solve_selfsim_real(beta_slope: float, n: int, r_max: float,
     f0, fp0 = series_start(real_selfsim_ivp(beta_slope, n), DEFAULT_R0)
     sol = integrate_rk(_selfsim_rhs(n), DEFAULT_R0, np.array([f0.real, fp0.real]), r_max,
                        rel_tol=rel_tol)
-    return RealProfile(sol, n, beta_slope)
+    return RealProfile(sol)
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +268,7 @@ ORDERING_TOL = 1e-8
 LIMIT_BETA = 1e3          # the label whose profile must end near pi
 
 
-def comparison_suite(beta_list, n: int, r_max: float, rel_tol: float = 1e-10) -> ComparisonReport:
+def comparison_suite(beta_list, n: int, r_max: float) -> ComparisonReport:
     """Ordering checks for the self-similar scalar profiles.
 
     For each label beta (slope 2*beta): (i) phi <= matched stationary
@@ -285,7 +283,7 @@ def comparison_suite(beta_list, n: int, r_max: float, rel_tol: float = 1e-10) ->
     checks = []
     profiles = {}
     for b in betas:
-        profiles[b] = solve_selfsim_real(2.0 * b, n, r_max, rel_tol=rel_tol)
+        profiles[b] = solve_selfsim_real(2.0 * b, n, r_max)
 
     worst, where = -np.inf, None
     for b in betas:
@@ -328,7 +326,7 @@ def comparison_suite(beta_list, n: int, r_max: float, rel_tol: float = 1e-10) ->
         "increasing_in_beta", worst <= ORDERING_TOL,
         f"max(phi_lo - phi_hi) = {worst:.3e} at (beta_lo, beta_hi, r) = {where}"))
 
-    big = solve_selfsim_real(2.0 * LIMIT_BETA, n, r_max, rel_tol=rel_tol)
+    big = solve_selfsim_real(2.0 * LIMIT_BETA, n, r_max)
     gap_pi = math.pi - big.g_inf
     checks.append(ComparisonCheck(
         "large_beta_near_pi", 0.0 < gap_pi < 0.05,

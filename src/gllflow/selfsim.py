@@ -37,6 +37,11 @@ TAIL_RATE_CONSTANT = 40.0     # rate bound 40 n^2 / r^2 for |psi_inf - psi(r)|
 TAIL_MIN_R_MAX = 10.0         # shortest profile whose tail limit is estimated
 
 
+def derivative_energy_bound(n: int) -> float:
+    """The a-priori bound A(r) <= 4n, with 1e-6 of slack for the solve."""
+    return 4.0 * n + 1e-6
+
+
 def stereo_selfsim_ivp(v, params: FlowParams) -> SingularIVP:
     """Chart form of the profile ODE as a singular initial-value problem.
 
@@ -103,15 +108,13 @@ class SelfSimProfile:
 
     sol: DenseSolution     # y = (psi, psi_r), (N, 6)
     params: FlowParams
-    v: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "v", np.asarray(self.v, float))
         norms = np.linalg.norm(self.psi, axis=1)
         if np.max(np.abs(norms - 1.0)) > UNIT_NORM_TOL:
             raise NormDriftError("profile nodes off the unit sphere beyond 1e-10")
         if self.params.n >= 2:
-            bound = 4.0 * self.params.n + 1e-6
+            bound = derivative_energy_bound(self.params.n)
             if np.max(self.A) > bound:
                 raise NormDriftError(f"derivative invariant A(r) exceeded {bound}")
 
@@ -172,7 +175,7 @@ def solve_profile(v, params: FlowParams, r_max: float, rel_tol: float | None = N
     fun = sphere_profile_rhs(params)
     sol = integrate_rk(fun, DEFAULT_R0, y0, r_max, rel_tol=rel_tol, max_step=max_step,
                        postprocess=_project_state)
-    return SelfSimProfile(sol, params, v)
+    return SelfSimProfile(sol, params)
 
 
 # ---------------------------------------------------------------------------
@@ -212,8 +215,6 @@ def _identity_terms(profile: SelfSimProfile, rr):
 class DecayFit:
     slope: float
     intercept: float
-    window: tuple
-    n_points: int
     underflow: bool = False
 
 
@@ -226,11 +227,9 @@ def decay_exponent(profile: SelfSimProfile, window) -> DecayFit:
     rr = profile.r[mask]
     mag = np.linalg.norm(profile.psi_r[mask], axis=1)
     if np.any(mag < 1e-14):
-        return DecayFit(slope=np.nan, intercept=np.nan, window=(r_lo, r_hi),
-                        n_points=int(mask.sum()), underflow=True)
+        return DecayFit(slope=np.nan, intercept=np.nan, underflow=True)
     slope, intercept = np.polyfit(np.log(rr), np.log(mag), 1)
-    return DecayFit(slope=float(slope), intercept=float(intercept),
-                    window=(r_lo, r_hi), n_points=int(mask.sum()))
+    return DecayFit(slope=float(slope), intercept=float(intercept))
 
 
 @dataclass(frozen=True)

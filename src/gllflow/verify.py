@@ -20,13 +20,12 @@ from .geometry import (CPPoint, E3, FlowParams, RadialProfile, TangentVec,
                        harmonic_map_jet, stereo_lift_arr, stereo_lift_differential,
                        stereo_rhs, unitary_action)
 from .hasimoto import compute_q, pole_projection_coordinates, transport_frame
-from .selfsim import apriori_identity_residual, solve_profile
-from .singular_ode import hardy_check, integrate_adaptive, series_start
+from .selfsim import apriori_identity_residual, derivative_energy_bound, solve_profile
+from .singular_ode import hardy_check, series_start
 
 
 @dataclass(frozen=True)
 class CheckResult:
-    suite: str
     name: str
     passed: bool
     detail: str
@@ -45,8 +44,8 @@ def _smooth_compact_chart(rng, r):
     return (c[0] + c[1] * r) * _bump((r - center) / width)
 
 
-def _chart_profile_arrays(rng, n_nodes=2001, r_max=6.0):
-    r = np.linspace(1e-6, r_max, n_nodes)
+def _chart_profile_arrays(rng):
+    r = np.linspace(1e-6, 6.0, 801)
     f = _smooth_compact_chart(rng, r)
     u = stereo_lift_arr(f)
     h = r[1] - r[0]
@@ -73,13 +72,13 @@ def suite_geom():
         for (al, be) in ((1.0, 0.0), (0.0, 1.0), (np.sqrt(0.5), np.sqrt(0.5))):
             outv = gll_rhs_arr(u, ur, urr, r, FlowParams(2, al, be))
             worst_t = max(worst_t, abs(outv @ u) / max(np.linalg.norm(outv), 1.0))
-    out.append(CheckResult("geom", "flow_outputs_tangent", worst_t <= 1e-12,
+    out.append(CheckResult("flow_outputs_tangent", worst_t <= 1e-12,
                            f"max normal component {worst_t:.2e}"))
 
     # energy equivalence on 200 random smooth compact profiles, n = 2
     worst_lower, worst_C = np.inf, 0.0
     for _ in range(200):
-        r, u, u_r = _chart_profile_arrays(rng, n_nodes=801)
+        r, u, u_r = _chart_profile_arrays(rng)
         prof = RadialProfile(r, u, u_r)
         E = energy(prof, 2)
         grad2 = float(geo.sphere_surface_measure(4) *
@@ -87,7 +86,7 @@ def suite_geom():
         if grad2 > 0:
             worst_lower = min(worst_lower, 2.0 * E / grad2)
             worst_C = max(worst_C, E / grad2)
-    out.append(CheckResult("geom", "energy_equivalence", worst_lower >= 1.0 - 1e-12,
+    out.append(CheckResult("energy_equivalence", worst_lower >= 1.0 - 1e-12,
                            f"min 2E/||u_r||^2 = {worst_lower:.4f}, fitted C = {worst_C:.4f}"))
 
     # Fubini-Study invariance under the lifted unitaries
@@ -101,7 +100,7 @@ def suite_geom():
         Q, _ = np.linalg.qr(M)
         worst = max(worst, abs(fs_distance(unitary_action(Q, p), unitary_action(Q, q))
                                - fs_distance(p, q)))
-    out.append(CheckResult("geom", "fs_distance_isometry", worst <= 1e-12,
+    out.append(CheckResult("fs_distance_isometry", worst <= 1e-12,
                            f"max distance change {worst:.2e}"))
 
     # chart/sphere right-hand-side equivalence through the lift differential
@@ -125,7 +124,7 @@ def suite_geom():
                 lhs = gll_rhs_arr(us[2], ur, urr, r, params)
                 rhs = stereo_lift_differential(f, stereo_rhs(f, fp, fpp, r, params))
                 worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-    out.append(CheckResult("geom", "chart_sphere_rhs_equivalence", worst <= 1e-9,
+    out.append(CheckResult("chart_sphere_rhs_equivalence", worst <= 1e-9,
                            f"max mismatch {worst:.2e}"))
 
     # energy-density identity against finite differences of the embedding
@@ -135,13 +134,14 @@ def suite_geom():
         errs = [_embedding_density_error(h, n=n) for h in (1e-2, 1e-3, 1e-4)]
         ok = ok and errs[2] < 1e-6 and errs[0] > 20 * errs[1] and errs[1] > 20 * errs[2]
         details.append(f"n={n}: " + ", ".join(f"{e:.2e}" for e in errs))
-    out.append(CheckResult("geom", "embedding_density_identity", ok,
+    out.append(CheckResult("embedding_density_identity", ok,
                            "errors at h=1e-2,1e-3,1e-4: " + "; ".join(details)))
     return out
 
 
-def _embedding_density_error(h, n=2, r=1.3):
-    """|dv|^2 by central differences of the embedding vs the closed form."""
+def _embedding_density_error(h, n):
+    """|dv|^2 by central differences of the embedding vs the closed form, at r = 1.3."""
+    r = 1.3
     rng = np.random.default_rng(11)
     c = rng.normal(size=2)
 
@@ -209,7 +209,7 @@ def suite_singular():
             vals.append(abs(fun(rr, np.array([f0, fp0]))[1]))
         worst_seq.append(vals)
     ok = all(v[0] > v[1] > v[2] for v in worst_seq)
-    out.append(CheckResult("singular", "second_derivative_vanishes_at_origin", ok,
+    out.append(CheckResult("second_derivative_vanishes_at_origin", ok,
                            f"|f''| samples at r=1e-2,1e-3,1e-4: {worst_seq}"))
 
     # Hardy ratio over a 50-function random family
@@ -222,17 +222,15 @@ def suite_singular():
         fr = np.gradient(f, r[1] - r[0], edge_order=2)
         rep = hardy_check(r, f, fr, d=4, p=2, k=0)
         worst = max(worst, rep.ratio / rep.bound)
-    out.append(CheckResult("singular", "hardy_ratio_below_bound", worst <= 1.0 + 5e-3,
+    out.append(CheckResult("hardy_ratio_below_bound", worst <= 1.0 + 5e-3,
                            f"max ratio/bound = {worst:.6f}"))
 
-    # determinism: identical inputs -> bit-identical grids
-    ivp = rf.real_selfsim_ivp(1.0, 2)
-    g1 = integrate_adaptive(ivp, 5.0, rel_tol=1e-9)
-    g2 = integrate_adaptive(ivp, 5.0, rel_tol=1e-9)
-    same = (np.array_equal(g1.r, g2.r) and np.array_equal(g1.f, g2.f)
-            and np.array_equal(g1.fp, g2.fp))
-    out.append(CheckResult("singular", "deterministic_grids", same,
-                           f"{g1.r.size} nodes, bit-identical: {same}"))
+    # determinism: identical inputs -> bit-identical solutions, every field
+    s1 = rf.solve_selfsim_real(1.0, 2, 5.0, rel_tol=1e-9).sol
+    s2 = rf.solve_selfsim_real(1.0, 2, 5.0, rel_tol=1e-9).sol
+    same = all(np.array_equal(a, b) for a, b in zip(s1, s2))
+    out.append(CheckResult("deterministic_grids", same,
+                           f"{s1.r.size} nodes, bit-identical: {same}"))
     return out
 
 
@@ -242,19 +240,19 @@ def suite_selfsim():
     out = []
     prof = solve_profile((1.0, 0.0), FlowParams(2, 1.0, 0.0), 30.0)
 
-    bound = 4 * 2 + 1e-6
-    out.append(CheckResult("selfsim", "derivative_energy_bounded",
+    bound = derivative_energy_bound(2)
+    out.append(CheckResult("derivative_energy_bounded",
                            float(prof.A.max()) <= bound,
                            f"max A = {prof.A.max():.4f} <= {bound}"))
 
     res_coarse = apriori_identity_residual(prof, n_resample=1000, r_stop=20.0)
     res_fine = apriori_identity_residual(prof, n_resample=4000, r_stop=20.0)
-    out.append(CheckResult("selfsim", "identity_residual_refines",
+    out.append(CheckResult("identity_residual_refines",
                            res_fine < 1e-6 and res_fine <= res_coarse,
                            f"residual {res_coarse:.2e} -> {res_fine:.2e} under refinement"))
 
     gap = np.linalg.norm(prof.psi - E3, axis=1)
-    out.append(CheckResult("selfsim", "never_returns_to_north_pole",
+    out.append(CheckResult("never_returns_to_north_pole",
                            float(gap.min()) > 0.0,
                            f"min |psi - e3| = {gap.min():.3e}"))
 
@@ -268,7 +266,7 @@ def suite_selfsim():
     a1, _ = prof.eval(qr)
     a2, _ = prof2.eval(qr)
     worst = float(np.max(np.abs(a1 @ R.T - a2)))
-    out.append(CheckResult("selfsim", "rotation_equivariance", worst <= 1e-10,
+    out.append(CheckResult("rotation_equivariance", worst <= 1e-10,
                            f"max mismatch after rotating the data: {worst:.2e}"))
     return out
 
@@ -280,20 +278,20 @@ def suite_realheat():
 
     lhs = rf.eta_prime(np.pi - 0.1, 2), rf.eta_prime(np.pi + 0.1, 2)
     mid = rf.eta_prime(np.pi, 2)
-    out.append(CheckResult("realheat", "pi_is_local_max_of_eta_prime",
+    out.append(CheckResult("pi_is_local_max_of_eta_prime",
                            lhs[0] < mid and lhs[1] < mid,
                            f"eta'(pi-+0.1) = {lhs[0]:.4f}, {lhs[1]:.4f} < eta'(pi) = {mid:.4f}"))
 
     bad = [n for n in range(3, 51) if rf.classify_uniqueness(n).verdict != "unique"]
-    out.append(CheckResult("realheat", "unique_for_3_to_50", not bad,
+    out.append(CheckResult("unique_for_3_to_50", not bad,
                            f"non-unique verdicts at n = {bad}" if bad else "all 48 dimensions unique"))
 
     rep = rf.comparison_suite([0.25, 0.5, 1.0, 2.0], 3, 10.0)
-    out.append(CheckResult("realheat", "selfsim_orderings_n3", rep.passed,
+    out.append(CheckResult("selfsim_orderings_n3", rep.passed,
                            "; ".join(f"{c.name}:{'ok' if c.passed else c.detail}" for c in rep.checks)))
 
     res = _great_circle_reduction_residuals()
-    out.append(CheckResult("realheat", "great_circle_reduction_consistency",
+    out.append(CheckResult("great_circle_reduction_consistency",
                            res[1] < res[0] / 3.0,
                            f"scalar-equation residual {res[0]:.2e} -> {res[1]:.2e} on refinement"))
     return out
@@ -328,16 +326,16 @@ def suite_pde():
     field = great_circle_bump(r, 0.5, 3.0, 1.0)
     traj = evolve(field, FlowParams(2, 1.0, 0.0), 0.05, EvolveConfig(store_every=8))
 
-    out.append(CheckResult("pde", "norm_drift_bounded",
+    out.append(CheckResult("norm_drift_bounded",
                            traj.max_norm_drift <= 1e-6,
                            f"max pre-projection drift {traj.max_norm_drift:.2e}"))
 
     pinned = all(np.array_equal(f.u[0], E3) for f in traj.frames)
-    out.append(CheckResult("pde", "origin_pinned_exactly", pinned, "u(0, t) = e3 for all frames"))
+    out.append(CheckResult("origin_pinned_exactly", pinned, "u(0, t) = e3 for all frames"))
 
     E = energy_history(traj)
     worst = float(np.max(np.diff(E)))
-    out.append(CheckResult("pde", "heat_flow_energy_monotone", worst <= 1e-6,
+    out.append(CheckResult("heat_flow_energy_monotone", worst <= 1e-6,
                            f"max energy increase {worst:.2e}"))
 
     l2s = []
@@ -347,7 +345,7 @@ def suite_pde():
         tr = evolve(f0, FlowParams(2, 1.0, 0.0), 0.02, EvolveConfig(store_every=4))
         l2s.append(residual(tr).max_l2)
     orders = [np.log2(a / b) for a, b in zip(l2s[:-1], l2s[1:])]
-    out.append(CheckResult("pde", "residual_second_order", min(orders) >= 1.8,
+    out.append(CheckResult("residual_second_order", min(orders) >= 1.8,
                            f"L2 residuals {[f'{v:.2e}' for v in l2s]}, orders {[f'{o:.2f}' for o in orders]}"))
     return out
 
@@ -360,13 +358,13 @@ def suite_hasimoto():
     u, ur, _ = harmonic_map_jet(TangentVec(1.0, 0.0, 0.0), r)
     fr = transport_frame(r, u, np.array([1.0, 0.0, 0.0]))
     worst = fr.defect(u)
-    out.append(CheckResult("hasimoto", "frame_orthonormal_tangent", worst <= 1e-10,
+    out.append(CheckResult("frame_orthonormal_tangent", worst <= 1e-10,
                            f"max frame defect {worst:.2e}"))
 
     params = FlowParams(2, 0.0, 1.0)
     qf = compute_q(r, u, fr, params, u_r=ur)
     worst = float(np.max(np.abs(np.abs(qf.q) - np.linalg.norm(ur, axis=1))))
-    out.append(CheckResult("hasimoto", "q_isometry", worst <= 1e-10,
+    out.append(CheckResult("q_isometry", worst <= 1e-10,
                            f"max | |q| - |u_r| | = {worst:.2e}"))
 
     th = 1.1
@@ -376,14 +374,14 @@ def suite_hasimoto():
     qf2 = compute_q(r, u, fr2, params, u_r=ur)
     worst = float(np.max(np.abs(qf2.q - np.exp(-1j * th) * qf.q)))
     worst_g = float(np.max(np.abs(qf2.alpha_g - qf.alpha_g)))
-    out.append(CheckResult("hasimoto", "gauge_covariance",
+    out.append(CheckResult("gauge_covariance",
                            worst <= 1e-10 and worst_g <= 1e-12,
                            f"q defect {worst:.2e}, alpha_g defect {worst_g:.2e}"))
 
     pe3 = np.stack([-u[:, 2] * u[:, 0], -u[:, 2] * u[:, 1], 1 - u[:, 2] ** 2], axis=1)
     lhs = np.sum(pe3 * fr.e, axis=1) + 1j * np.sum(pe3 * fr.je, axis=1)
     worst = float(np.max(np.abs(lhs - pole_projection_coordinates(qf))))
-    out.append(CheckResult("hasimoto", "pole_projection_integral_identity", worst <= 1e-5,
+    out.append(CheckResult("pole_projection_integral_identity", worst <= 1e-5,
                            f"max mismatch {worst:.2e} (quadrature-limited)"))
     return out
 

@@ -1,5 +1,9 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "gllflow"
 
 # one line per acceptance criterion, echoed in the terminal summary
 CRITERION_LINES = []
@@ -10,6 +14,12 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance criteria")
         for line in CRITERION_LINES:
             terminalreporter.write_line(line)
+    # the package's size, counted as `wc -l src/gllflow/*.py` counts it
+    terminalreporter.section("src/gllflow lines")
+    counts = {p.name: p.read_bytes().count(b"\n") for p in sorted(PACKAGE.glob("*.py"))}
+    for name, lines in counts.items():
+        terminalreporter.write_line(f"{lines:6d} {name}")
+    terminalreporter.write_line(f"{sum(counts.values()):6d} total")
 
 
 @pytest.fixture

@@ -132,6 +132,23 @@ class TestRealheatCommands:
         assert doc["hardy_ratio"] > 1.0
         assert doc["taylor_delta_literal"] is None
 
+    @pytest.mark.parametrize("flag, value", [("--n-list", "2,x"), ("--r-list", "0.1,abc")])
+    def test_stationary_malformed_list_exits_2(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "stx"
+        with pytest.raises(SystemExit) as exc:
+            _run(["realheat", "stationary", flag, value, "--out-dir", str(out)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}" in err and repr(value) in err
+        assert not out.exists()
+
+    def test_stationary_records_the_parsed_lists(self, tmp_path):
+        out = tmp_path / "st2"
+        assert _run(["realheat", "stationary", "--n-list", "2,5", "--r-list", "0.5,2",
+                     "--out-dir", str(out)]) == 0
+        params = _manifest(out)["parameters"]
+        assert params["n_list"] == [2, 5] and params["r_list"] == [0.5, 2.0]
+
     def test_witness_bad_epsilon(self, tmp_path):
         assert _run(["realheat", "witness", "--epsilon", "0.9",
                      "--out-dir", str(tmp_path / "wx")]) == 2
@@ -232,6 +249,19 @@ class TestHasimotoCommands:
         assert doc["r"]["float"] == 2.4
         assert doc["s"]["s(1,1)"]["float"] == 2.4
 
+    @pytest.mark.parametrize("value", ["abc", "1/0"])
+    def test_exponents_malformed_p_exits_2(self, tmp_path, capsys, value):
+        out = tmp_path / "hx"
+        assert _run(["hasimoto", "exponents", "--p", value, "--out-dir", str(out)]) == 2
+        message = json.loads(capsys.readouterr().err)["message"]
+        assert message.startswith("p ") and repr(value) in message
+        assert not (out / MANIFEST_NAME).exists()
+
+    def test_exponents_records_p_as_given(self, tmp_path):
+        out = tmp_path / "h15"
+        assert _run(["hasimoto", "exponents", "--p", "1.5", "--out-dir", str(out)]) == 0
+        assert _manifest(out)["parameters"]["p"] == "1.5"
+
     def test_run(self, tmp_path):
         out = tmp_path / "hr"
         assert _run(["hasimoto", "run", "--r-max", "8", "--nodes", "801",
@@ -266,6 +296,21 @@ class TestVerifyCommand:
             checks.append([ln for ln in lines if ln.startswith(("[PASS]", "[FAIL]"))])
         # check lines carry no timing, so reruns print them byte for byte
         assert checks[0] == checks[1] and len(checks[0]) >= 1
+
+    def test_singular_determinism_runs_the_scalar_solver(self, monkeypatch, capsys):
+        # the determinism check solves through the path the commands run
+        calls = []
+        solve = rf.solve_selfsim_real
+
+        def counted(*args, **kwargs):
+            calls.append((args, kwargs))
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(rf, "solve_selfsim_real", counted)
+        assert _run(["verify", "singular"]) == 0
+        assert calls == [((1.0, 2, 5.0), {"rel_tol": 1e-9})] * 2
+        assert ("[PASS] singular.deterministic_grids: 50 nodes, bit-identical: True"
+                in capsys.readouterr().out.splitlines())
 
     def test_all_suites_pass(self, capsys):
         assert _run(["verify", "all"]) == 0

@@ -450,13 +450,13 @@ class TestSelfsimConsistency:
         prof = solve_profile((1.0, 0.0), HEAT, 25.0, max_step=0.05)
         sol = prof.sol
         blind = SelfSimProfile(sol._replace(f=np.zeros_like(sol.f), q=np.zeros_like(sol.q)),
-                               HEAT, prof.v)
+                               HEAT)
         assert selfsim_consistency(blind, 1.0, HEAT) == selfsim_consistency(prof, 1.0, HEAT)
         y = sol.y.copy()
         e1 = np.array([1.0, 0.0, 0.0])
         tangent = e1 - (y[:, :3] @ e1)[:, None] * y[:, :3]
         y[:, 3:] += 1e-6 * np.sin(sol.r)[:, None] * tangent
-        moved = SelfSimProfile(sol._replace(y=y), HEAT, prof.v)
+        moved = SelfSimProfile(sol._replace(y=y), HEAT)
         assert selfsim_consistency(moved, 1.0, HEAT)[0] >= 1e-4
 
     def test_time_rescaling_identity(self):

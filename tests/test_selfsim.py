@@ -291,7 +291,7 @@ class TestTailLimit:
         dpsi = np.stack([np.cos(r), np.zeros_like(r), -np.sin(r)], axis=1)
         ddpsi = np.stack([-np.sin(r), np.zeros_like(r), -np.cos(r)], axis=1)
         sol = DenseSolution.from_nodes(r, np.hstack([psi, dpsi]), np.hstack([dpsi, ddpsi]))
-        prof = SelfSimProfile(sol, FlowParams(1, 1.0, 0.0), np.zeros(3))
+        prof = SelfSimProfile(sol, FlowParams(1, 1.0, 0.0))
         with pytest.raises(NonConvergedError):
             tail_limit(prof)
 
@@ -355,4 +355,4 @@ class TestSerialization:
         with pytest.raises(NormDriftError):
             y = np.hstack([psi, np.zeros((50, 3))])
             SelfSimProfile(DenseSolution.from_nodes(r, y, np.zeros_like(y)),
-                           FlowParams(2, 1.0, 0.0), np.zeros(3))
+                           FlowParams(2, 1.0, 0.0))
