@@ -141,7 +141,8 @@ def cmd_realheat_selfsim(args):
         grid={"r_max": args.r_max, "nodes": int(prof.r.size)},
         tolerances={"rel_tol": args.tol},
         results={"g_inf": prof.g_inf, "monotone": mono, "below_pi": below,
-                 "solver": prof.sol.counters()})
+                 "solver": dict(prof.sol.counters(), r0=float(prof.r[0]),
+                                start_remainder=prof.start_remainder)})
 
 
 def cmd_realheat_witness(args):

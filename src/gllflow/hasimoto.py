@@ -21,8 +21,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._numerics import cumquad0, derivative_nonuniform, frame_rates, weighted_norms
-from .errors import DomainError
+from ._numerics import check_grid, cumquad0, derivative_nonuniform, frame_rates, weighted_norms
+from .errors import DomainError, GridError
 from .geometry import E3, FlowParams
 from .manifest import report_json, write_csv
 
@@ -120,9 +120,12 @@ def compute_q(r, u, frame: Frame, params: FlowParams, u_r=None) -> QField:
     derivatives when available.  V's integral is parabolic (trapezoid loses
     an order against 1/r^2), its origin value extrapolated quadratically.
     The gauge rate -Im(p conj(q)), p = (alpha + i beta) V, is integrated
-    from alpha_g(0) = 0.
+    from alpha_g(0) = 0.  r must be strictly increasing (GridError), with
+    at least 4 nodes when it starts at 0.
     """
-    r = np.asarray(r, float)
+    r = check_grid(r)
+    if r[0] == 0.0 and r.size < 4:
+        raise GridError("V's origin extrapolation needs at least 4 nodes")
     u = np.asarray(u, float)
     if u_r is None:
         u_r = derivative_nonuniform(r, u, order=1)

@@ -25,7 +25,10 @@ import numpy as np
 from ._numerics import hermite_eval  # noqa: F401
 from .errors import DomainError
 from .manifest import report_json, write_csv
-from .singular_ode import DEFAULT_R0, DenseSolution, SingularIVP, integrate_rk, series_start
+from .singular_ode import DenseSolution, SingularIVP, integrate_rk, origin_start
+# series_start is called through origin_start: perfbench/tracer.py looks it
+# up in this module
+from .singular_ode import series_start  # noqa: F401
 
 # ---------------------------------------------------------------------------
 # eta and its derivatives (closed forms)
@@ -155,7 +158,10 @@ def real_selfsim_ivp(slope: float, n: int, drift: bool = True) -> SingularIVP:
 
     phi'' = -((2n-1)/r + r/2) phi' + eta(phi)/r^2
           = -(2n-1)(phi'/r - phi/r^2) - (r/2) phi' + B(phi)/r^2,
-    with B(z) = eta(z) - (2n-1) z = O(z^3).
+    with B(z) = eta(z) - (2n-1) z = O(z^3).  The origin series
+    phi = a r + c3 r^3 + c5 r^5 + c7 r^7 + ... (a = slope) comes from matching
+    powers of r with eta(x) = (2n-1) x - (n+1) x^3/3 + (n+7) x^5/60 - ...;
+    without drift it is that of the stationary profile 2 arctan(a r/2).
     """
 
     def A(z1, z2, r):
@@ -164,14 +170,26 @@ def real_selfsim_ivp(slope: float, n: int, drift: bool = True) -> SingularIVP:
     def B(z):
         return eta(z, n) - (2 * n - 1) * z
 
-    return SingularIVP(k=2 * n - 1, A=A, B=B, alpha0=complex(slope))
+    a = float(slope)
+    a2 = a * a
+    if drift:
+        m, m2, m3 = n + 1, n + 2, n + 3
+        series = (-a * (3.0 + 2.0 * m * a2) / (24.0 * m),
+                  a * (8.0 * m * m2 * a2 * a2 + 20.0 * m * a2 + 15.0) / (640.0 * m * m2),
+                  -a * (48.0 * m * m2 * m3 * a2 ** 3 + 56.0 * (3 * n * n + 10 * n + 9) * a2 * a2
+                        + 14.0 * (15 * n + 17) * a2 + 105.0) / (21504.0 * m * m2 * m3))
+    else:
+        series = (-a * a2 / 12.0, a * a2 * a2 / 80.0, -a * a2 ** 3 / 448.0)
+    return SingularIVP(k=2 * n - 1, A=A, B=B, alpha0=complex(slope), series=series)
 
 
 @dataclass(frozen=True)
 class RealProfile:
-    """Scalar profile: the dense solution of the state (g, g_r), g(0) = 0."""
+    """Scalar profile: the dense solution of the state (g, g_r), g(0) = 0,
+    and the next-term estimate of its series start at r[0]."""
 
     sol: DenseSolution     # y = (g, g_r), (N, 2)
+    start_remainder: float
 
     def __post_init__(self):
         if not np.all(np.isfinite(self.sol.y)):
@@ -226,16 +244,16 @@ def solve_selfsim_real(beta_slope: float, n: int, r_max: float,
 
     beta_slope is the actual derivative at the origin (a curve "labeled"
     beta in the comparison suite has beta_slope = 2*beta).  The state is
-    real; `real_selfsim_ivp` (the complex spec) supplies the series start.
+    real; `real_selfsim_ivp` (the complex spec) supplies the series start,
+    at r0 = min(1e-2, 1e-2/beta_slope) (`origin_start`).
     """
     if beta_slope < 0:
         raise DomainError("need beta_slope >= 0")
     if n < 2:
         raise DomainError("need n >= 2")
-    f0, fp0 = series_start(real_selfsim_ivp(beta_slope, n), DEFAULT_R0)
-    sol = integrate_rk(_selfsim_rhs(n), DEFAULT_R0, np.array([f0.real, fp0.real]), r_max,
-                       rel_tol=rel_tol)
-    return RealProfile(sol)
+    start = origin_start(real_selfsim_ivp(beta_slope, n), rel_tol)
+    sol = integrate_rk(_selfsim_rhs(n), start.r0, start.y0.real, r_max, rel_tol=rel_tol)
+    return RealProfile(sol, start.remainder)
 
 
 # ---------------------------------------------------------------------------

@@ -6,11 +6,16 @@ The problem class is
 
 with k > 0, A smooth with A(alpha0, 0, 0) = 0, and B vanishing cubically
 at 0.  The unique bounded-slope solution satisfies f''(0) = 0, so it looks
-like f = alpha0 r + c3 r^3 + ... near the origin; `series_start` produces
-high-accuracy data at a small r0 > 0 and `integrate_rk` carries it outward
-with the DOP853 pair of Hairer, Norsett & Wanner (8th order, 5th/3rd-order
-error estimate) and its 7th-order dense output, returned as a
-`DenseSolution`.
+like f = alpha0 r + c3 r^3 + c5 r^5 + ... near the origin (the Frobenius
+series at a regular singular point).  `series_start` produces data at a
+small r0 > 0: to fifth order for a problem that states its coefficients in
+closed form, else to third order with c3 from a Richardson difference.
+`origin_start` picks r0 (min(1e-2, 1e-2/|alpha0|) for a closed form below
+ROUNDING_TOL, else DEFAULT_R0) and checks the series' next term against
+the tolerance.
+`integrate_rk` carries the data outward with the DOP853 pair of Hairer,
+Norsett & Wanner (8th order, 5th/3rd-order error estimate) and its
+7th-order dense output, returned as a `DenseSolution`.
 
 The stepper is deterministic: identical inputs give bit-identical grids.
 """
@@ -113,6 +118,14 @@ def _error_norm(err, y_old, y_new, rel_tol):
     return e5 / math.sqrt(denom * y_old.size) if denom else 0.0
 
 
+def check_tolerance(rel_tol):
+    """Refuse a tolerance outside (0, inf): the error scale
+    ERROR_FLOOR + rel_tol max|y| would go negative (and be squared away) or
+    stop bounding anything."""
+    if not 0.0 < rel_tol < math.inf:
+        raise DomainError(f"need 0 < rel_tol < inf, got {rel_tol!r}")
+
+
 def _initial_step(fun, r0, y0, f0, rel_tol, max_step):
     """Hairer's starting step for an error estimate of order 7."""
     scale = ERROR_FLOOR + rel_tol * np.abs(y0)
@@ -148,6 +161,7 @@ def integrate_rk(fun: Callable, r0: float, y0: np.ndarray, r_max: float,
     """
     if r_max <= r0:
         raise DomainError("need r_max > r0")
+    check_tolerance(rel_tol)
     y = np.array(y0, copy=True)
     r = float(r0)
     f = np.array(fun(r, y))  # a copy: fun may hand back one reused buffer
@@ -241,12 +255,15 @@ def integrate_rk(fun: Callable, r0: float, y0: np.ndarray, r_max: float,
 
 @dataclass(frozen=True)
 class SingularIVP:
-    """Data of the singular Cauchy problem (see module docstring)."""
+    """Data of the singular Cauchy problem (see module docstring), with the
+    odd series coefficients (c3, c5, c7) of f = alpha0 r + c3 r^3 + c5 r^5
+    + c7 r^7 + ... when the problem states them in closed form."""
 
     k: float
     A: Callable       # A(z1, z2, r) -> complex, smooth, A(alpha0, 0, 0) = 0
     B: Callable       # B(z) -> complex, |B(z)| <= C |z|^3 near 0
     alpha0: complex
+    series: tuple | None = None   # (c3, c5, c7); None: c3 by `cubic_coefficient`
 
     def __post_init__(self):
         if self.k <= 0:
@@ -296,20 +313,74 @@ class SingularIVP:
 
 
 def series_start(ivp: SingularIVP, r0: float):
-    """(f(r0), f'(r0)) from the origin series f = alpha0 r + c3 r^3 + O(r0^5).
+    """(f(r0), f'(r0)) from the origin series.
 
-    Refuses r0 > 1e-2: beyond that the O(r0^5) remainder estimate (and so
-    the accuracy contract) is unverifiable.
+    With closed-form coefficients (`ivp.series`) the series is
+    f = alpha0 r + c3 r^3 + c5 r^5, with remainder O((|alpha0| r0)^7) whose
+    leading term `series_remainder` gives; without them it is
+    f = alpha0 r + c3 r^3 + O(r0^5), with c3 from `cubic_coefficient`.
+    Refuses r0 > 1e-2: beyond that the remainder estimate (and so the
+    accuracy contract) is unverifiable.
     """
     if r0 <= 0.0:
         raise DomainError("need r0 > 0")
     if r0 > 1e-2:
         raise DomainError("series start only certified for r0 <= 1e-2")
     ivp.validate()
-    c3 = ivp.cubic_coefficient()
-    f = ivp.alpha0 * r0 + c3 * r0**3
-    fp = ivp.alpha0 + 3.0 * c3 * r0**2
+    a = ivp.alpha0
+    if ivp.series is None:
+        c3 = ivp.cubic_coefficient()
+        f = a * r0 + c3 * r0**3
+        fp = a + 3.0 * c3 * r0**2
+    else:
+        c3, c5, _ = ivp.series
+        r2 = r0 * r0
+        f = a * r0 + (c3 + c5 * r2) * r2 * r0
+        fp = a + (3.0 * c3 + 5.0 * c5 * r2) * r2
     return complex(f), complex(fp)
+
+
+def series_remainder(ivp: SingularIVP, r0: float) -> float | None:
+    """The first term a closed-form `series_start` at r0 leaves out, in f':
+    7 |c7| r0^6 (in f it is r0/7 times that); None without closed form."""
+    return None if ivp.series is None else 7.0 * abs(ivp.series[2]) * r0**6
+
+
+DEFAULT_R0 = 1e-4        # the singular pair amplifies start-up error quadratically
+DEFAULT_REL_TOL = 1e-10
+# |alpha0| r0 of a closed-form start, so its remainder is O(START_REACH^7)
+# relative to the data.  Below ROUNDING_TOL the steps climb from r0 at
+# RADIAL_STEP r, 24 per decade of r, so a start two decades above DEFAULT_R0
+# saves about 48 nodes.  Above it no cap binds, the controller climbs those
+# decades in about six steps, and the start stays at DEFAULT_R0.
+START_REACH = 1e-2
+
+
+class OriginStart(NamedTuple):
+    r0: float
+    y0: np.ndarray               # (f, f') at r0, complex
+    remainder: float | None      # `series_remainder` at r0
+
+
+def origin_start(ivp: SingularIVP, rel_tol: float) -> OriginStart:
+    """The series start of a solve at rel_tol.
+
+    With closed-form coefficients and rel_tol below ROUNDING_TOL it sits at
+    r0 = min(1e-2, 1e-2/|alpha0|); a start whose `series_remainder` exceeds
+    rel_tol max|y0| is refused with a DomainError that names it.  Otherwise,
+    and for alpha0 = 0 (where the series is exactly zero), r0 = DEFAULT_R0.
+    """
+    check_tolerance(rel_tol)
+    a = abs(ivp.alpha0)
+    r0 = (DEFAULT_R0 if ivp.series is None or a == 0.0 or rel_tol >= ROUNDING_TOL
+          else min(START_REACH, START_REACH / a))
+    f0, fp0 = series_start(ivp, r0)
+    remainder = series_remainder(ivp, r0)
+    scale = rel_tol * max(abs(f0), abs(fp0))
+    if remainder is not None and remainder > scale:
+        raise DomainError(f"series start at r0={r0!r}: its next term {remainder:.3e} "
+                          f"exceeds rel_tol max|y0| = {scale:.3e}")
+    return OriginStart(r0, np.array([f0, fp0]), remainder)
 
 
 def series_error_estimate(ivp: SingularIVP, r0: float):
@@ -359,17 +430,12 @@ class ProfileGrid:
                   self.f.imag, self.fp.real, self.fp.imag, fpp.real, fpp.imag)
 
 
-DEFAULT_R0 = 1e-4        # the singular pair amplifies start-up error quadratically
-DEFAULT_REL_TOL = 1e-10
-
-
 def integrate_adaptive(ivp: SingularIVP, r_max: float,
                        rel_tol: float = DEFAULT_REL_TOL) -> ProfileGrid:
-    """Solve the singular problem from the series start at DEFAULT_R0 out to
-    r_max; the grid holds the solver-chosen accepted nodes."""
-    f0, fp0 = series_start(ivp, DEFAULT_R0)
-    return ProfileGrid(integrate_rk(ivp.rhs(), DEFAULT_R0, np.array([f0, fp0], dtype=complex),
-                                    r_max, rel_tol=rel_tol))
+    """Solve the singular problem from its `origin_start` out to r_max; the
+    grid holds the solver-chosen accepted nodes."""
+    start = origin_start(ivp, rel_tol)
+    return ProfileGrid(integrate_rk(ivp.rhs(), start.r0, start.y0, r_max, rel_tol=rel_tol))
 
 
 # ---------------------------------------------------------------------------

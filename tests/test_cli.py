@@ -79,6 +79,16 @@ class TestSelfsimCommand:
                      "--out-dir", str(tmp_path / "x")])
         assert code == 2
 
+    @pytest.mark.parametrize("command", [["selfsim", "--r-max", "5"],
+                                         ["realheat", "selfsim", "--beta", "1"]])
+    @pytest.mark.parametrize("tol", ["0", "-1", "-1e-10", "nan", "inf"])
+    def test_tolerance_outside_zero_to_inf_exits_2(self, tmp_path, capsys, command, tol):
+        out = tmp_path / "t"
+        assert _run(command + [f"--tol={tol}", "--out-dir", str(out)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "DomainError" and "rel_tol" in err["message"]
+        assert not (out / MANIFEST_NAME).exists()
+
     def test_gnuplot_flag(self, tmp_path):
         out = tmp_path / "g"
         assert _run(["selfsim", "--r-max", "12", "--out-dir", str(out), "--gnuplot"]) == 0
@@ -112,8 +122,23 @@ class TestRealheatCommands:
         assert doc["results"]["monotone"] and doc["results"]["below_pi"]
         assert doc["parameters"]["slope"] == 2.0
         solver = doc["results"]["solver"]
-        assert solver == gllflow.solve_selfsim_real(2.0, 3, 8.0).sol.counters()
+        prof = gllflow.solve_selfsim_real(2.0, 3, 8.0)
+        assert solver == dict(prof.sol.counters(), r0=prof.r[0],
+                              start_remainder=prof.start_remainder)
         assert solver["steps_accepted"] == doc["grid"]["nodes"] - 1
+        # the start at 1e-2 / slope, its next series term within the tolerance
+        assert solver["r0"] == 5e-3
+        assert 0.0 < solver["start_remainder"] <= 1e-10 * 2.0
+
+    def test_selfsim_scalar_refuses_a_start_beyond_its_tolerance(self, tmp_path, capsys):
+        # at slope 2 the series' next term at r0 is 1.8e-14 of the data
+        out = tmp_path / "tight"
+        assert _run(["realheat", "selfsim", "--beta", "1", "--tol", "1e-15",
+                     "--out-dir", str(out)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "DomainError"
+        assert err["message"].startswith("series start at r0=0.005: its next term")
+        assert not (out / MANIFEST_NAME).exists()
 
     def test_selfsim_scalar_slope_convention(self, tmp_path):
         out = tmp_path / "ss2"
@@ -268,6 +293,26 @@ class TestHasimotoCommands:
                      "--out-dir", str(out)]) == 0
         header = (out / "qfield.csv").read_text().splitlines()[0]
         assert header == "r,re_q,im_q,alpha_g,u_r_norm"
+
+    def test_run_refuses_a_non_positive_r_max(self, tmp_path, capsys, rng):
+        for r_max in (0.0, -rng.uniform(0.1, 10.0)):
+            out = tmp_path / f"r{r_max}"
+            assert _run(["hasimoto", "run", "--r-max", repr(r_max), "--nodes", "201",
+                         "--out-dir", str(out)]) == 2
+            err = json.loads(capsys.readouterr().err)
+            assert err == {"error": "GridError", "message": "grid must be strictly increasing"}
+            assert not (out / "qfield.csv").exists()
+
+    def test_run_refuses_too_few_nodes(self, tmp_path, capsys, rng):
+        # compute_q extrapolates V to the origin from 3 more nodes; fewer than
+        # 3 nodes fail the stencil or the quadrature first, as GridErrors too
+        for nodes in (3, int(rng.integers(1, 3))):
+            out = tmp_path / f"n{nodes}"
+            assert _run(["hasimoto", "run", "--r-max", repr(rng.uniform(1.0, 10.0)),
+                         "--nodes", str(nodes), "--out-dir", str(out)]) == 2
+            assert json.loads(capsys.readouterr().err)["error"] == "GridError"
+            assert not (out / "qfield.csv").exists()
+        assert _run(["hasimoto", "run", "--nodes", "4", "--out-dir", str(tmp_path / "n4")]) == 0
 
 
 class TestOutputRoot:

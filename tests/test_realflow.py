@@ -1,14 +1,16 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.integrate import quad, solve_ivp
 
+from gllflow import singular_ode
 from gllflow.errors import DomainError
 from gllflow.figure_reference import (FIGURE_CURVES, X_SCALE, Y_SCALE, curve_error,
                                       fit_convention)
 from gllflow.geometry import energy_density_arr
-from gllflow.realflow import (classify_uniqueness, comparison_suite, eta,
+from gllflow.realflow import (LIMIT_BETA, classify_uniqueness, comparison_suite, eta,
                               eta_double_prime, eta_prime, eta_prime_at_pi,
                               eta_triple_prime, eta_triple_prime_at_pi, f_kink,
                               f_kink_derivative, gamma, hardy_saturation_ratio,
@@ -16,7 +18,9 @@ from gllflow.realflow import (classify_uniqueness, comparison_suite, eta,
                               search_negative_gap, solve_selfsim_real, stationary_profile,
                               stationary_residual, taylor_domination_delta,
                               witness_energy_gap, _selfsim_rhs)
-from gllflow.singular_ode import DEFAULT_R0, integrate_adaptive
+from gllflow.singular_ode import DEFAULT_R0, integrate_adaptive, integrate_rk, series_start
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 class TestEta:
@@ -132,21 +136,77 @@ class TestScalarSelfsim:
             assert abs(g[0] / Y_SCALE - y) <= 2e-3
 
 
-def _scalar_oracle(slope, n, r_max, r0=1e-4):
-    """scipy DOP853 on g'' = -((2n-1)/r + r/2) g' + eta(g)/r^2 from the series
-    g = a r + c3 r^3: the O(r) balance 6 c3 + 2(2n-1) c3 + a/2 + (n+1) a^3/3 = 0
-    (eta(g) = (2n-1) g - (n+1) g^3/3 + O(g^5)) gives c3 below."""
-    k, m, a = 2 * n - 1, 2 * n - 2, slope
+def _oracle_start(a, n):
+    """(r0, g, g_r) of the series g = a r + c3 r^3 + c5 r^5 at r0 = min(1e-4, 1e-3/a),
+    where the remainder is below 1e-20 of the data.  Matching powers of r with
+    eta(g) = (2n-1) g - (n+1) g^3/3 + (n+7) g^5/60 + O(g^7): the O(r) balance
+    6 c3 + 2(2n-1) c3 + a/2 + (n+1) a^3/3 = 0 gives c3, the O(r^3) one c5."""
     c3 = -a * (3.0 + 2.0 * (n + 1) * a * a) / (24.0 * (n + 1))
+    c5 = a * (8.0 * (n + 1) * (n + 2) * a**4 + 20.0 * (n + 1) * a * a + 15.0) / (
+        640.0 * (n + 1) * (n + 2))
+    r0 = min(1e-4, 1e-3 / a)
+    return r0, a * r0 + c3 * r0**3 + c5 * r0**5, a + 3.0 * c3 * r0**2 + 5.0 * c5 * r0**4
+
+
+def _scalar_oracle(slope, n, r_max):
+    """scipy DOP853 on g'' = -((2n-1)/r + r/2) g' + eta(g)/r^2 from `_oracle_start`."""
+    k, m = 2 * n - 1, 2 * n - 2
+    r0, g0, gp0 = _oracle_start(slope, n)
 
     def fun(r, y):
         g, gp = y
         return [gp, -(k / r + 0.5 * r) * gp + (m * math.sin(g) + 0.5 * math.sin(2 * g)) / r**2]
 
-    sol = solve_ivp(fun, (r0, r_max), [a * r0 + c3 * r0**3, a + 3.0 * c3 * r0**2],
-                    method="DOP853", rtol=1e-13, atol=1e-15, dense_output=True)
+    sol = solve_ivp(fun, (r0, r_max), [g0, gp0], method="DOP853", rtol=1e-13, atol=1e-15,
+                    dense_output=True)
     assert sol.success
     return sol.sol
+
+
+def _log_radius_oracle(slope, n, r_max):
+    """g from scipy DOP853 (rtol 1e-13) in s = log r, where the profile ODE reads
+    g_ss = -(2n-2 + r^2/2) g_s + eta(g) with g_s = r g_r: no 1/r terms to
+    cancel near the origin.  Started from `_oracle_start`."""
+    m = 2 * n - 2
+    r0, g0, gp0 = _oracle_start(slope, n)
+
+    def fun(s, y):
+        g, gs = y
+        return [gs, -(m + 0.5 * math.exp(2 * s)) * gs + m * math.sin(g) + 0.5 * math.sin(2 * g)]
+
+    sol = solve_ivp(fun, (math.log(r0), math.log(r_max)), [g0, r0 * gp0], method="DOP853",
+                    rtol=1e-13, atol=1e-300, dense_output=True)
+    assert sol.success
+    return lambda r: sol.sol(np.log(r))[0]
+
+
+def _long_reference(slope, n, r_max, monkeypatch, r0=None):
+    """The profile in 80-bit arithmetic: the package's DOP853 steps on a
+    longdouble state and an rhs written here, at rel_tol 1e-17 with the
+    absolute error floor at 1e-22, from the 7th-order series (the
+    coefficients TestSeriesCoefficients pins) at slope r0 = 1e-3 by default.
+    On 40 profiles of the sweep's ranges it agreed with itself started
+    10-100x closer to 3.3e-14.  scipy's float64 DOP853 at rtol 1e-13 cannot
+    certify a 1e-12 tolerance: on 90 such profiles it missed this reference
+    by up to 4.2e-12 on the log-radius form and 5e-11 on the direct form."""
+    long = np.longdouble
+    k, m = 2 * n - 1, 2 * n - 2
+    a = long(slope)
+    c3, c5, c7 = (long(c) for c in real_selfsim_ivp(slope, n).series)
+    r0 = 1e-3 / slope if r0 is None else r0
+    x = long(r0)
+    y0 = np.array([a * x + c3 * x**3 + c5 * x**5 + c7 * x**7,
+                   a + 3 * c3 * x**2 + 5 * c5 * x**4 + 7 * c7 * x**6])
+
+    def fun(r, y):
+        r = long(r)
+        return np.array([y[1], -(k / r + r / 2) * y[1]
+                         + (m * np.sin(y[0]) + np.sin(2 * y[0]) / 2) / (r * r)])
+
+    with monkeypatch.context() as mp:
+        mp.setattr(singular_ode, "ERROR_FLOOR", 1e-22)
+        sol = integrate_rk(fun, r0, y0, r_max, rel_tol=1e-17)
+    return lambda r: np.asarray(sol.eval(np.asarray(r, long))[:, 0], float)
 
 
 def _sweep(count, seed):
@@ -221,6 +281,82 @@ class TestRealArithmetic:
             solve_selfsim_real(-1.0, 3, 5.0)
         with pytest.raises(DomainError):
             solve_selfsim_real(1.0, 1, 5.0)
+
+
+class TestSeriesStart:
+    """Scalar solves start from the closed-form 5th-order series at
+    r0 = min(1e-2, 1e-2/slope) below ROUNDING_TOL."""
+
+    def test_coefficients_match_a_sympy_series_solution(self):
+        import sympy as sp
+
+        r, a, n = sp.symbols("r a n", positive=True)
+        cs = sp.symbols("c3 c5 c7")
+        for drift in (True, False):
+            g = a * r + cs[0] * r**3 + cs[1] * r**5 + cs[2] * r**7
+            res = (sp.diff(g, r, 2) + ((2 * n - 1) / r + (r / 2 if drift else 0)) * sp.diff(g, r)
+                   - ((2 * n - 2) * sp.sin(g) + sp.sin(2 * g) / 2) / r**2)
+            powers = sp.expand(sp.series(res, r, 0, 7).removeO())
+            exact = {}
+            for p, c in zip((1, 3, 5), cs):
+                exact[c] = sp.solve(powers.coeff(r, p).subs(exact), c)[0]
+            for slope in (0.5, 2.0, 22.113375001669648, 2.0 * LIMIT_BETA):
+                for nn in (2, 3, 4, 5):
+                    mine = real_selfsim_ivp(slope, nn, drift=drift).series
+                    for c, got in zip(cs, mine):
+                        want = float(exact[c].subs({a: sp.Rational(slope), n: nn}))
+                        assert abs(got - want) <= 1e-14 * abs(want), (drift, slope, nn, c)
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
+                        reason="the reference needs an 80-bit long double")
+    def test_long_reference_agrees_with_scipy(self, monkeypatch):
+        # the 80-bit reference against itself started 100x closer, and against
+        # scipy DOP853 on the log-radius form to what its float64 steps reach
+        for slope, n, r_max in ((0.5, 2, 6.0), (11.969, 4, 6.34), (49.0, 2, 4.5)):
+            r = np.linspace(0.05, r_max, 200)
+            ref = _long_reference(slope, n, r_max, monkeypatch)(r)
+            closer = _long_reference(slope, n, r_max, monkeypatch, r0=1e-5 / slope)(r)
+            assert np.max(np.abs(ref - closer)) <= 1e-13
+            assert np.max(np.abs(ref - _log_radius_oracle(slope, n, r_max)(r))) <= 1e-11
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
+                        reason="the reference needs an 80-bit long double")
+    def test_sweep_within_tolerance_at_the_nodes(self, monkeypatch):
+        rng = np.random.default_rng(11)
+        for _ in range(12):
+            slope = float(np.exp(rng.uniform(np.log(0.5), np.log(50.0))))
+            n, r_max = int(rng.integers(2, 6)), float(rng.uniform(2.55, 10.0))
+            tol = float(rng.choice([1e-10, 1e-11, 1e-12]))
+            prof = solve_selfsim_real(slope, n, r_max, rel_tol=tol)
+            assert prof.r[0] == min(1e-2, 1e-2 / slope)
+            ref = _long_reference(slope, n, r_max, monkeypatch)
+            ratio = np.max(np.abs(prof.g - ref(prof.r))) / tol
+            assert ratio <= 1.0, (slope, n, r_max, tol, ratio)
+
+    def test_limit_label_profile(self):
+        # slope 2000: slope DEFAULT_R0 = 0.2, where the cubic series started
+        # the profile 6.5e-4 off; now r0 = 5e-6 and it is within its tolerance
+        slope = 2.0 * LIMIT_BETA
+        prof = solve_selfsim_real(slope, 3, 10.0)
+        assert prof.r[0] == 5e-6
+        assert np.max(np.abs(prof.g - _scalar_oracle(slope, 3, 10.0)(prof.r)[0])) <= 1e-10
+
+    def test_nodes_fall_on_the_benchmark_jobs(self, monkeypatch):
+        # against the same series started at DEFAULT_R0, on the scalar_batch
+        # workload's seed-3 `realheat selfsim` jobs
+        monkeypatch.syspath_prepend(str(PERFBENCH))
+        import workloads
+
+        nodes = old = 0
+        for job in workloads.scalar_batch(3):
+            c = job["check"]
+            if c["type"] != "realheat_selfsim":
+                continue
+            nodes += solve_selfsim_real(c["slope"], c["n"], c["r_max"], rel_tol=c["tol"]).r.size
+            f0, fp0 = series_start(real_selfsim_ivp(c["slope"], c["n"]), DEFAULT_R0)
+            old += integrate_rk(_selfsim_rhs(c["n"]), DEFAULT_R0, np.array([f0.real, fp0.real]),
+                                c["r_max"], rel_tol=c["tol"]).r.size
+        assert nodes <= 0.9 * old
 
 
 class TestComparisonSuite:

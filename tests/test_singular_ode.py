@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,10 +11,13 @@ from gllflow import _dop853 as dop
 from gllflow._numerics import hermite_eval
 from gllflow.errors import DomainError, NonFiniteError, StiffnessError
 from gllflow.realflow import _selfsim_rhs, real_selfsim_ivp
-from gllflow.singular_ode import (ERROR_FLOOR, RADIAL_STEP, ROUNDING_TOL, DenseSolution,
-                                  ProfileGrid, SingularIVP, _error_norm, _initial_step,
-                                  hardy_check, hardy_ratio_raw, integrate_adaptive,
-                                  integrate_rk, series_error_estimate, series_start)
+from gllflow.geometry import FlowParams
+from gllflow.selfsim import stereo_selfsim_ivp
+from gllflow.singular_ode import (DEFAULT_R0, ERROR_FLOOR, RADIAL_STEP, ROUNDING_TOL,
+                                  DenseSolution, ProfileGrid, SingularIVP, _error_norm,
+                                  _initial_step, hardy_check, hardy_ratio_raw,
+                                  integrate_adaptive, integrate_rk, origin_start,
+                                  series_error_estimate, series_remainder, series_start)
 from conftest import smooth_bump
 
 
@@ -56,12 +60,22 @@ class TestSeriesStart:
         assert est_f <= 1e-10 and est_fp <= 1e-7
 
     def test_error_estimate_measures_the_truncation(self):
-        # the series remainder is O(r0^5): ten times r0 is ~1e5 times the
-        # estimate, which integrator noise would not show
-        ivp = real_selfsim_ivp(1.5, 3)
+        # the cubic series (no closed-form coefficients) has an O(r0^5)
+        # remainder: ten times r0 is ~1e5 times the estimate, which
+        # integrator noise would not show
+        ivp = replace(real_selfsim_ivp(1.5, 3), series=None)
         est_small, _ = series_error_estimate(ivp, 1e-3)
         est_large, _ = series_error_estimate(ivp, 1e-2)
         assert est_large >= 1e4 * est_small
+
+    @pytest.mark.parametrize("slope,n,r0", [(1.5, 3, 1e-2), (2.0, 3, 5e-3), (40.0, 5, 2.5e-4)])
+    def test_remainder_is_the_error_of_a_closed_form_start(self, slope, n, r0):
+        # the fifth-order series leaves out 7 c7 r0^6 in f'; the mismatch of
+        # the series at r0 against itself carried up from r0/2 is that term
+        # (less the 1/64 of it left at r0/2, which the singular mode damps)
+        ivp = real_selfsim_ivp(slope, n)
+        _, est_fp = series_error_estimate(ivp, r0)
+        assert abs(est_fp - series_remainder(ivp, r0)) <= 0.05 * series_remainder(ivp, r0)
 
     def test_refuses_large_start(self):
         with pytest.raises(DomainError):
@@ -77,6 +91,48 @@ class TestSeriesStart:
                           B=lambda z: z**2, alpha0=1.0)
         with pytest.raises(DomainError):
             ivp.validate()
+
+
+class TestOriginStart:
+    @pytest.mark.parametrize("slope,r0", [(0.0, DEFAULT_R0), (0.5, 1e-2), (1.0, 1e-2),
+                                          (4.0, 2.5e-3), (2000.0, 5e-6)])
+    def test_radius_scales_with_the_slope(self, slope, r0):
+        ivp = real_selfsim_ivp(slope, 3)
+        start = origin_start(ivp, 1e-10)
+        assert start.r0 == r0
+        assert tuple(start.y0) == series_start(ivp, r0)
+        assert start.remainder == series_remainder(ivp, r0)
+        assert start.remainder <= 1e-10 * np.max(np.abs(start.y0))
+
+    def test_default_radius_without_closed_form_or_cap(self):
+        # no closed-form coefficients (the sphere chart, or one dropped), or
+        # a tolerance at which no radial cap binds: the start stays at DEFAULT_R0
+        ivp = real_selfsim_ivp(4.0, 3)
+        chart = stereo_selfsim_ivp((1.0, 0.5), FlowParams(2, 1.0, 0.0))
+        for problem, tol in ((replace(ivp, series=None), 1e-10), (chart, 1e-10),
+                             (ivp, ROUNDING_TOL), (ivp, 1e-6)):
+            start = origin_start(problem, tol)
+            assert start.r0 == DEFAULT_R0
+            assert tuple(start.y0) == series_start(problem, DEFAULT_R0)
+        assert origin_start(chart, 1e-10).remainder is None
+
+    def test_refuses_a_remainder_beyond_the_tolerance(self):
+        # 7 |c7| r0^6 at slope r0 = 1e-2 is ~1.6e-14 of the slope
+        ivp = real_selfsim_ivp(2000.0, 3)
+        origin_start(ivp, 1e-13)
+        with pytest.raises(DomainError, match=r"series start at r0=5e-06: its next term"):
+            origin_start(ivp, 1e-14)
+        with pytest.raises(DomainError, match="series start"):
+            integrate_adaptive(ivp, 1.0, rel_tol=1e-15)
+        # the exactly-zero series of slope 0 has nothing left out
+        assert origin_start(real_selfsim_ivp(0.0, 3), 1e-15).remainder == 0.0
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-10, math.nan, math.inf])
+    def test_refuses_a_tolerance_outside_zero_to_inf(self, tol):
+        with pytest.raises(DomainError, match="rel_tol"):
+            origin_start(real_selfsim_ivp(1.0, 3), tol)
+        with pytest.raises(DomainError, match="rel_tol"):
+            integrate_rk(_oscillator, 0.0, np.array([1.0, 0.0]), 1.0, rel_tol=tol)
 
 
 class TestIntegrateAdaptive:
