@@ -133,13 +133,21 @@ def derivative_nonuniform(x, y, order=1, points=STENCIL):
     Uses a sliding Fornberg stencil of `points` nodes (by default STENCIL:
     4th-order accurate for the first derivative on smooth grids). y may be
     complex and have trailing axes: (N, k) columns, (N, F, 3) frames.
+    Row i sums W[i, j] y[lo[i] + j] in order of j; the centred rows read
+    slices of y, and only the pushed-in end rows gather their windows.
     """
     W, lo = stencil_weights(x, order, points)
     y = np.asarray(y)
-    W = W.reshape(W.shape + (1,) * (y.ndim - 1))
-    out = W[:, 0] * y[lo]
-    for j in range(1, W.shape[1]):
-        out += W[:, j] * y[lo + j]
+    (n, s), W = W.shape, W.reshape(W.shape + (1,) * (y.ndim - 1))
+    h, m = s // 2, n - s + 1        # rows h .. h+m-1 have centred windows
+    out = np.empty(y.shape, np.result_type(W, y))
+    mid, W_mid = out[h:h + m], W[h:h + m]
+    ends = np.r_[:h, h + m:n]
+    np.multiply(W_mid[:, 0], y[:m], out=mid)
+    out[ends] = W[ends, 0] * y[lo[ends]]
+    for j in range(1, s):
+        mid += W_mid[:, j] * y[j:j + m]
+        out[ends] += W[ends, j] * y[lo[ends] + j]
     return out
 
 

@@ -3,8 +3,10 @@
 Second-order central differences in r (3-point stencils on a possibly
 graded grid), classical RK4 in time with dt = factor * min(dr)^2, the
 origin pinned at the north pole, and projection back to the sphere after
-every step.  Residual certification differentiates the stored frames with
-an independent 4th-order stencil so that it measures the scheme's real
+every step, on a full-width (3, N) state whose raveled form the stencils
+run over, zero-weighted at the end columns and component seams (see
+_spatial_operator).  Residual certification differentiates the stored frames
+with an independent 4th-order stencil so that it measures the scheme's real
 truncation error instead of reproducing its own discretization.
 """
 
@@ -16,8 +18,8 @@ import numpy as np
 
 from ._numerics import check_grid, derivative_nonuniform, frame_rates, weighted_norms
 from .errors import DomainError, GridError, InstabilityError
-from .geometry import (E3, REPAIR_TOL, FlowParams, RadialProfile, _flow_velocity, energy,
-                       gll_rhs_arr)
+from .geometry import (E3, REPAIR_TOL, FlowParams, RadialProfile, _flow_velocity,
+                       _velocity_scratch, energy, gll_rhs_arr)
 from .manifest import write_csv
 from .selfsim import SelfSimProfile, consistency_second_derivative
 
@@ -99,39 +101,49 @@ class Trajectory:
         return np.array([f.t for f in self.frames])
 
 
-class _SpatialOperator:
-    """The flow velocity on a radial grid, from 3-point nonuniform stencils.
+def _spatial_operator(r, params: FlowParams):
+    """The flow velocity on a radial grid from 3-point nonuniform stencils,
+    with the work buffers of one solve.
 
-    Holds, for the interior nodes, the stencil rows of u_r and u_rr (stacked
-    so that one product forms both), (2n-1)/r and r^2.
+    Returns bind(u): for a C-contiguous (3, N) state u, the function that
+    writes u's velocity into a (3, N) out.  The stencils run over the raveled
+    u through its slices f[:-2], f[1:-1], f[2:], weights tiled to (2, 3N-2)
+    (rows u_r, u_rr).  The end columns (r = 0, r_max) and the component seams
+    have weight 0, (2n-1)/r = 0 and r^2 = inf: their velocity is a zero of
+    either sign, in columns the step resets.  Interior nodes take the (N, 3)
+    loop's operations in its order, and that sign never reaches them: a
+    stage reads +0 + ±0 = +0 at r = 0, and at r_max it can flip only a zero
+    u_r or u_rr whose partner is +0 or nonzero, leaving their sum b as is.
     """
+    N, hm, hp = r.size, r[1:-1] - r[:-2], r[2:] - r[1:-1]
+    w = np.zeros((3, 2, 3, N))          # (f[:-2], f[1:-1], f[2:]) x (u_r, u_rr)
+    # row 0: first derivative, exact for quadratics; row 1: second derivative
+    w[..., 1:-1] = np.array([[-hp / (hm * (hm + hp)), 2.0 / (hm * (hm + hp))],
+                             [(hp - hm) / (hm * hp), -2.0 / (hm * hp)],
+                             [hm / (hp * (hm + hp)), 2.0 / (hp * (hm + hp))]])[:, :, None]
+    w_m, w_0, w_p = w.reshape(3, 2, 3 * N)[:, :, 1:-1].copy()
+    coef1 = np.tile(np.r_[0.0, (2 * params.n - 1) / r[1:-1], 0.0], 3)
+    r2 = np.r_[np.inf, r[1:-1] ** 2, np.inf]
+    d = np.zeros((2, 3, N))             # u_r, u_rr; the stencil leaves the flat ends 0
+    d_in, (u_r, b_flat), b, b3 = d.reshape(2, 3 * N)[:, 1:-1], d.reshape(2, 3 * N), d[1], d[1, 2]
+    t, s, scratch = np.empty((2, 3 * N - 2)), np.empty(N), _velocity_scratch(N)
+    c2, alpha, beta = 2 * params.n - 2, params.alpha, params.beta
 
-    def __init__(self, r, params: FlowParams):
-        hm = r[1:-1] - r[:-2]
-        hp = r[2:] - r[1:-1]
-        # row 0: first derivative, exact for quadratics; row 1: second derivative
-        self.w_m = np.stack([-hp / (hm * (hm + hp)), 2.0 / (hm * (hm + hp))])[:, None]
-        self.w_0 = np.stack([(hp - hm) / (hm * hp), -2.0 / (hm * hp)])[:, None]
-        self.w_p = np.stack([hm / (hp * (hm + hp)), 2.0 / (hp * (hm + hp))])[:, None]
-        self.coef1 = (2 * params.n - 1) / r[1:-1]
-        self.r2 = r[1:-1] ** 2
-        self.params = params
+    def bind(u):
+        u3, f = u[2], u.reshape(-1)
+        f_m, f_0, f_p = f[:-2], f[1:-1], f[2:]
 
-    def velocity(self, u, out):
-        """Write the velocity of the component-major (3, N) state u into
-        out[:, 1:-1]; the end columns of out are left alone."""
-        n, alpha, beta = self.params.n, self.params.alpha, self.params.beta
-        u0 = u[:, 1:-1]
-        d = self.w_m * u[:, :-2]            # (2, 3, N-2): u_r, u_rr
-        t = self.w_0 * u0
-        d += t
-        np.multiply(self.w_p, u[:, 2:], out=t)
-        d += t
-        u_r, b = d
-        u_r *= self.coef1
-        b += u_r                            # u_rr + ((2n-1)/r) u_r
-        b[2] += (2 * n - 2 + u0[2]) / self.r2
-        _flow_velocity(u0, b, alpha, beta, out[:, 1:-1])
+        def velocity(out):
+            np.multiply(w_m, f_m, out=d_in)
+            np.add(d_in, np.multiply(w_0, f_0, out=t), out=d_in)
+            np.add(d_in, np.multiply(w_p, f_p, out=t), out=d_in)
+            np.multiply(u_r, coef1, out=u_r)
+            np.add(b_flat, u_r, out=b_flat)         # u_rr + ((2n-1)/r) u_r
+            np.divide(np.add(u3, c2, out=s), r2, out=s)     # (2n-2 + u3)/r^2
+            np.add(b3, s, out=b3)
+            _flow_velocity(u, b, alpha, beta, out, scratch)
+        return velocity
+    return bind
 
 
 def evolve(field0: RadialField, params: FlowParams, T: float,
@@ -139,12 +151,12 @@ def evolve(field0: RadialField, params: FlowParams, T: float,
     """Run the flow to time T; returns the stored frame sequence.
 
     Norm drift beyond 1e-6 before reprojection aborts with diagnostics.
-    The loop steps a component-major (3, N) copy of the field.
+    The loop steps a full-width (3, N) copy, writing only into buffers bound once.
     """
     if T <= 0:
         raise DomainError("need T > 0")
     r = field0.r
-    op = _SpatialOperator(r, params)
+    bind = _spatial_operator(r, params)
     dr_min = float(np.min(np.diff(r)))
     dt = config.dt_factor * dr_min**2
     # the slack is relative: T/dt overshoots an intended integer by rounding
@@ -152,40 +164,31 @@ def evolve(field0: RadialField, params: FlowParams, T: float,
     dt = T / n_steps
     half, sixth = 0.5 * dt, dt / 6.0
     u = field0.u.T.copy()
-    u_outer0 = u[:, -1].copy()
-    k1, k2, k3, k4 = (np.zeros_like(u) for _ in range(4))
-    y = np.empty_like(u)
+    y, k1, k2, k3, k4, sq = (np.empty_like(u) for _ in range(6))
+    (sq1, sq2, sq3), norms, dev = sq, np.empty(r.size), np.empty(r.size)
+    velocity_u, velocity_y = bind(u), bind(y)
+    origin, outer = u[:, 0], u[:, -1]
+    outer_value = outer.copy() if config.outer_boundary == "clamp" else u[:, -2]
     frames = [replace(field0, t=field0.t)]
     max_drift = 0.0
     for step in range(1, n_steps + 1):
-        op.velocity(u, k1)
-        np.multiply(k1, half, out=y)
-        y += u
-        op.velocity(y, k2)
-        np.multiply(k2, half, out=y)
-        y += u
-        op.velocity(y, k3)
-        np.multiply(k3, dt, out=y)
-        y += u
-        op.velocity(y, k4)
+        velocity_u(k1)
+        np.add(np.multiply(k1, half, out=y), u, out=y)
+        velocity_y(k2)
+        np.add(np.multiply(k2, half, out=y), u, out=y)
+        velocity_y(k3)
+        np.add(np.multiply(k3, dt, out=y), u, out=y)
+        velocity_y(k4)
         # u + dt/6 (k1 + 2 k2 + 2 k3 + k4), summed left to right
-        np.multiply(k2, 2.0, out=y)
-        y += k1
-        k3 *= 2.0
-        y += k3
+        np.add(np.multiply(k2, 2.0, out=y), k1, out=y)
+        y += np.multiply(k3, 2.0, out=k3)
         y += k4
-        y *= sixth
-        u += y
-        if config.outer_boundary == "clamp":
-            u[:, -1] = u_outer0
-        else:
-            u[:, -1] = u[:, -2]
-        u[:, 0] = E3
-        sq = u * u
-        norms = sq[0] + sq[1]
-        norms += sq[2]
-        np.sqrt(norms, out=norms)
-        dev = np.abs(norms - 1.0)
+        u += np.multiply(y, sixth, out=y)
+        outer[:] = outer_value
+        origin[:] = E3
+        np.multiply(u, u, out=sq)
+        np.sqrt(np.add(np.add(sq1, sq2, out=norms), sq3, out=norms), out=norms)
+        np.abs(np.subtract(norms, 1.0, out=dev), out=dev)
         drift = float(dev.max())
         max_drift = max(max_drift, drift)
         if drift > REPAIR_TOL:
@@ -194,7 +197,7 @@ def evolve(field0: RadialField, params: FlowParams, T: float,
                 diagnostics={"t": field0.t + step * dt, "drift": drift,
                              "node": int(np.argmax(dev)), "dt": dt})
         u /= norms
-        u[:, 0] = E3
+        origin[:] = E3
         if step % config.store_every == 0 or step == n_steps:
             frames.append(RadialField(r, u.T.copy(), field0.t + step * dt))
     return Trajectory(frames=tuple(frames), params=params,
@@ -248,15 +251,12 @@ def residual(trajectory: Trajectory) -> ResidualReport:
 
 
 def energy_history(trajectory: Trajectory):
-    """Total energy per stored frame (trapezoid; derivative by 4th-order FD)."""
-    r = trajectory.r
-    n = trajectory.params.n
-    out = []
-    for f in trajectory.frames:
-        ur = derivative_nonuniform(r, f.u, order=1)
-        prof = RadialProfile(r, f.u, ur)
-        out.append(energy(prof, n))
-    return np.array(out)
+    """Total energy per stored frame (trapezoid; derivative by 4th-order FD,
+    all frames side by side so the stencil weights are derived once)."""
+    r, n, frames = trajectory.r, trajectory.params.n, trajectory.frames
+    ur_all = derivative_nonuniform(r, np.stack([f.u for f in frames], axis=1), order=1)
+    return np.array([energy(RadialProfile(r, f.u, ur_all[:, k]), n)
+                     for k, f in enumerate(frames)])
 
 
 def great_circle_deviation(trajectory: Trajectory, v0) -> float:
@@ -282,11 +282,20 @@ def great_circle_deviation(trajectory: Trajectory, v0) -> float:
 # ---------------------------------------------------------------------------
 
 def field_from_profile(profile: SelfSimProfile, grid_r, t0: float) -> RadialField:
-    """Sample u(r, t0) = psi(r / sqrt(t0)) onto an evolution grid."""
+    """Sample u(r, t0) = psi(r / sqrt(t0)) onto an evolution grid.
+
+    rho = r/sqrt(t0) beyond the profile's last node raises DomainError (no
+    extrapolation).  Below its first node, the series start r0 > 0, rho is
+    clamped to r0: RadialField pins the node r = 0 to e3, the profile's
+    value at the origin, and psi(r0) stands within O(r0) of it elsewhere.
+    """
     grid_r = np.asarray(grid_r, float)
     rho = grid_r / np.sqrt(t0)
-    rho = np.clip(rho, profile.r[0], profile.r[-1])
-    psi, _ = profile.eval(rho)
+    beyond = rho > profile.r[-1]
+    if np.any(beyond):
+        raise DomainError(f"{np.count_nonzero(beyond)} grid nodes lie beyond the profile: "
+                          f"rho up to {float(rho.max())!r} > r_max = {float(profile.r[-1])!r}")
+    psi, _ = profile.eval(np.maximum(rho, profile.r[0]))
     return RadialField(grid_r, psi, t0)
 
 

@@ -307,28 +307,41 @@ def tension(u: SpherePoint, u_r: TangentVec, u_rr, r: float, n: int) -> TangentV
     return TangentVec.from_array(out)
 
 
-def _flow_velocity(u, b, alpha, beta, out):
+def _velocity_scratch(m):
+    """Work buffers of `_flow_velocity` for (3, m) arrays."""
+    return np.empty((3, m)), np.empty(m), np.empty((5, m)), np.empty((5, m)), np.empty((3, m))
+
+
+def _flow_velocity(u, b, alpha, beta, out, scratch=None):
     """Write (alpha P_u + beta u x) b into out; all three are (3, M) arrays.
 
     Rows are the components.  P_u b = b - (b1 u1 + b2 u2 + b3 u3) u and
     u x b = (u2 b3 - u3 b2, u3 b1 - u1 b3, u1 b2 - u2 b1) take their
     operations in the order of tangent_project_arr and np.cross, so the
-    result is theirs bit for bit.  out may be a strided view; it must not
-    overlap u or b.
+    result is theirs bit for bit; a coefficient of exactly 1.0 skips its
+    multiply (x * 1.0 == x).  scratch is `_velocity_scratch(M)`, which a
+    caller evaluating many velocities keeps, or None to allocate it.  out
+    may be a strided view; it must not overlap u, b or scratch.
     """
+    p, s, ur, br, c = _velocity_scratch(u.shape[1]) if scratch is None else scratch
     if alpha != 0.0:
-        p = b * u
-        s = p[0] + p[1]
+        np.multiply(b, u, out=p)
+        np.add(p[0], p[1], out=s)
         s += p[2]
         np.multiply(s, u, out=out)
         np.subtract(b, out, out=out)
-        out *= alpha
+        if alpha != 1.0:
+            out *= alpha
     if beta != 0.0:
-        ur = np.concatenate((u, u[:2]))         # (u1, u2, u3, u1, u2)
-        br = np.concatenate((b, b[:2]))
-        c = np.multiply(ur[1:4], br[2:5], out=None if alpha != 0.0 else out)
-        c -= ur[2:5] * br[1:4]
-        c *= beta
+        np.concatenate((u, u[:2]), out=ur)      # (u1, u2, u3, u1, u2)
+        np.concatenate((b, b[:2]), out=br)
+        if alpha == 0.0:
+            c = out
+        np.multiply(ur[1:4], br[2:5], out=c)
+        np.multiply(ur[2:5], br[1:4], out=p)
+        c -= p
+        if beta != 1.0:
+            c *= beta
         if alpha != 0.0:
             out += c
 

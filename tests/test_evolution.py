@@ -7,8 +7,9 @@ from gllflow.evolution import (RESIDUAL_MARGIN, EvolveConfig, RadialField, energ
                                evolve, field_from_profile, great_circle_bump,
                                great_circle_deviation, make_grid, residual,
                                selfsim_consistency)
-from gllflow.geometry import (E3, FlowParams, TangentVec, _second_order_bracket, gll_rhs_arr,
-                              harmonic_map_jet, stereo_lift_arr, tangent_project_arr)
+from gllflow.geometry import (E3, FlowParams, RadialProfile, TangentVec, _second_order_bracket,
+                              energy, gll_rhs_arr, harmonic_map_jet, stereo_lift_arr,
+                              tangent_project_arr)
 from gllflow.hasimoto import QPDE_MARGIN, QPDE_SEED, compute_q, qpde_residual, transport_frame
 from gllflow.selfsim import SelfSimProfile, solve_profile
 from gllflow.singular_ode import DEFAULT_R0
@@ -209,15 +210,11 @@ class TestEvolve:
 class TestComponentMajorLoop:
     """evolve steps a (3, N) copy of the field; the (N, 3) loop is its oracle."""
 
-    @pytest.mark.parametrize("flow", sorted(FLOWS))
-    @pytest.mark.parametrize("n", [2, 3])
-    @pytest.mark.parametrize("outer", ["clamp", "neumann"])
-    @pytest.mark.parametrize("grading", [1.0, 1.5])
-    def test_frames_equal_the_row_major_loop(self, flow, n, outer, grading):
+    @staticmethod
+    def _assert_frames_equal_the_row_major_loop(flow, n, outer, grading, v0):
         params = FlowParams(n, *FLOWS[flow])
         r = make_grid(10.0, 61, grading=grading)
-        # off the great circle, so all three components move
-        f0 = great_circle_bump(r, 0.6, 3.0, 1.0, v0=(1.0, 0.4, 0.0))
+        f0 = great_circle_bump(r, 0.6, 3.0, 1.0, v0=v0)
         config = EvolveConfig(outer_boundary=outer, store_every=7)
         T = 40 * 0.1 * float(np.min(np.diff(r))) ** 2
         traj = evolve(f0, params, T, config)
@@ -225,8 +222,26 @@ class TestComponentMajorLoop:
         assert traj.n_steps == 40
         assert len(traj.frames) == len(frames) == 7
         for got, want in zip(traj.frames, frames):
-            assert np.array_equal(got.u, want)
+            assert got.u.tobytes() == want.tobytes()     # signed zeros included
         assert traj.max_norm_drift == max_drift > 0.0
+
+    @pytest.mark.parametrize("flow", sorted(FLOWS))
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("outer", ["clamp", "neumann"])
+    @pytest.mark.parametrize("grading", [1.0, 1.5])
+    def test_frames_equal_the_row_major_loop(self, flow, n, outer, grading):
+        # off the great circle, so all three components move
+        self._assert_frames_equal_the_row_major_loop(flow, n, outer, grading, (1.0, 0.4, 0.0))
+
+    @pytest.mark.parametrize("flow", sorted(FLOWS))
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("outer", ["clamp", "neumann"])
+    @pytest.mark.parametrize("grading", [1.0, 1.5])
+    def test_frames_equal_the_row_major_loop_with_a_zero_component(self, flow, n, outer,
+                                                                   grading):
+        # on the great circle u2 starts exactly zero (and stays so under the
+        # heat flow), so signed zeros reach the end columns and the boundary
+        self._assert_frames_equal_the_row_major_loop(flow, n, outer, grading, (1.0, 0.0, 0.0))
 
     def test_drift_abort_names_the_same_node(self):
         r = make_grid(6.0, 61)
@@ -426,6 +441,15 @@ class TestEnergyMonotonicity:
         E = energy_history(traj)
         assert np.all(np.diff(E) <= 1e-6)
 
+    def test_stacked_frames_give_the_per_frame_energies(self):
+        r = make_grid(10.0, 81, grading=1.5)
+        traj = evolve(great_circle_bump(r, 0.6, 3.0, 1.0, v0=(1.0, 0.4, 0.0)),
+                      FlowParams(3, 0.8, 0.6), 0.05, EvolveConfig(store_every=25))
+        want = [energy(RadialProfile(r, f.u, derivative_nonuniform(r, f.u, order=1)), 3)
+                for f in traj.frames]
+        assert len(want) > 3
+        assert energy_history(traj).tobytes() == np.array(want).tobytes()
+
 
 class TestSelfsimConsistency:
     def test_trivial_profile(self):
@@ -487,3 +511,13 @@ class TestSelfsimConsistency:
             errs.append(float(np.max(np.linalg.norm(traj.frames[-1].u - target.u, axis=1))))
         assert errs[1] <= errs[0] / 3.0
         assert errs[1] <= 2.0 * (25.0 / 200) ** 2
+
+    def test_sampling_beyond_the_profile_raises(self):
+        prof = solve_profile((1.0, 0.0), HEAT, 10.0)
+        r = make_grid(25.0, 101)
+        with pytest.raises(DomainError, match=r"60 grid nodes .* rho up to 25\.0 "):
+            field_from_profile(prof, r, 1.0)
+        # at t0 = 6.25 the grid reaches rho = 10, the profile's last node
+        field = field_from_profile(prof, r, 6.25)
+        assert np.array_equal(field.u[0], E3)
+        assert np.allclose(field.u[-1], prof.psi[-1], atol=1e-12)

@@ -58,6 +58,26 @@ class TestStencils:
             scale = np.einsum("ij,ij...->i...", np.abs(W), np.abs(y[window]))
             assert np.max(np.abs(got - ref) / scale) <= 1e-14
 
+    @pytest.mark.parametrize("N", [3, 5, 6, 201])
+    @pytest.mark.parametrize("points", [3, 5, 9])
+    def test_slices_equal_the_gather_form_bytewise(self, N, points, rng):
+        # sum_j W[:, j] y[lo + j] with every window gathered: the same
+        # products added in the same order as the sliced centred rows
+        x = _graded(N)
+        shapes = [(N,), (N, 4), (N, 7, 3)]
+        ys = [rng.normal(size=s) for s in shapes]
+        ys += [y + 1j * rng.normal(size=y.shape) for y in ys]
+        for order in range(1, min(points, N)):
+            W, lo = stencil_weights(x, order, points)
+            for y in ys:
+                Wb = W.reshape(W.shape + (1,) * (y.ndim - 1))
+                want = Wb[:, 0] * y[lo]
+                for j in range(1, W.shape[1]):
+                    want += Wb[:, j] * y[lo + j]
+                got = derivative_nonuniform(x, y, order=order, points=points)
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes(), (order, y.shape, y.dtype)
+
     @pytest.mark.parametrize("order,expected", [(1, 3.9), (2, 2.9)])
     def test_convergence_order_on_graded_grid(self, order, expected):
         f = lambda x: np.sin(x) * np.exp(-0.1 * x)
