@@ -32,8 +32,8 @@ class StiffnessError(GLLFlowError):
 
 
 class NonFiniteError(StiffnessError):
-    """The step size underflowed because the right-hand side (or the error
-    estimate) turned non-finite; carries the last good state."""
+    """The right-hand side or the error estimate turned non-finite, at the
+    start or until the step size underflowed; carries the last good state."""
 
 
 class InstabilityError(GLLFlowError):

@@ -50,7 +50,7 @@ class RadialField:
         if r.size > 2:
             check_grid(r[1:])
         norms = np.linalg.norm(u, axis=1)
-        if np.max(np.abs(norms - 1.0)) > REPAIR_TOL:
+        if not np.max(np.abs(norms - 1.0)) <= REPAIR_TOL:  # NaN too
             raise DomainError("field off the unit sphere beyond repair tolerance")
         u = u / norms[:, None]
         u[0] = E3
@@ -153,8 +153,8 @@ def evolve(field0: RadialField, params: FlowParams, T: float,
     Norm drift beyond 1e-6 before reprojection aborts with diagnostics.
     The loop steps a full-width (3, N) copy, writing only into buffers bound once.
     """
-    if T <= 0:
-        raise DomainError("need T > 0")
+    if not 0 < T < np.inf:
+        raise DomainError(f"need 0 < T < inf, got {T!r}")
     r = field0.r
     bind = _spatial_operator(r, params)
     dr_min = float(np.min(np.diff(r)))
@@ -191,7 +191,7 @@ def evolve(field0: RadialField, params: FlowParams, T: float,
         np.abs(np.subtract(norms, 1.0, out=dev), out=dev)
         drift = float(dev.max())
         max_drift = max(max_drift, drift)
-        if drift > REPAIR_TOL:
+        if not drift <= REPAIR_TOL:  # NaN too
             raise InstabilityError(
                 "norm drift beyond 1e-6 before projection",
                 diagnostics={"t": field0.t + step * dt, "drift": drift,

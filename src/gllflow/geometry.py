@@ -36,7 +36,7 @@ class SpherePoint:
     def __post_init__(self):
         v = np.asarray((self.x1, self.x2, self.x3), dtype=float)
         nrm = float(np.linalg.norm(v))
-        if abs(nrm - 1.0) > REPAIR_TOL:
+        if not abs(nrm - 1.0) <= REPAIR_TOL:  # NaN too
             raise NormDriftError(f"SpherePoint has norm {nrm!r}; drift beyond {REPAIR_TOL}")
         v = v / nrm
         object.__setattr__(self, "x1", float(v[0]))
@@ -101,10 +101,10 @@ class FlowParams:
     def __post_init__(self):
         if not isinstance(self.n, (int, np.integer)) or self.n < 1:
             raise DomainError(f"n must be an integer >= 1, got {self.n!r}")
-        if self.alpha < 0:
-            raise DomainError("alpha must be >= 0")
+        if not self.alpha >= 0:  # NaN too
+            raise DomainError(f"alpha must be >= 0, got {self.alpha!r}")
         s = math.hypot(self.alpha, self.beta)
-        if abs(s - 1.0) > REPAIR_TOL:
+        if not abs(s - 1.0) <= REPAIR_TOL:
             raise NormDriftError(f"alpha^2+beta^2 = {s**2!r}; rescale time first")
         object.__setattr__(self, "n", int(self.n))
         object.__setattr__(self, "alpha", float(self.alpha) / s)

@@ -23,14 +23,16 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-# hermite_eval is not called here: perfbench/tracer.py looks it up in this
-# module (ROADMAP item 4)
-from ._numerics import cumquad0, derivative_nonuniform, hermite_eval  # noqa: F401
+from ._numerics import cumquad0, derivative_nonuniform
+# hermite_eval and series_start are not called here (origin_start calls
+# series_start): perfbench/tracer.py looks both up in this module
+from ._numerics import hermite_eval  # noqa: F401
 from .errors import DomainError, NonConvergedError, NormDriftError
 from .geometry import (E3, REPAIR_TOL, FlowParams, SpherePoint, stereo_lift_arr,
                        stereo_lift_differential, tangent_project_arr)
 from .manifest import report_json, write_csv
-from .singular_ode import DEFAULT_R0, DenseSolution, SingularIVP, integrate_rk, series_start
+from .singular_ode import DenseSolution, SingularIVP, integrate_rk, origin_start
+from .singular_ode import series_start  # noqa: F401
 
 UNIT_NORM_TOL = 1e-10
 TAIL_RATE_CONSTANT = 40.0     # rate bound 40 n^2 / r^2 for |psi_inf - psi(r)|
@@ -47,6 +49,9 @@ def stereo_selfsim_ivp(v, params: FlowParams) -> SingularIVP:
 
     F'' = -(2n-1)(F'/r - F/r^2) + 2 conj(F) F'^2/(1+|F|^2)
           - 2 |F|^2 F / (r^2 (1+|F|^2)) - (alpha - i beta)(r/2) F'
+
+    Its start is cubic: the two nonlinear terms cancel at F = a r, so the
+    drift alone sets c3 = -(alpha - i beta) a / (8(n+1)), a = v1 + i v2.
     """
     al, be = params.alpha, params.beta
     alpha0 = complex(v[0], v[1])
@@ -57,7 +62,8 @@ def stereo_selfsim_ivp(v, params: FlowParams) -> SingularIVP:
     def B(z):
         return -2.0 * abs(z) ** 2 * z / (1.0 + abs(z) ** 2)
 
-    return SingularIVP(k=2 * params.n - 1, A=A, B=B, alpha0=alpha0)
+    c3 = -(al - 1j * be) * alpha0 / (8.0 * (params.n + 1))
+    return SingularIVP(k=2 * params.n - 1, A=A, B=B, alpha0=alpha0, series=(c3,))
 
 
 def sphere_profile_rhs(params: FlowParams):
@@ -167,14 +173,11 @@ def solve_profile(v, params: FlowParams, r_max: float, rel_tol: float | None = N
     if rel_tol is None:
         rel_tol = 1e-12 if params.alpha == 0.0 else 1e-10
 
-    ivp = stereo_selfsim_ivp(v, params)
-    F0, Fp0 = series_start(ivp, DEFAULT_R0)
-    psi0 = stereo_lift_arr(F0)
-    dpsi0 = stereo_lift_differential(F0, Fp0)
-    y0 = np.concatenate([psi0, dpsi0])
-    fun = sphere_profile_rhs(params)
-    sol = integrate_rk(fun, DEFAULT_R0, y0, r_max, rel_tol=rel_tol, max_step=max_step,
-                       postprocess=_project_state)
+    start = origin_start(stereo_selfsim_ivp(v, params), rel_tol)
+    F0, Fp0 = start.y0
+    y0 = np.concatenate([stereo_lift_arr(F0), stereo_lift_differential(F0, Fp0)])
+    sol = integrate_rk(sphere_profile_rhs(params), start.r0, y0, r_max, rel_tol=rel_tol,
+                       max_step=max_step, postprocess=_project_state)
     return SelfSimProfile(sol, params)
 
 

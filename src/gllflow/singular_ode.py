@@ -7,12 +7,12 @@ The problem class is
 with k > 0, A smooth with A(alpha0, 0, 0) = 0, and B vanishing cubically
 at 0.  The unique bounded-slope solution satisfies f''(0) = 0, so it looks
 like f = alpha0 r + c3 r^3 + c5 r^5 + ... near the origin (the Frobenius
-series at a regular singular point).  `series_start` produces data at a
-small r0 > 0: to fifth order for a problem that states its coefficients in
-closed form, else to third order with c3 from a Richardson difference.
-`origin_start` picks r0 (min(1e-2, 1e-2/|alpha0|) for a closed form below
-ROUNDING_TOL, else DEFAULT_R0) and checks the series' next term against
-the tolerance.
+series at a regular singular point).  Every problem states its odd
+coefficients in closed form: (c3,) for a cubic start, (c3, c5, c7) for a
+quintic one whose next term is known.  `series_start` produces data at a
+small r0 > 0, and `origin_start`, the one start of a solve, picks r0
+(min(1e-2, 1e-2/|alpha0|) for a quintic start below ROUNDING_TOL, else
+DEFAULT_R0) and checks the quintic series' next term against the tolerance.
 `integrate_rk` carries the data outward with the DOP853 pair of Hairer,
 Norsett & Wanner (8th order, 5th/3rd-order error estimate) and its
 7th-order dense output, returned as a `DenseSolution`.
@@ -35,7 +35,7 @@ from .errors import DomainError, GridError, NonFiniteError, StiffnessError
 from .manifest import write_csv
 
 ERROR_FLOOR = 1e-14  # absolute term in the mixed error norm (avoids stalls at y ~ 0)
-MAX_STEPS = 5_000_000  # step budget of one integration
+MAX_STEPS = 5_000_000  # step attempts, accepted and rejected, of one integration
 # Near a singular origin the rhs cancels terms of size k |f'| / r, and the
 # stages amplify their rounding into DOP853's error estimate: steps that the
 # controller places there follow the last bit of the rhs (the real and
@@ -154,17 +154,22 @@ def integrate_rk(fun: Callable, r0: float, y0: np.ndarray, r_max: float,
     the result.  Stages run in matrix form, y + h A[i, :i] K[:i], and one
     product of the 12 step stages gives the update and both error
     estimates.  Step factor 0.9 err^(-1/8), kept in [0.2, 10] and at most 1
-    right after a rejection.  The last node is r_max itself.
+    right after a rejection.  The last node is r_max itself.  A non-finite
+    r0, r_max, y0 or fun(r0, y0) is refused: the first step would be NaN.
 
     Radii count from the singular origin of this module's problems: from
     r0 > 0 and below ROUNDING_TOL, steps are at most RADIAL_STEP r.
     """
-    if r_max <= r0:
-        raise DomainError("need r_max > r0")
+    if not -math.inf < r0 < r_max < math.inf:
+        raise DomainError(f"need finite r0 < r_max, got r0={r0!r}, r_max={r_max!r}")
     check_tolerance(rel_tol)
     y = np.array(y0, copy=True)
+    if not np.all(np.isfinite(y)):
+        raise DomainError(f"non-finite start state y0={y!r}")
     r = float(r0)
     f = np.array(fun(r, y))  # a copy: fun may hand back one reused buffer
+    if not np.all(np.isfinite(f)):
+        raise NonFiniteError(f"non-finite derivative {f!r} at the start r0={r!r}", r_last=r)
     radial = r0 > 0 and rel_tol < ROUNDING_TOL
 
     def limit(r):
@@ -194,7 +199,7 @@ def integrate_rk(fun: Callable, r0: float, y0: np.ndarray, r_max: float,
     retry = False  # the current step has had a rejected attempt
     nonfinite = None  # (r, h, first non-finite stage) of the last rejected attempt
     while r < r_max:
-        if len(qs) > MAX_STEPS:
+        if len(qs) + rejected > MAX_STEPS:
             raise StiffnessError("step budget exhausted", r_last=r,
                                  partial=(np.array(rs), np.array(ys), np.array(fs)))
         r_new = r + h
@@ -256,14 +261,15 @@ def integrate_rk(fun: Callable, r0: float, y0: np.ndarray, r_max: float,
 @dataclass(frozen=True)
 class SingularIVP:
     """Data of the singular Cauchy problem (see module docstring), with the
-    odd series coefficients (c3, c5, c7) of f = alpha0 r + c3 r^3 + c5 r^5
-    + c7 r^7 + ... when the problem states them in closed form."""
+    odd series coefficients of f = alpha0 r + c3 r^3 + c5 r^5 + c7 r^7 + ...
+    in closed form: (c3,) starts the cubic series, (c3, c5, c7) the quintic
+    one with its next term."""
 
     k: float
     A: Callable       # A(z1, z2, r) -> complex, smooth, A(alpha0, 0, 0) = 0
     B: Callable       # B(z) -> complex, |B(z)| <= C |z|^3 near 0
     alpha0: complex
-    series: tuple | None = None   # (c3, c5, c7); None: c3 by `cubic_coefficient`
+    series: tuple     # (c3,) or (c3, c5, c7)
 
     def __post_init__(self):
         if self.k <= 0:
@@ -299,28 +305,14 @@ class SingularIVP:
 
         return fun
 
-    def cubic_coefficient(self):
-        """c3 in f = alpha0 r + c3 r^3 + O(r^5), via Richardson on
-        G(r) = A(alpha0, alpha0 r, r) + B(alpha0 r)/r^2:  c3 = G'(0)/(6+2k)."""
-        a = self.alpha0
-
-        def G(rr):
-            return complex(self.A(a, a * rr, rr)) + complex(self.B(a * rr)) / rr**2
-
-        rho = 1e-3
-        gp0 = 2.0 * G(rho / 2) / (rho / 2) - G(rho) / rho
-        return gp0 / (6.0 + 2.0 * self.k)
-
 
 def series_start(ivp: SingularIVP, r0: float):
     """(f(r0), f'(r0)) from the origin series.
 
-    With closed-form coefficients (`ivp.series`) the series is
+    A cubic start is f = alpha0 r + c3 r^3 + O(r0^5); a quintic one is
     f = alpha0 r + c3 r^3 + c5 r^5, with remainder O((|alpha0| r0)^7) whose
-    leading term `series_remainder` gives; without them it is
-    f = alpha0 r + c3 r^3 + O(r0^5), with c3 from `cubic_coefficient`.
-    Refuses r0 > 1e-2: beyond that the remainder estimate (and so the
-    accuracy contract) is unverifiable.
+    leading term `series_remainder` gives.  Refuses r0 > 1e-2: beyond that
+    the remainder estimate (and so the accuracy contract) is unverifiable.
     """
     if r0 <= 0.0:
         raise DomainError("need r0 > 0")
@@ -328,8 +320,8 @@ def series_start(ivp: SingularIVP, r0: float):
         raise DomainError("series start only certified for r0 <= 1e-2")
     ivp.validate()
     a = ivp.alpha0
-    if ivp.series is None:
-        c3 = ivp.cubic_coefficient()
+    if len(ivp.series) == 1:
+        c3, = ivp.series
         f = a * r0 + c3 * r0**3
         fp = a + 3.0 * c3 * r0**2
     else:
@@ -341,14 +333,13 @@ def series_start(ivp: SingularIVP, r0: float):
 
 
 def series_remainder(ivp: SingularIVP, r0: float) -> float | None:
-    """The first term a closed-form `series_start` at r0 leaves out, in f':
-    7 |c7| r0^6 (in f it is r0/7 times that); None without closed form."""
-    return None if ivp.series is None else 7.0 * abs(ivp.series[2]) * r0**6
+    """The first term a quintic `series_start` at r0 leaves out, in f':
+    7 |c7| r0^6 (in f it is r0/7 times that); None for a cubic start."""
+    return None if len(ivp.series) == 1 else 7.0 * abs(ivp.series[2]) * r0**6
 
 
 DEFAULT_R0 = 1e-4        # the singular pair amplifies start-up error quadratically
-DEFAULT_REL_TOL = 1e-10
-# |alpha0| r0 of a closed-form start, so its remainder is O(START_REACH^7)
+# |alpha0| r0 of a quintic start, so its remainder is O(START_REACH^7)
 # relative to the data.  Below ROUNDING_TOL the steps climb from r0 at
 # RADIAL_STEP r, 24 per decade of r, so a start two decades above DEFAULT_R0
 # saves about 48 nodes.  Above it no cap binds, the controller climbs those
@@ -365,14 +356,14 @@ class OriginStart(NamedTuple):
 def origin_start(ivp: SingularIVP, rel_tol: float) -> OriginStart:
     """The series start of a solve at rel_tol.
 
-    With closed-form coefficients and rel_tol below ROUNDING_TOL it sits at
-    r0 = min(1e-2, 1e-2/|alpha0|); a start whose `series_remainder` exceeds
-    rel_tol max|y0| is refused with a DomainError that names it.  Otherwise,
-    and for alpha0 = 0 (where the series is exactly zero), r0 = DEFAULT_R0.
+    A quintic start below ROUNDING_TOL sits at r0 = min(1e-2, 1e-2/|alpha0|);
+    one whose `series_remainder` exceeds rel_tol max|y0| is refused with a
+    DomainError that names it.  A cubic start, a looser tolerance and
+    alpha0 = 0 (where the series is exactly zero) keep r0 = DEFAULT_R0.
     """
     check_tolerance(rel_tol)
     a = abs(ivp.alpha0)
-    r0 = (DEFAULT_R0 if ivp.series is None or a == 0.0 or rel_tol >= ROUNDING_TOL
+    r0 = (DEFAULT_R0 if len(ivp.series) == 1 or a == 0.0 or rel_tol >= ROUNDING_TOL
           else min(START_REACH, START_REACH / a))
     f0, fp0 = series_start(ivp, r0)
     remainder = series_remainder(ivp, r0)
@@ -428,14 +419,6 @@ class ProfileGrid:
         fpp = self.sol.f[:, 1]
         write_csv(path, "r,re_f,im_f,re_fp,im_fp,re_fpp,im_fpp", self.r, self.f.real,
                   self.f.imag, self.fp.real, self.fp.imag, fpp.real, fpp.imag)
-
-
-def integrate_adaptive(ivp: SingularIVP, r_max: float,
-                       rel_tol: float = DEFAULT_REL_TOL) -> ProfileGrid:
-    """Solve the singular problem from its `origin_start` out to r_max; the
-    grid holds the solver-chosen accepted nodes."""
-    start = origin_start(ivp, rel_tol)
-    return ProfileGrid(integrate_rk(ivp.rhs(), start.r0, start.y0, r_max, rel_tol=rel_tol))
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,10 @@
+import signal
 from pathlib import Path
 
 import numpy as np
 import pytest
+
+from gllflow.singular_ode import ProfileGrid, integrate_rk, origin_start
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "gllflow"
 
@@ -32,3 +35,23 @@ def smooth_bump(r, center, width):
     t = (np.asarray(r, float) - center) / width
     return np.where(np.abs(t) < 1.0,
                     np.exp(1.0 - 1.0 / np.maximum(1e-300, 1.0 - t**2)), 0.0)
+
+
+def solve_from_origin(ivp, r_max, rel_tol):
+    """The complex-spec solve of a singular problem: its `origin_start`,
+    carried out to r_max by `integrate_rk`."""
+    start = origin_start(ivp, rel_tol)
+    return ProfileGrid(integrate_rk(ivp.rhs(), start.r0, start.y0, r_max, rel_tol=rel_tol))
+
+
+@pytest.fixture
+def deadline():
+    """Fail a test that runs past 20 s instead of letting it hang."""
+    def expire(signum, frame):
+        raise TimeoutError("no result within 20 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(20)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)

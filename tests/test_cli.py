@@ -95,6 +95,24 @@ class TestSelfsimCommand:
         assert (out / "plot.gp").exists()
 
 
+@pytest.mark.parametrize("argv,named", [
+    (["selfsim", "--alpha", "nan"], "alpha must be >= 0, got nan"),
+    (["selfsim", "--v1", "nan"], "non-finite start state"),
+    (["realheat", "selfsim", "--beta", "nan"], "non-finite start state"),
+    (["realheat", "selfsim", "--beta", "1", "--r-max", "nan"], "r_max=nan"),
+    (["evolve", "--alpha", "nan"], "alpha must be >= 0, got nan"),
+    (["evolve", "--T", "nan"], "0 < T < inf, got nan"),
+    (["evolve", "--T", "inf"], "0 < T < inf, got inf")])
+def test_non_finite_input_exits_2(tmp_path, capsys, deadline, argv, named):
+    # the first three used to run on without end, the fourth to exit 0 with
+    # a one-node profile, the fifth to exit 0, and the last two to raise
+    out = tmp_path / "nf"
+    assert _run(argv + ["--out-dir", str(out)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "DomainError" and named in err["message"]
+    assert not (out / MANIFEST_NAME).exists()
+
+
 class TestRealheatCommands:
     def test_classify_borderline(self, tmp_path, capsys):
         out = tmp_path / "c2"

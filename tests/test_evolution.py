@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from gllflow import evolution
 from gllflow._numerics import central_difference3, derivative_nonuniform
 from gllflow.errors import DomainError, GridError, InstabilityError
 from gllflow.evolution import (RESIDUAL_MARGIN, EvolveConfig, RadialField, energy_history,
@@ -158,6 +159,14 @@ class TestConfigAndTypes:
             RadialField(r, u)
 
 
+    def test_field_rejects_a_nan_node(self, rng):
+        r = make_grid(5.0, 21)
+        u = np.tile(E3, (21, 1))
+        u[rng.integers(21), rng.integers(3)] = np.nan
+        with pytest.raises(DomainError):
+            RadialField(r, u)
+
+
 class TestEvolve:
     def test_constant_north_pole(self):
         r = make_grid(8.0, 41)
@@ -194,6 +203,29 @@ class TestEvolve:
             evolve(f0, FlowParams(4, 0.0, 1.0), 1.0,
                    EvolveConfig(dt_factor=0.25, store_every=100))
         assert "drift" in exc.value.diagnostics
+
+    @pytest.mark.parametrize("T", [0.0, -0.1, np.nan, np.inf])
+    def test_refuses_a_time_outside_zero_to_inf(self, T):
+        f0 = RadialField(make_grid(5.0, 21), np.tile(E3, (21, 1)))
+        with pytest.raises(DomainError, match="0 < T < inf"):
+            evolve(f0, HEAT, T)
+
+    def test_nan_velocity_aborts_at_the_drift_check(self, rng, monkeypatch):
+        # a NaN node fails `drift > tol`, and used to evolve on with
+        # max_norm_drift 0.0; the check reads `not (drift <= tol)`
+        node, row = int(rng.integers(1, 40)), int(rng.integers(3))
+        flow_velocity = evolution._flow_velocity
+
+        def poisoned(u, b, alpha, beta, out, scratch):
+            flow_velocity(u, b, alpha, beta, out, scratch)
+            out[row, node] = np.nan
+
+        monkeypatch.setattr(evolution, "_flow_velocity", poisoned)
+        f0 = great_circle_bump(make_grid(8.0, 41), 0.5, 3.0, 1.0)
+        with pytest.raises(InstabilityError) as exc:
+            evolve(f0, HEAT, 0.01)
+        assert np.isnan(exc.value.diagnostics["drift"])
+        assert exc.value.diagnostics["t"] == exc.value.diagnostics["dt"]   # the first step
 
     def test_outer_boundary_policies_differ(self):
         r = make_grid(6.0, 61)

@@ -38,6 +38,23 @@ class TestTypes:
         with pytest.raises(DomainError):
             FlowParams(2, -1.0, 0.0)
 
+    def test_sphere_point_refuses_nan(self, rng):
+        # NaN fails every `x > tol` test: the guard reads `not (x <= tol)`
+        x = rng.normal(size=3)
+        x /= np.linalg.norm(x)
+        x[rng.integers(3)] = np.nan
+        with pytest.raises(NormDriftError, match="nan"):
+            SpherePoint(*x)
+
+    def test_flow_params_refuse_non_finite_values(self, rng):
+        theta = rng.uniform(-np.pi / 2, np.pi / 2)
+        alpha, beta = np.cos(theta), np.sin(theta)
+        with pytest.raises(DomainError, match="nan"):
+            FlowParams(2, np.nan, beta)
+        for bad in ((alpha, np.nan), (np.inf, beta), (alpha, -np.inf)):
+            with pytest.raises(NormDriftError):
+                FlowParams(2, *bad)
+
     def test_cp_point_normalizes(self):
         p = CPPoint(np.array([3.0, 4.0j]))
         assert abs(np.linalg.norm(p.coords) - 1.0) <= 1e-15

@@ -18,7 +18,8 @@ from gllflow.realflow import (LIMIT_BETA, classify_uniqueness, comparison_suite,
                               search_negative_gap, solve_selfsim_real, stationary_profile,
                               stationary_residual, taylor_domination_delta,
                               witness_energy_gap, _selfsim_rhs)
-from gllflow.singular_ode import DEFAULT_R0, integrate_adaptive, integrate_rk, series_start
+from gllflow.singular_ode import DEFAULT_R0, integrate_rk, series_start
+from conftest import solve_from_origin
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -218,7 +219,7 @@ def _sweep(count, seed):
 
 class TestRealArithmetic:
     """The scalar profiles run on a float state with a float rhs; the complex
-    `real_selfsim_ivp` problem through `integrate_adaptive` is their spec."""
+    `real_selfsim_ivp` problem, solved from its `origin_start`, is their spec."""
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_rhs_equals_the_complex_spec(self, n):
@@ -245,7 +246,7 @@ class TestRealArithmetic:
     def test_solve_matches_the_complex_path(self):
         for slope, n, r_max, tol in _sweep(24, 7):
             prof = solve_selfsim_real(slope, n, r_max, rel_tol=tol)
-            grid = integrate_adaptive(real_selfsim_ivp(slope, n), r_max, rel_tol=tol)
+            grid = solve_from_origin(real_selfsim_ivp(slope, n), r_max, tol)
             for arr in prof.sol[:4]:
                 assert arr.dtype == np.float64
             # the same steps: node counts agree, and the end values to rounding
@@ -262,7 +263,7 @@ class TestRealArithmetic:
     def test_error_against_scipy_no_worse_than_complex(self, slope, n, r_max, tol):
         sol = _scalar_oracle(slope, n, r_max)
         prof = solve_selfsim_real(slope, n, r_max, rel_tol=tol)
-        grid = integrate_adaptive(real_selfsim_ivp(slope, n), r_max, rel_tol=tol)
+        grid = solve_from_origin(real_selfsim_ivp(slope, n), r_max, tol)
         ref_real, ref_cplx = sol(prof.r), sol(grid.r)
         for mine, spec, row in ((prof.g, grid.f, 0), (prof.g_r, grid.fp, 1)):
             ratio = np.max(np.abs(mine - ref_real[row])) / tol

@@ -10,6 +10,7 @@ from gllflow.selfsim import (SelfSimProfile, apriori_identity_residual, decay_ex
                              sphere_profile_rhs, stereo_selfsim_ivp, tail_limit)
 from gllflow.singular_ode import DenseSolution, series_start
 from gllflow.geometry import stereo_lift_arr, stereo_lift_differential
+from conftest import solve_from_origin
 
 # frozen by cross-validating the package integrator against an independent
 # higher-order solver (see test_agrees_with_independent_integrator)
@@ -158,17 +159,38 @@ class TestSolveProfile:
         # integrate the profile entirely in the stereographic chart (an
         # algebraically independent formulation of the same ODE) and lift;
         # valid while the profile stays away from the south pole
-        from gllflow.singular_ode import integrate_adaptive
-
         params = FlowParams(2, 0.0, 1.0)
         prof = solve_profile((1.0, 0.0), params, 3.0)
         ivp = stereo_selfsim_ivp((1.0, 0.0), params)
-        chart = integrate_adaptive(ivp, 3.0, rel_tol=1e-11)
+        chart = solve_from_origin(ivp, 3.0, 1e-11)
         for rv in (0.5, 1.0, 2.0, 3.0):
             F, _ = chart.interpolate(np.array([rv]))
             lifted = stereo_lift_arr(F[0])
             mine, _ = prof.eval(np.array([rv]))
             assert np.max(np.abs(mine[0] - lifted)) <= 1e-8, rv
+
+    def test_chart_series_matches_a_sympy_series_solution(self):
+        # F and conj(F) as independent series G: the chart ODE is then
+        # rational in both, and its r^1 coefficient fixes c3
+        import sympy as sp
+
+        r, n = sp.symbols("r n", positive=True)
+        al, be = sp.symbols("alpha beta", real=True)
+        a, ab, c, cb = sp.symbols("a abar c cbar")
+        F, G = a * r + c * r**3, ab * r + cb * r**3
+        Fp = sp.diff(F, r)
+        res = (sp.diff(F, r, 2) + (2 * n - 1) * (Fp / r - F / r**2) - 2 * G * Fp**2 / (1 + G * F)
+               + 2 * G * F**2 / (r**2 * (1 + G * F)) + (al - sp.I * be) * (r / 2) * Fp)
+        exact = sp.solve(sp.expand(sp.series(res, r, 0, 2).removeO()).coeff(r, 1), c)[0]
+        for nn in (2, 3, 4, 5):
+            for theta in (0.0, 0.7, -1.1, np.pi / 2, -np.pi / 2):
+                params = FlowParams(nn, np.cos(theta), np.sin(theta))
+                for v in ((1.0, 0.0), (0.3, -2.0), (-1.7, 0.4)):
+                    got, = stereo_selfsim_ivp(v, params).series
+                    want = complex(exact.subs({a: sp.Float(v[0]) + sp.I * sp.Float(v[1]), n: nn,
+                                               al: sp.Float(params.alpha),
+                                               be: sp.Float(params.beta)}).evalf(30))
+                    assert abs(got - want) <= 1e-14 * abs(want), (nn, theta, v)
 
     def test_unit_norm_everywhere(self):
         prof = solve_profile((0.5, 0.5), FlowParams(2, 0.0, 1.0), 15.0)

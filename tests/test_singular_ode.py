@@ -8,6 +8,7 @@ from scipy.integrate._ivp import dop853_coefficients
 from scipy.integrate._ivp.rk import Dop853DenseOutput
 
 from gllflow import _dop853 as dop
+from gllflow import singular_ode
 from gllflow._numerics import hermite_eval
 from gllflow.errors import DomainError, NonFiniteError, StiffnessError
 from gllflow.realflow import _selfsim_rhs, real_selfsim_ivp
@@ -16,9 +17,9 @@ from gllflow.selfsim import stereo_selfsim_ivp
 from gllflow.singular_ode import (DEFAULT_R0, ERROR_FLOOR, RADIAL_STEP, ROUNDING_TOL,
                                   DenseSolution, ProfileGrid, SingularIVP, _error_norm,
                                   _initial_step, hardy_check, hardy_ratio_raw,
-                                  integrate_adaptive, integrate_rk, origin_start,
-                                  series_error_estimate, series_remainder, series_start)
-from conftest import smooth_bump
+                                  integrate_rk, origin_start, series_error_estimate,
+                                  series_remainder, series_start)
+from conftest import smooth_bump, solve_from_origin
 
 
 class TestSeriesStart:
@@ -60,10 +61,10 @@ class TestSeriesStart:
         assert est_f <= 1e-10 and est_fp <= 1e-7
 
     def test_error_estimate_measures_the_truncation(self):
-        # the cubic series (no closed-form coefficients) has an O(r0^5)
-        # remainder: ten times r0 is ~1e5 times the estimate, which
-        # integrator noise would not show
-        ivp = replace(real_selfsim_ivp(1.5, 3), series=None)
+        # the cubic series (c3 alone) has an O(r0^5) remainder: ten times r0
+        # is ~1e5 times the estimate, which integrator noise would not show
+        ivp = real_selfsim_ivp(1.5, 3)
+        ivp = replace(ivp, series=ivp.series[:1])
         est_small, _ = series_error_estimate(ivp, 1e-3)
         est_large, _ = series_error_estimate(ivp, 1e-2)
         assert est_large >= 1e4 * est_small
@@ -82,13 +83,14 @@ class TestSeriesStart:
             series_start(real_selfsim_ivp(1.0, 2), 0.05)
 
     def test_validate_rejects_bad_A(self):
-        ivp = SingularIVP(k=3.0, A=lambda z1, z2, r: z1, B=lambda z: 0.0 * z, alpha0=1.0)
+        ivp = SingularIVP(k=3.0, A=lambda z1, z2, r: z1, B=lambda z: 0.0 * z, alpha0=1.0,
+                          series=(0.0,))
         with pytest.raises(DomainError):
             series_start(ivp, 1e-3)
 
     def test_validate_rejects_quadratic_B(self):
         ivp = SingularIVP(k=3.0, A=lambda z1, z2, r: 0.0 * z1,
-                          B=lambda z: z**2, alpha0=1.0)
+                          B=lambda z: z**2, alpha0=1.0, series=(0.0,))
         with pytest.raises(DomainError):
             ivp.validate()
 
@@ -104,12 +106,12 @@ class TestOriginStart:
         assert start.remainder == series_remainder(ivp, r0)
         assert start.remainder <= 1e-10 * np.max(np.abs(start.y0))
 
-    def test_default_radius_without_closed_form_or_cap(self):
-        # no closed-form coefficients (the sphere chart, or one dropped), or
-        # a tolerance at which no radial cap binds: the start stays at DEFAULT_R0
+    def test_default_radius_for_a_cubic_start_or_no_cap(self):
+        # a cubic start (the sphere chart, or a quintic one cut to c3), or a
+        # tolerance at which no radial cap binds: the start stays at DEFAULT_R0
         ivp = real_selfsim_ivp(4.0, 3)
         chart = stereo_selfsim_ivp((1.0, 0.5), FlowParams(2, 1.0, 0.0))
-        for problem, tol in ((replace(ivp, series=None), 1e-10), (chart, 1e-10),
+        for problem, tol in ((replace(ivp, series=ivp.series[:1]), 1e-10), (chart, 1e-10),
                              (ivp, ROUNDING_TOL), (ivp, 1e-6)):
             start = origin_start(problem, tol)
             assert start.r0 == DEFAULT_R0
@@ -123,7 +125,7 @@ class TestOriginStart:
         with pytest.raises(DomainError, match=r"series start at r0=5e-06: its next term"):
             origin_start(ivp, 1e-14)
         with pytest.raises(DomainError, match="series start"):
-            integrate_adaptive(ivp, 1.0, rel_tol=1e-15)
+            solve_from_origin(ivp, 1.0, 1e-15)
         # the exactly-zero series of slope 0 has nothing left out
         assert origin_start(real_selfsim_ivp(0.0, 3), 1e-15).remainder == 0.0
 
@@ -136,16 +138,18 @@ class TestOriginStart:
 
 
 class TestIntegrateAdaptive:
+    """Complex-spec solves from `origin_start`, carried out by `integrate_rk`."""
+
     def test_stationary_scalar_profile(self):
         # no drift, slope 2: the closed form is 2 arctan(r)
         ivp = real_selfsim_ivp(2.0, 2, drift=False)
-        grid = integrate_adaptive(ivp, 6.0, rel_tol=1e-10)
+        grid = solve_from_origin(ivp, 6.0, 1e-10)
         for rv in (1.0, 2.0, 5.0):
             f, _ = grid.interpolate(np.array([rv]))
             assert abs(complex(f[0]) - 2 * np.arctan(rv)) <= 1e-8
 
     def test_trivial_zero_solution(self):
-        grid = integrate_adaptive(real_selfsim_ivp(0.0, 2), 5.0)
+        grid = solve_from_origin(real_selfsim_ivp(0.0, 2), 5.0, 1e-10)
         assert np.max(np.abs(grid.f)) == 0.0
         assert np.max(np.abs(grid.fp)) == 0.0
 
@@ -155,8 +159,8 @@ class TestIntegrateAdaptive:
         probe = np.array([1.0, 2.0, 5.0])
 
         def err(tol):
-            g = integrate_adaptive(ivp, 6.0, rel_tol=tol)
-            ref = integrate_adaptive(ivp, 6.0, rel_tol=tol / 10.0)
+            g = solve_from_origin(ivp, 6.0, tol)
+            ref = solve_from_origin(ivp, 6.0, tol / 10.0)
             return float(np.max(np.abs(g.interpolate(probe)[0] - ref.interpolate(probe)[0])))
 
         e1, e2 = err(1e-6), err(5e-7)
@@ -166,7 +170,7 @@ class TestIntegrateAdaptive:
         # a drift profile with rejected steps, against scipy DOP853 at rtol
         # 1e-13: every node within the requested relative tolerance
         ivp = real_selfsim_ivp(1.0, 3)
-        grid = integrate_adaptive(ivp, 10.0, rel_tol=1e-8)
+        grid = solve_from_origin(ivp, 10.0, 1e-8)
         f0, fp0 = series_start(ivp, grid.r[0])
         fun = ivp.rhs()
         ref = solve_ivp(lambda r, y: fun(r, y.astype(complex)).real, (grid.r[0], 10.0),
@@ -176,8 +180,8 @@ class TestIntegrateAdaptive:
 
     def test_deterministic(self):
         ivp = real_selfsim_ivp(1.0, 2)
-        g1 = integrate_adaptive(ivp, 8.0, rel_tol=1e-9)
-        g2 = integrate_adaptive(ivp, 8.0, rel_tol=1e-9)
+        g1 = solve_from_origin(ivp, 8.0, 1e-9)
+        g2 = solve_from_origin(ivp, 8.0, 1e-9)
         assert np.array_equal(g1.r, g2.r)
         assert np.array_equal(g1.f, g2.f)
         assert np.array_equal(g1.fp, g2.fp)
@@ -185,11 +189,12 @@ class TestIntegrateAdaptive:
             assert np.array_equal(a, b)
 
     def test_blowup_reports_last_state(self):
-        # f'' = 4 f^2 f' + singular pair: derivative grows without bound
+        # f'' = 4 f^2 f' + singular pair: derivative grows without bound;
+        # A(a, a r, r) = 4 a^3 r^2 has no linear term, so c3 = 0
         ivp = SingularIVP(k=1.0, A=lambda z1, z2, r: 4.0 * z2**2 * z1,
-                          B=lambda z: 0.0 * z, alpha0=3.0)
+                          B=lambda z: 0.0 * z, alpha0=3.0, series=(0.0,))
         with pytest.raises(StiffnessError) as exc:
-            integrate_adaptive(ivp, 50.0, rel_tol=1e-8)
+            solve_from_origin(ivp, 50.0, 1e-8)
         assert exc.value.r_last is not None
         assert exc.value.partial is not None
 
@@ -209,6 +214,40 @@ class TestIntegrateAdaptive:
         # attempt does not leak into the stages of the next one
         assert 0.5 - 1e-9 <= exc.value.r_last == rs[-1] <= 0.5
         assert np.all(np.isfinite(ys)) and np.all(np.isfinite(fs))
+
+    @pytest.mark.parametrize("where", ["y0", "rhs"])
+    def test_non_finite_start_is_refused(self, rng, deadline, where):
+        # a NaN start state, or an rhs that is NaN at r0 itself, made the
+        # first step size NaN; every attempt was then rejected, unbounded
+        A = rng.normal(size=(3, 3))
+        y0 = rng.normal(size=3)
+        if where == "y0":
+            y0[rng.integers(3)] = np.nan
+
+        def fun(r, y):
+            return np.full(3, np.nan) if where == "rhs" else A @ y
+
+        with pytest.raises((DomainError, NonFiniteError), match="non-finite") as exc:
+            integrate_rk(fun, 0.1, y0, 2.0, rel_tol=1e-8)
+        assert "nan" in str(exc.value)
+
+    @pytest.mark.parametrize("r0,r_max", [(0.1, math.nan), (0.1, math.inf), (math.nan, 2.0),
+                                          (-math.inf, 2.0)])
+    def test_non_finite_radii_are_refused(self, deadline, r0, r_max):
+        # a NaN r_max used to return a one-node solution
+        with pytest.raises(DomainError, match="need finite r0 < r_max") as exc:
+            integrate_rk(_oscillator, r0, np.array([1.0, 0.0]), r_max, rel_tol=1e-8)
+        assert repr(r_max) in str(exc.value) and repr(r0) in str(exc.value)
+
+    def test_rejected_attempts_count_against_the_step_budget(self, monkeypatch, deadline):
+        # finite at r0, NaN at every stage: no step is ever accepted
+        def fun(r, y):
+            return y.copy() if r == 0.1 else np.full(2, np.nan)
+
+        monkeypatch.setattr(singular_ode, "MAX_STEPS", 3)
+        with pytest.raises(StiffnessError, match="step budget exhausted") as exc:
+            integrate_rk(fun, 0.1, np.array([1.0, 2.0]), 2.0, rel_tol=1e-8)
+        assert exc.value.r_last == 0.1
 
     def test_second_derivative_vanishes_at_origin(self):
         for ivp in (real_selfsim_ivp(1.0, 2), real_selfsim_ivp(0.5, 3)):
@@ -463,7 +502,7 @@ class TestDenseOutput:
 
 class TestProfileGrid:
     def test_csv_round_trip(self, tmp_path):
-        grid = integrate_adaptive(real_selfsim_ivp(1.0, 2), 3.0, rel_tol=1e-8)
+        grid = solve_from_origin(real_selfsim_ivp(1.0, 2), 3.0, 1e-8)
         path = tmp_path / "grid.csv"
         grid.to_csv(path)
         assert path.read_text().splitlines()[0] == "r,re_f,im_f,re_fp,im_fp,re_fpp,im_fpp"
