@@ -80,7 +80,7 @@ class TangentVec:
     def check_tangent(self, base: SpherePoint):
         """Raise unless <v, base> = 0 within NORM_TOL * max(|v|, 1)."""
         inner = abs(float(self.array @ base.array))
-        if inner > NORM_TOL * max(self.norm, 1.0):
+        if not inner <= NORM_TOL * max(self.norm, 1.0):  # NaN fails too
             raise NormDriftError(f"tangency violated: <v,u> = {inner!r}")
         return self
 

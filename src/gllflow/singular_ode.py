@@ -52,24 +52,51 @@ RADIAL_STEP = 0.1
 # 8th-order update B and the 5th- and 3rd-order error estimates over stages
 # 0-11, then the 4 dense-output rows D
 _ROWS = np.concatenate([dop.A, np.pad([dop.B, dop.E5, dop.E3], ((0, 0), (0, 4))), dop.D])
+STEP_CHUNK = 1024  # accepted steps per buffer of kept stages
+
+
+class _Steps:
+    """The stage arrays of one DOP853 solve, and what its accepted steps keep.
+
+    YK holds a step's start state, then its 16 stages; M = [1, h _ROWS] (the
+    1 only on the stage and update rows), so M[i, :i+1] . YK[:i+1] is stage
+    i's state y + h A[i, :i] K[:i], one product gives the update and both
+    error estimates, and another the dense-output rows q.  Each product is
+    bound once: the views follow M and YK as they are refilled.  A step keeps
+    h and stages 5-11: with the y and f of its nodes, all that stages 13-15
+    and q read (A[13:, 1:5] = D[:, 1:5] = 0).
+    """
+
+    def __init__(self, fun, y):
+        self.fun, self.h, self.kept = fun, [], []
+        self.YK = YK = np.empty((17,) + y.shape, dtype=y.dtype)
+        self.K = K = YK[1:]
+        M = np.zeros((23, 17), dtype=y.dtype)
+        M[:17, 0] = 1.0
+        self.hM, C = M[:, 1:], dop.C.tolist()
+        stages = [(i, C[i], M[i, :i + 1].dot, YK[:i + 1]) for i in range(16)]
+        self.front, self.back = stages[1:12], stages[13:]
+        self.update = functools.partial(M[16:19, :13].dot, YK[:13])
+        self.dense = functools.partial(M[19:, 1:].dot, K)
 
 
 class DenseSolution(NamedTuple):
-    """Accepted nodes r (N,), states y and derivatives f (N, m), and the
-    dense-output correction q (N-1, 4, m) of each step, with the solver's
-    counts (zero for data that no solve produced).
+    """Accepted nodes r (N,), states y and derivatives f (N, m), the steps
+    between them, and the solver's counts (zero for data that no solve
+    produced).
 
     Between nodes r[i] and r[i+1], at s = (r - r[i]) / (r[i+1] - r[i]),
     the state is the cubic Hermite of (y, f) at the step ends plus
     s^2 (1-s)^2 (q0 + s (q1 + (1-s) (q2 + s q3))): DOP853's 7th-order dense
     output, regrouped.  It is C^1 at the nodes, and q = 0 leaves the cubic
-    Hermite.
+    Hermite.  A step's rows q are built on its first query from stages 13-15,
+    3 calls of the solve's rhs, which must stay pure after the solve.
     """
 
     r: np.ndarray
     y: np.ndarray
     f: np.ndarray
-    q: np.ndarray
+    steps: _Steps
     steps_accepted: int = 0
     steps_rejected: int = 0
     rhs_evals: int = 0
@@ -78,15 +105,31 @@ class DenseSolution(NamedTuple):
     def from_nodes(cls, r, y, f):
         """Nodes with values and derivatives only: cubic Hermite between them."""
         y = np.asarray(y)
-        return cls(np.asarray(r, float), y, np.asarray(f),
-                   np.zeros((y.shape[0] - 1, 4) + y.shape[1:], dtype=y.dtype))
+        steps = _Steps(None, y[0])
+        steps.q = np.zeros((y.shape[0] - 1, 4) + y.shape[1:], dtype=y.dtype)
+        steps.built = np.ones(y.shape[0] - 1, dtype=bool)
+        return cls(np.asarray(r, float), y, np.asarray(f), steps)
+
+    def rows(self, idx):
+        """The rows q (len(idx), 4, m) of steps idx, each built once as the solve would."""
+        st, idx = self.steps, np.asarray(idx, dtype=np.intp)
+        for i in np.unique(idx[~st.built[idx]]).tolist():
+            r, h = float(self.r[i]), st.h[i]
+            np.multiply(_ROWS, h, out=st.hM)
+            st.YK[0], st.K[0], st.K[12] = self.y[i], self.f[i], self.f[i + 1]
+            st.K[5:12] = st.kept[i // STEP_CHUNK][i % STEP_CHUNK]
+            for j, c, dot, yk in st.back:
+                st.K[j] = st.fun(r + c * h, dot(yk))
+            st.q[i] = st.dense()
+            st.built[i] = True
+        return st.q[idx]
 
     def eval(self, r_query):
         """The state at query radii; DomainError outside [r[0], r[-1]]."""
         idx, s = locate(r_query, self.r)
         val = hermite_eval(r_query, self.r, self.y, self.f, cell=(idx, s))
         s = s.reshape((-1,) + (1,) * (self.y.ndim - 1))
-        q0, q1, q2, q3 = np.moveaxis(self.q[idx], 1, 0)
+        q0, q1, q2, q3 = np.moveaxis(self.rows(idx), 1, 0)
         return val + (s * (1 - s)) ** 2 * (q0 + s * (q1 + (1 - s) * (q2 + s * q3)))
 
     def counters(self):
@@ -145,17 +188,19 @@ def _initial_step(fun, r0, y0, f0, rel_tol, max_step):
 def integrate_rk(fun: Callable, r0: float, y0: np.ndarray, r_max: float,
                  rel_tol: float = 1e-10, max_step: float = np.inf,
                  postprocess: Callable | None = None) -> DenseSolution:
-    """Adaptive DOP853 from r0 to r_max, with its dense output.
+    """Adaptive DOP853 from r0 to r_max, with its dense output built on query.
 
     fun(r, y) -> dy/dr on a flat ndarray state (real or complex), as any length-m
-    sequence, stored by copy (the sphere and scalar rhs return tuples).
+    sequence, stored by copy (the sphere and scalar rhs return tuples); the
+    solution calls it again to build dense-output rows, so it must stay pure.
     postprocess(r, y) -> y is applied to every accepted state (used by the
     sphere-valued solver to re-project); the node derivative is taken at
     the result.  Stages run in matrix form, y + h A[i, :i] K[:i], and one
     product of the 12 step stages gives the update and both error
     estimates.  Step factor 0.9 err^(-1/8), kept in [0.2, 10] and at most 1
     right after a rejection.  The last node is r_max itself.  A non-finite
-    r0, r_max, y0 or fun(r0, y0) is refused: the first step would be NaN.
+    r0, r_max, y0 or fun(r0, y0) is refused: the first step would be NaN;
+    so is a max_step that is NaN or not positive.
 
     Radii count from the singular origin of this module's problems: from
     r0 > 0 and below ROUNDING_TOL, steps are at most RADIAL_STEP r.
@@ -163,6 +208,8 @@ def integrate_rk(fun: Callable, r0: float, y0: np.ndarray, r_max: float,
     if not -math.inf < r0 < r_max < math.inf:
         raise DomainError(f"need finite r0 < r_max, got r0={r0!r}, r_max={r_max!r}")
     check_tolerance(rel_tol)
+    if not max_step > 0.0:
+        raise DomainError(f"need max_step > 0, got {max_step!r}")
     y = np.array(y0, copy=True)
     if not np.all(np.isfinite(y)):
         raise DomainError(f"non-finite start state y0={y!r}")
@@ -176,30 +223,17 @@ def integrate_rk(fun: Callable, r0: float, y0: np.ndarray, r_max: float,
         return min(max_step, RADIAL_STEP * r) if radial else max_step
 
     h = _initial_step(fun, r, y, f, rel_tol, min(limit(r), r_max - r0))
-    rhs_evals = 2
     rs = [r]
     ys = [y]
     fs = [f]
-    qs = []
-    # YK holds the step's start state, then its 16 stages; M = [1, h _ROWS]
-    # (the 1 only on the stage and update rows), so M[i, :i+1] . YK[:i+1] is
-    # stage i's state y + h A[i, :i] K[:i], one product gives the update and
-    # both error estimates, and another the dense-output rows.  Each product
-    # is bound once: the views follow M and YK as they are refilled.
-    YK = np.empty((17,) + y.shape, dtype=y.dtype)
-    K = YK[1:]
-    M = np.zeros((23, 17), dtype=y.dtype)
-    M[:17, 0] = 1.0
-    hM, C = M[:, 1:], dop.C.tolist()
-    stages = [(i, C[i], M[i, :i + 1].dot, YK[:i + 1]) for i in range(16)]
-    front, back = stages[1:12], stages[13:]
-    update = functools.partial(M[16:19, :13].dot, YK[:13])
-    dense = functools.partial(M[19:, 1:].dot, K)
+    steps = _Steps(fun, y)
+    YK, K, hM, front, update = steps.YK, steps.K, steps.hM, steps.front, steps.update
+    hs, kept = steps.h, steps.kept
     rejected = 0
     retry = False  # the current step has had a rejected attempt
     nonfinite = None  # (r, h, first non-finite stage) of the last rejected attempt
     while r < r_max:
-        if len(qs) + rejected > MAX_STEPS:
+        if len(hs) + rejected > MAX_STEPS:
             raise StiffnessError("step budget exhausted", r_last=r,
                                  partial=(np.array(rs), np.array(ys), np.array(fs)))
         r_new = r + h
@@ -212,7 +246,7 @@ def integrate_rk(fun: Callable, r0: float, y0: np.ndarray, r_max: float,
             if nonfinite is not None and nonfinite[0] == r:
                 _, h_bad, bad = nonfinite
                 where = ("error estimate overflowed" if bad is None else
-                         f"stage {bad} at r={float(r + C[bad] * h_bad)!r}")
+                         f"stage {bad} at r={float(r + dop.C[bad] * h_bad)!r}")
                 raise NonFiniteError(
                     f"non-finite step from r={r!r} with h={h_bad!r} ({where}); "
                     f"state {y!r}", r_last=r, partial=partial)
@@ -223,7 +257,6 @@ def integrate_rk(fun: Callable, r0: float, y0: np.ndarray, r_max: float,
         K[0] = f
         for i, c, dot, yk in front:
             K[i] = fun(r + c * h, dot(yk))
-        rhs_evals += 11
         rows = update()  # y_new, the 5th- and 3rd-order errors
         y_new = rows[0]
         enorm = _error_norm(rows[1:], y, y_new, rel_tol)
@@ -231,10 +264,10 @@ def integrate_rk(fun: Callable, r0: float, y0: np.ndarray, r_max: float,
             if postprocess is not None:
                 y_new = postprocess(r_new, y_new)
             K[12] = fun(r_new, y_new)
-            for i, c, dot, yk in back:
-                K[i] = fun(r + c * h, dot(yk))
-            rhs_evals += 4
-            qs.append(dense())
+            if len(hs) % STEP_CHUNK == 0:
+                kept.append(np.empty((STEP_CHUNK, 7) + y.shape, dtype=y.dtype))
+            kept[-1][len(hs) % STEP_CHUNK] = K[5:12]
+            hs.append(h)
             r, y, f = r_new, y_new, K[12].copy()  # a view would change with the next step
             rs.append(r)
             ys.append(y)
@@ -250,8 +283,13 @@ def integrate_rk(fun: Callable, r0: float, y0: np.ndarray, r_max: float,
             h *= max(0.2, 0.9 * enorm ** -0.125)
             rejected += 1
             retry = True
-    return DenseSolution(np.array(rs), np.array(ys), np.array(fs), np.array(qs),
-                         len(qs), rejected, rhs_evals)
+    n = len(hs)  # q is built on query, as built marks
+    kept[-1] = kept[-1][:(n - 1) % STEP_CHUNK + 1].copy()  # frees the unused tail
+    steps.q, steps.built = np.empty((n, 4) + y.shape, dtype=y.dtype), np.zeros(n, dtype=bool)
+    K[1:5] = 0.0  # weight 0 in stages 13-15 and the rows: no leftover is read
+    # the start (f and one probe), 11 stages per attempt, one node derivative per step
+    return DenseSolution(np.array(rs), np.array(ys), np.array(fs), steps, n, rejected,
+                         2 + 11 * (n + rejected) + n)
 
 
 # ---------------------------------------------------------------------------
@@ -300,8 +338,7 @@ class SingularIVP:
 
         def fun(r, y):
             fval, fp = y
-            return np.array([fp, A(fp, fval, r) - k * (fp / r - fval / r**2) + B(fval) / r**2],
-                            dtype=complex)
+            return fp, A(fp, fval, r) - k * (fp / r - fval / r**2) + B(fval) / r**2
 
         return fun
 

@@ -44,6 +44,13 @@ def solve_from_origin(ivp, r_max, rel_tol):
     return ProfileGrid(integrate_rk(ivp.rhs(), start.r0, start.y0, r_max, rel_tol=rel_tol))
 
 
+def solution_content(sol):
+    """Every array and count of a DenseSolution, with the dense rows of every
+    step built."""
+    return (sol.r, sol.y, sol.f, sol.rows(np.arange(sol.r.size - 1)), sol.steps_accepted,
+            sol.steps_rejected, sol.rhs_evals)
+
+
 @pytest.fixture
 def deadline():
     """Fail a test that runs past 20 s instead of letting it hang."""

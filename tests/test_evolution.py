@@ -13,7 +13,7 @@ from gllflow.geometry import (E3, FlowParams, RadialProfile, TangentVec, _second
                               tangent_project_arr)
 from gllflow.hasimoto import QPDE_MARGIN, QPDE_SEED, compute_q, qpde_residual, transport_frame
 from gllflow.selfsim import SelfSimProfile, solve_profile
-from gllflow.singular_ode import DEFAULT_R0
+from gllflow.singular_ode import DEFAULT_R0, DenseSolution
 
 HEAT = FlowParams(2, 1.0, 0.0)
 SCHRODINGER = FlowParams(2, 0.0, 1.0)
@@ -505,7 +505,7 @@ class TestSelfsimConsistency:
         # and dense rows do not enter it, and nodes moved off the ODE show
         prof = solve_profile((1.0, 0.0), HEAT, 25.0, max_step=0.05)
         sol = prof.sol
-        blind = SelfSimProfile(sol._replace(f=np.zeros_like(sol.f), q=np.zeros_like(sol.q)),
+        blind = SelfSimProfile(DenseSolution.from_nodes(sol.r, sol.y, np.zeros_like(sol.f)),
                                HEAT)
         assert selfsim_consistency(blind, 1.0, HEAT) == selfsim_consistency(prof, 1.0, HEAT)
         y = sol.y.copy()

@@ -46,6 +46,10 @@ class TestTypes:
         with pytest.raises(NormDriftError, match="nan"):
             SpherePoint(*x)
 
+    def test_tangent_check_refuses_nan(self):
+        with pytest.raises(NormDriftError, match="nan"):
+            TangentVec(np.nan, 0.0, 0.0).check_tangent(SpherePoint(1.0, 0.0, 0.0))
+
     def test_flow_params_refuse_non_finite_values(self, rng):
         theta = rng.uniform(-np.pi / 2, np.pi / 2)
         alpha, beta = np.cos(theta), np.sin(theta)

@@ -10,7 +10,7 @@ from gllflow.selfsim import (SelfSimProfile, apriori_identity_residual, decay_ex
                              sphere_profile_rhs, stereo_selfsim_ivp, tail_limit)
 from gllflow.singular_ode import DenseSolution, series_start
 from gllflow.geometry import stereo_lift_arr, stereo_lift_differential
-from conftest import solve_from_origin
+from conftest import solution_content, solve_from_origin
 
 # frozen by cross-validating the package integrator against an independent
 # higher-order solver (see test_agrees_with_independent_integrator)
@@ -210,7 +210,7 @@ class TestSolveProfile:
     def test_reruns_are_bit_identical(self):
         a = solve_profile((0.6, 0.8), FlowParams(3, 0.6, 0.8), 20.0)
         b = solve_profile((0.6, 0.8), FlowParams(3, 0.6, 0.8), 20.0)
-        for x, y in zip(a.sol, b.sol):
+        for x, y in zip(solution_content(a.sol), solution_content(b.sol)):
             assert np.array_equal(x, y)
 
     def test_rotation_equivariance(self):

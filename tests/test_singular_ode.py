@@ -13,13 +13,13 @@ from gllflow._numerics import hermite_eval
 from gllflow.errors import DomainError, NonFiniteError, StiffnessError
 from gllflow.realflow import _selfsim_rhs, real_selfsim_ivp
 from gllflow.geometry import FlowParams
-from gllflow.selfsim import stereo_selfsim_ivp
+from gllflow.selfsim import solve_profile, stereo_selfsim_ivp
 from gllflow.singular_ode import (DEFAULT_R0, ERROR_FLOOR, RADIAL_STEP, ROUNDING_TOL,
                                   DenseSolution, ProfileGrid, SingularIVP, _error_norm,
                                   _initial_step, hardy_check, hardy_ratio_raw,
                                   integrate_rk, origin_start, series_error_estimate,
                                   series_remainder, series_start)
-from conftest import smooth_bump, solve_from_origin
+from conftest import smooth_bump, solution_content, solve_from_origin
 
 
 class TestSeriesStart:
@@ -46,10 +46,10 @@ class TestSeriesStart:
         nsub, r = 2000, r0 / 10
         h = (r0 - r0 / 10) / nsub
         for _ in range(nsub):
-            k1 = fun(r, y)
-            k2 = fun(r + h / 2, y + h / 2 * k1)
-            k3 = fun(r + h / 2, y + h / 2 * k2)
-            k4 = fun(r + h, y + h * k3)
+            k1 = np.array(fun(r, y))
+            k2 = np.array(fun(r + h / 2, y + h / 2 * k1))
+            k3 = np.array(fun(r + h / 2, y + h / 2 * k2))
+            k4 = np.array(fun(r + h, y + h * k3))
             y = y + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
             r += h
         f_direct, fp_direct = series_start(ivp, r0)
@@ -173,7 +173,7 @@ class TestIntegrateAdaptive:
         grid = solve_from_origin(ivp, 10.0, 1e-8)
         f0, fp0 = series_start(ivp, grid.r[0])
         fun = ivp.rhs()
-        ref = solve_ivp(lambda r, y: fun(r, y.astype(complex)).real, (grid.r[0], 10.0),
+        ref = solve_ivp(lambda r, y: np.array(fun(r, y.astype(complex))).real, (grid.r[0], 10.0),
                         [f0.real, fp0.real], method="DOP853", rtol=1e-13, atol=1e-15,
                         t_eval=grid.r).y[0]
         assert np.max(np.abs(grid.f.real - ref) / (1e-14 + 1e-8 * np.abs(ref))) <= 1.0
@@ -185,7 +185,8 @@ class TestIntegrateAdaptive:
         assert np.array_equal(g1.r, g2.r)
         assert np.array_equal(g1.f, g2.f)
         assert np.array_equal(g1.fp, g2.fp)
-        for a, b in zip(g1.sol, g2.sol):  # derivatives, dense rows and counts too
+        # derivatives, dense rows and counts too
+        for a, b in zip(solution_content(g1.sol), solution_content(g2.sol)):
             assert np.array_equal(a, b)
 
     def test_blowup_reports_last_state(self):
@@ -239,6 +240,15 @@ class TestIntegrateAdaptive:
             integrate_rk(_oscillator, r0, np.array([1.0, 0.0]), r_max, rel_tol=1e-8)
         assert repr(r_max) in str(exc.value) and repr(r0) in str(exc.value)
 
+    @pytest.mark.parametrize("max_step", [math.nan, 0.0, -1.0])
+    def test_max_step_nan_or_not_positive_is_refused(self, rng, deadline, max_step):
+        # NaN was read as no limit (min(h, nan) is h), -1 ended in step underflow
+        y0 = rng.normal(size=2)
+        with pytest.raises(DomainError, match="max_step") as exc:
+            integrate_rk(_oscillator, 0.0, y0, 2.0, rel_tol=1e-1, max_step=max_step)
+        assert repr(max_step) in str(exc.value)
+        assert integrate_rk(_oscillator, 0.0, y0, 2.0, rel_tol=1e-1, max_step=math.inf).r[-1] == 2.0
+
     def test_rejected_attempts_count_against_the_step_budget(self, monkeypatch, deadline):
         # finite at r0, NaN at every stage: no step is ever accepted
         def fun(r, y):
@@ -272,6 +282,8 @@ class TestStepper:
         assert np.array_equal(dop.E5, DOP853.E5[:12]) and DOP853.E5[12] == 0.0
         assert np.array_equal(dop.E3, DOP853.E3[:12]) and DOP853.E3[12] == 0.0
         assert np.array_equal(dop.D, DOP853.D)
+        # the dense stages and rows do not read stages 1-4, which a step does not keep
+        assert not dop.A[13:, 1:5].any() and not dop.D[:, 1:5].any()
 
     @pytest.mark.parametrize("dtype", [float, complex])
     def test_matrix_form_matches_term_by_term_stages(self, rng, dtype):
@@ -291,6 +303,7 @@ class TestStepper:
         h = 1 / 16
         sol = integrate_rk(fun, 0.0, y0, 1.0, rel_tol=1e-1, max_step=h)
         assert np.array_equal(sol.r, np.arange(17) * h)
+        rows = sol.rows(np.arange(16))
         y = y0
         for k, r in enumerate(sol.r[:-1]):
             K = [fun(r, y)]
@@ -304,7 +317,7 @@ class TestStepper:
             y = y_new
             assert np.max(np.abs(sol.y[k + 1] - y)) <= 1e-13 * np.max(np.abs(y))
             assert np.max(np.abs(sol.f[k + 1] - K[12])) <= 1e-13 * np.max(np.abs(K[12]))
-            assert np.max(np.abs(sol.q[k] - q)) <= 1e-13 * q_terms
+            assert np.max(np.abs(rows[k] - q)) <= 1e-13 * q_terms
 
     def test_fixed_step_convergence_order(self):
         # rel_tol 1e-1 accepts every step, so max_step pins h; the global
@@ -351,7 +364,7 @@ class TestStepper:
                              postprocess=postprocess)
         shared = integrate_rk(reused if returns == "buffer" else as_tuple, 0.0,
                               np.array([1.0, 0.5]), 3.0, rel_tol=1e-6, postprocess=postprocess)
-        for a, b in zip(fresh, shared):
+        for a, b in zip(solution_content(fresh), solution_content(shared)):
             assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("dtype", [float, complex])
@@ -420,15 +433,18 @@ class TestStepper:
         f0, fp0 = series_start(real_selfsim_ivp(3.0, 3), 1e-4)
         sol = integrate_rk(counted, 1e-4, np.array([f0.real, fp0.real]), 10.0, rel_tol=1e-8)
         assert sol.steps_rejected > 0
-        assert sol.steps_accepted == sol.r.size - 1 == sol.q.shape[0]
+        assert sol.steps_accepted == sol.r.size - 1
         assert sol.rhs_evals == len(calls)
         # the start (f and one probe), 11 stages per attempt, and the node
-        # derivative plus three dense stages per accepted step
+        # derivative per accepted step
         attempts = sol.steps_accepted + sol.steps_rejected
-        assert sol.rhs_evals == 2 + 11 * attempts + 4 * sol.steps_accepted
+        assert sol.rhs_evals == 2 + 11 * attempts + sol.steps_accepted
         assert sol.counters() == {"steps_accepted": sol.steps_accepted,
                                   "steps_rejected": sol.steps_rejected,
                                   "rhs_evals": len(calls)}
+        # every step's dense rows: three more stages each, outside the counts
+        assert sol.rows(np.arange(sol.r.size - 1)).shape[0] == sol.steps_accepted
+        assert len(calls) == sol.rhs_evals + 3 * sol.steps_accepted
 
 
     def test_steps_from_a_singular_origin_are_at_most_a_tenth_of_r(self):
@@ -455,11 +471,12 @@ class TestDenseOutput:
         # each step's (y, f, q) rebuilt as scipy's F rows: the regrouped
         # polynomial agrees with Dop853DenseOutput to rounding
         sol, _ = self._scalar()
+        rows = sol.rows(np.arange(sol.r.size - 1))
         for k in range(0, sol.r.size - 1, 7):
             r0, r1 = sol.r[k], sol.r[k + 1]
             h, dy = r1 - r0, sol.y[k + 1] - sol.y[k]
             F = np.concatenate([[dy, h * sol.f[k] - dy, 2 * dy - h * (sol.f[k + 1] + sol.f[k])],
-                                sol.q[k]])
+                                rows[k]])
             rq = r0 + h * np.array([0.1, 0.37, 0.5, 0.81])
             ref = Dop853DenseOutput(r0, r1, sol.y[k], F)(rq).T
             assert np.max(np.abs(sol.eval(rq) - ref)) <= 1e-14 * np.max(np.abs(sol.y[k]))
@@ -491,8 +508,48 @@ class TestDenseOutput:
         y = rng.normal(size=(30, 4))
         f = rng.normal(size=(30, 4))
         rq = rng.uniform(r[0], r[-1], 200)
-        assert np.array_equal(DenseSolution.from_nodes(r, y, f).eval(rq),
-                              hermite_eval(rq, r, y, f))
+        sol = DenseSolution.from_nodes(r, y, f)
+        assert np.array_equal(sol.eval(rq), hermite_eval(rq, r, y, f))
+        assert not sol.rows(np.arange(29)).any()
+
+    def test_rows_are_built_on_the_first_query_of_a_step(self):
+        calls = []
+        fun = _selfsim_rhs(3)
+
+        def counted(r, y):
+            calls.append(r)
+            return fun(r, y)
+
+        f0, fp0 = series_start(real_selfsim_ivp(2.0, 3), 1e-4)
+        sol = integrate_rk(counted, 1e-4, np.array([f0.real, fp0.real]), 10.0, rel_tol=1e-10)
+        assert len(calls) == sol.rhs_evals
+        mid = 0.5 * (sol.r[:-1] + sol.r[1:])
+        sol.eval(mid[[3, 3, 10, 40]])
+        assert len(calls) == sol.rhs_evals + 9    # three stages for each new step
+        sol.eval(mid[[40, 3, 10]])
+        sol.rows([10, 3, 3])
+        assert len(calls) == sol.rhs_evals + 9    # a built step costs nothing
+        sol.eval(np.concatenate([mid[[10, 3]], sol.r[[41]]]))
+        assert len(calls) == sol.rhs_evals + 12   # r[41] opens step 41
+
+    @pytest.mark.parametrize("problem", ["scalar", "sphere"])
+    def test_rows_do_not_depend_on_the_order_they_are_built_in(self, problem):
+        # cell by cell from the last, in one eval call, and all steps at once
+        def solve():
+            if problem == "scalar":
+                return self._scalar()[0]
+            return solve_profile((0.6, 0.8), FlowParams(3, 0.6, 0.8), 10.0).sol
+
+        backward, at_once, every = solve(), solve(), solve()
+        n = every.r.size - 1
+        mid = 0.5 * (every.r[:-1] + every.r[1:])
+        for k in range(n - 1, -1, -1):
+            backward.rows([k])
+        evals = [at_once.eval(mid).tobytes()]
+        rows = [sol.rows(np.arange(n)).tobytes() for sol in (backward, at_once, every)]
+        evals += [sol.eval(mid).tobytes() for sol in (backward, every)]
+        assert rows[0] == rows[1] == rows[2]
+        assert evals[0] == evals[1] == evals[2]
 
     def test_refuses_queries_outside_the_nodes(self):
         sol, _ = self._scalar()
