@@ -26,8 +26,7 @@ from .evolution import (EvolveConfig, RadialField, evolve, field_from_profile,
 from .geometry import FlowParams, TangentVec, harmonic_map_jet
 from .hasimoto import compute_q, strichartz_exponents, transport_frame
 from .manifest import RunManifest, write_csv
-from .selfsim import (TAIL_MIN_R_MAX, apriori_identity_residual, derivative_energy_bound,
-                      solve_profile, tail_limit)
+from .selfsim import TAIL_MIN_R_MAX, apriori_identity_residual, solve_profile, tail_limit
 from .verify import SUITES
 
 EXIT_OK = 0
@@ -74,15 +73,14 @@ def cmd_selfsim(args):
         "identity_residual": apriori_identity_residual(prof, r_stop=min(20.0, args.r_max)),
         "solver": prof.sol.counters(),
     }
-    a_ok = results["max_A"] <= derivative_energy_bound(args.n)
-    print(f"max A(r) = {results['max_A']:.6f} (bound 4n = {results['A_bound_4n']:g}): "
-          f"{'ok' if a_ok else 'VIOLATED'}")
+    # SelfSimProfile refuses a profile whose A(r) exceeds the bound
+    print(f"max A(r) = {results['max_A']:.6f} (bound 4n = {results['A_bound_4n']:g}): ok")
     if prof.r_max >= TAIL_MIN_R_MAX:
         results["tail"] = _write_report(out, "tail_report.json", tail_limit(prof))
     if args.gnuplot:
         _write_gnuplot(out, "profile.csv", (2, 3, 4), "self-similar profile")
     print(f"wrote {out}")
-    return (EXIT_OK if a_ok else EXIT_ASSERT), out, RunManifest(
+    return EXIT_OK, out, RunManifest(
         command="selfsim",
         parameters={"n": args.n, "alpha": args.alpha, "beta": args.beta,
                     "v1": args.v1, "v2": args.v2},

@@ -286,6 +286,15 @@ ORDERING_TOL = 1e-8
 LIMIT_BETA = 1e3          # the label whose profile must end near pi
 
 
+def _first_max(values, where):
+    """The largest entry of a (labels x radii) table and `where` of its row and
+    column, the first in row-major order; (-inf, None) for an empty table."""
+    if values.size == 0:
+        return -np.inf, None
+    i, j = np.unravel_index(np.argmax(values), values.shape)
+    return float(values[i, j]), where(i, j)
+
+
 def comparison_suite(beta_list, n: int, r_max: float) -> ComparisonReport:
     """Ordering checks for the self-similar scalar profiles.
 
@@ -299,27 +308,20 @@ def comparison_suite(beta_list, n: int, r_max: float) -> ComparisonReport:
         raise DomainError("beta labels must be >= 0")
     r_common = np.linspace(r_max / 400.0, r_max, 400)
     checks = []
-    profiles = {}
-    for b in betas:
-        profiles[b] = solve_selfsim_real(2.0 * b, n, r_max)
+    profiles = [solve_selfsim_real(2.0 * b, n, r_max) for b in betas]
+    # g of every label on r_common, one row per label
+    table = np.reshape([p.eval(r_common)[0] for p in profiles], (len(betas), r_common.size))
 
-    worst, where = -np.inf, None
-    for b in betas:
-        if b == 0.0:
-            continue
-        g, _ = profiles[b].eval(r_common)
-        excess = g - stationary_profile(b, r_common)
-        i = int(np.argmax(excess))
-        if excess[i] > worst:
-            worst, where = float(excess[i]), (b, float(r_common[i]))
+    nonzero = [i for i, b in enumerate(betas) if b != 0.0]
+    excess = table[nonzero] - stationary_profile(np.array(betas)[nonzero, None], r_common)
+    worst, where = _first_max(excess, lambda i, j: (betas[nonzero[i]], float(r_common[j])))
     checks.append(ComparisonCheck(
         "below_matched_stationary", worst <= ORDERING_TOL,
         f"max(phi - stationary) = {worst:.3e} at (beta, r) = {where}"))
 
     worst, where = -np.inf, None
     top, top_where = -np.inf, None
-    for b in betas:
-        p = profiles[b]
+    for b, p in zip(betas, profiles):
         dec = -np.min(np.diff(p.g))
         if dec > worst:
             worst, where = float(dec), b
@@ -332,14 +334,8 @@ def comparison_suite(beta_list, n: int, r_max: float) -> ComparisonReport:
         "below_pi", top < math.pi,
         f"max phi = {top:.6f} (beta = {top_where}), pi = {math.pi:.6f}"))
 
-    worst, where = -np.inf, None
-    for b_lo, b_hi in zip(betas[:-1], betas[1:]):
-        g_lo, _ = profiles[b_lo].eval(r_common)
-        g_hi, _ = profiles[b_hi].eval(r_common)
-        gap = g_lo - g_hi
-        i = int(np.argmax(gap))
-        if gap[i] > worst:
-            worst, where = float(gap[i]), (b_lo, b_hi, float(r_common[i]))
+    worst, where = _first_max(table[:-1] - table[1:],
+                              lambda i, j: (betas[i], betas[i + 1], float(r_common[j])))
     checks.append(ComparisonCheck(
         "increasing_in_beta", worst <= ORDERING_TOL,
         f"max(phi_lo - phi_hi) = {worst:.3e} at (beta_lo, beta_hi, r) = {where}"))
@@ -350,7 +346,7 @@ def comparison_suite(beta_list, n: int, r_max: float) -> ComparisonReport:
         "large_beta_near_pi", 0.0 < gap_pi < 0.05,
         f"pi - phi_{{{LIMIT_BETA:g}}}(r_max) = {gap_pi:.4f}"))
 
-    ginfs = [profiles[b].g_inf for b in betas]
+    ginfs = [p.g_inf for p in profiles]
     incr = all(a < b for a, b in zip(ginfs[:-1], ginfs[1:]))
     checks.append(ComparisonCheck(
         "limits_increasing_in_beta", incr,
@@ -384,12 +380,12 @@ def f_kink_derivative(r, epsilon):
 
 
 def _witness_nodes(epsilon, quad_nodes):
-    """Quadrature nodes respecting the kink breakpoints (log-spaced middle)."""
+    """(r, f, f') of the kink family on each segment of quadrature nodes
+    between its breakpoints (log-spaced middle)."""
     m = max(quad_nodes // 3, 64)
-    seg1 = np.linspace(0.0, epsilon, m)
-    seg2 = np.geomspace(epsilon, 0.5, 2 * m)
-    seg3 = np.linspace(0.5, 1.0, m)
-    return seg1, seg2, seg3
+    for r in (np.linspace(0.0, epsilon, m), np.geomspace(epsilon, 0.5, 2 * m),
+              np.linspace(0.5, 1.0, m)):
+        yield r, f_kink(r, epsilon), f_kink_derivative(r, epsilon)
 
 
 def witness_energy_gap(epsilon, delta, quad_nodes=4000):
@@ -402,10 +398,7 @@ def witness_energy_gap(epsilon, delta, quad_nodes=4000):
     Integrated piecewise so the kinks at r = epsilon and 1/2 stay sharp.
     """
     total = 0.0
-    for seg in _witness_nodes(epsilon, quad_nodes):
-        r = seg.copy()
-        f = f_kink(r, epsilon)
-        fp = f_kink_derivative(r, epsilon)
+    for r, f, fp in _witness_nodes(epsilon, quad_nodes):
         h = math.pi - (delta / 2.0) * f
         hp = -(delta / 2.0) * fp
         pot = np.where(r > 0, 2.0 * gamma(h, 2) / np.where(r > 0, r, 1.0) ** 2, 0.0)
@@ -417,10 +410,7 @@ def witness_energy_gap(epsilon, delta, quad_nodes=4000):
 def hardy_saturation_ratio(epsilon, quad_nodes=4000):
     """int |f'|^2 r^3 dr / int |f/r|^2 r^3 dr for the kink family (>= 1, -> 1)."""
     num = den = 0.0
-    for seg in _witness_nodes(epsilon, quad_nodes):
-        r = seg
-        f = f_kink(r, epsilon)
-        fp = f_kink_derivative(r, epsilon)
+    for r, f, fp in _witness_nodes(epsilon, quad_nodes):
         num += float(np.trapezoid(fp**2 * r**3, r))
         den += float(np.trapezoid(np.where(r > 0, (f / np.where(r > 0, r, 1.0)) ** 2, 0.0) * r**3, r))
     return num / den

@@ -23,10 +23,11 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from ._numerics import cumquad0, derivative_nonuniform
-# hermite_eval and series_start are not called here (origin_start calls
-# series_start): perfbench/tracer.py looks both up in this module
-from ._numerics import hermite_eval  # noqa: F401
+from ._numerics import cumquad0
+# derivative_nonuniform, hermite_eval and series_start are not called here
+# (origin_start calls series_start): perfbench/tracer.py looks them up in
+# this module
+from ._numerics import derivative_nonuniform, hermite_eval  # noqa: F401
 from .errors import DomainError, NonConvergedError, NormDriftError
 from .geometry import (E3, REPAIR_TOL, FlowParams, SpherePoint, stereo_lift_arr,
                        stereo_lift_differential, tangent_project_arr)
@@ -117,11 +118,11 @@ class SelfSimProfile:
 
     def __post_init__(self):
         norms = np.linalg.norm(self.psi, axis=1)
-        if np.max(np.abs(norms - 1.0)) > UNIT_NORM_TOL:
+        if not np.max(np.abs(norms - 1.0)) <= UNIT_NORM_TOL:  # NaN too
             raise NormDriftError("profile nodes off the unit sphere beyond 1e-10")
         if self.params.n >= 2:
             bound = derivative_energy_bound(self.params.n)
-            if np.max(self.A) > bound:
+            if not np.max(self.A) <= bound:  # NaN too
                 raise NormDriftError(f"derivative invariant A(r) exceeded {bound}")
 
     @property
@@ -296,17 +297,3 @@ def limit_map_continuity(v_samples, params: FlowParams, r_max: float,
             modulus = max(modulus, float(np.linalg.norm(a["psi_inf"] - b["psi_inf"])) / dv)
     return rows, modulus
 
-
-CONSISTENCY_STENCIL = 9   # nodes: an 8th-order first derivative, DOP853's order
-
-
-def consistency_second_derivative(profile: SelfSimProfile):
-    """psi_rr by finite differences of the stored psi_r nodes.
-
-    Deliberately independent of the ODE rearrangement (which would make
-    any substitution check a tautology).  The stencil has the
-    integrator's order, so on its node spacing the truncation error stays
-    below the solve's own; a 5-point stencil would dominate the residual.
-    """
-    return derivative_nonuniform(profile.r, profile.psi_r, order=1,
-                                 points=CONSISTENCY_STENCIL)

@@ -411,18 +411,6 @@ def origin_start(ivp: SingularIVP, rel_tol: float) -> OriginStart:
     return OriginStart(r0, np.array([f0, fp0]), remainder)
 
 
-def series_error_estimate(ivp: SingularIVP, r0: float):
-    """Richardson-style bound on the series truncation at r0.
-
-    Starts the series at r0/2, integrates to r0 at rel_tol 1e-13, and
-    returns the mismatch against the direct series value at r0.
-    """
-    sol = integrate_rk(ivp.rhs(), r0 / 2, np.array(series_start(ivp, r0 / 2)), r0,
-                       rel_tol=1e-13)
-    f_direct, fp_direct = series_start(ivp, r0)
-    return abs(sol.y[-1, 0] - f_direct), abs(sol.y[-1, 1] - fp_direct)
-
-
 @dataclass(frozen=True)
 class ProfileGrid:
     """Solver output: the dense solution of the state (f, f') on strictly

@@ -140,7 +140,8 @@ def suite_geom():
 
 
 def _embedding_density_error(h, n):
-    """|dv|^2 by central differences of the embedding vs the closed form, at r = 1.3."""
+    """|dv|^2 by central differences of the embedding vs twice
+    `geometry.energy_density_arr`, the density `energy` integrates, at r = 1.3."""
     r = 1.3
     rng = np.random.default_rng(11)
     c = rng.normal(size=2)
@@ -183,13 +184,11 @@ def _embedding_density_error(h, n):
         dwbar = 0.5 * (d_re + 1j * d_im)
         total += 4.0 * (np.linalg.norm(project(dw, v0)) ** 2
                         + np.linalg.norm(project(dwbar, v0)) ** 2)
-    # closed form: 2 * density = |u_r|^2 + [1 - u3^2 + 2(2n-2)(1-u3)]/r^2
     hh = 1e-5
     up, _ = u_of(r + hh)
     um, _ = u_of(r - hh)
-    u_r = (up - um) / (2 * hh)
-    closed = float(u_r @ u_r) + (1 - u0[2] ** 2 + 2 * (2 * n - 2) * (1 - u0[2])) / r**2
-    return abs(2.0 * total - closed) / max(closed, 1.0)
+    twice_density = 2.0 * float(geo.energy_density_arr(u0, (up - um) / (2 * hh), r, n))
+    return abs(2.0 * total - twice_density) / max(twice_density, 1.0)
 
 
 # ---------------------------------------------------------------------------

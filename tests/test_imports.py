@@ -1,10 +1,14 @@
-"""Every name a package module imports at top level is used there.
+"""Every name a package module imports at top level is used there, and
+every top-level function and class it defines is named somewhere else.
 
 An import that nothing reads keeps a dead dependency alive and hides what
 a module really needs.  A deliberate one carries `# noqa: F401` on its
 import line, and only for a name looked up in the module from outside:
 one that `gllflow/__init__` re-exports, or one that the benchmark's tracer
 (`perfbench/tracer.py`, read here, never edited) names as a string to patch.
+
+A function or class that nothing names, in the package, the tests or the
+tracer, is a helper left behind by a deletion.
 """
 
 import ast
@@ -16,6 +20,7 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "gllflow"
 TRACER = ROOT / "perfbench" / "tracer.py"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+READERS = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "tests").glob("*.py")) + [TRACER]
 
 
 def _imports(source):
@@ -59,6 +64,29 @@ def looked_up_from_outside():
     return set(exported) | strings
 
 
+def names_read(source):
+    """Every name the source reads, imports, reaches as an attribute or
+    spells as a string (as the tracer and monkeypatch do)."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.asname or node.name)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.add(node.value)
+    return names
+
+
+def orphans(source, named):
+    """Top-level functions and classes of the source absent from `named`, with their lines."""
+    return sorted((node.lineno, node.name) for node in ast.parse(source).body
+                  if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                  and node.name not in named)
+
+
 def test_detects_an_unused_import():
     source = "import math\nfrom os import path, sep\nfrom sys import argv  # noqa: F401\nx = sep\n"
     assert unused_imports(source) == [(1, "math"), (2, "path")]
@@ -69,6 +97,12 @@ def test_detects_a_misplaced_noqa():
     assert misplaced_noqa(source, {"path", "sep"}) == [(1, "sep"), (2, "argv")]
 
 
+def test_detects_an_orphan():
+    # a definition is not a use, and neither is a docstring that mentions it
+    source = 'def used():\n    """see unused"""\n\ndef unused():\n    return used()\n'
+    assert orphans(source, names_read(source)) == [(4, "unused")]
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
@@ -77,3 +111,9 @@ def test_no_unused_imports(path):
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_noqa_only_for_names_looked_up_from_outside(path):
     assert misplaced_noqa(path.read_text(), looked_up_from_outside()) == []
+
+
+def test_every_definition_is_named_elsewhere():
+    named = set().union(*(names_read(p.read_text()) for p in READERS))
+    found = {p.name: orphans(p.read_text(), named) for p in MODULES}
+    assert {name: defs for name, defs in found.items() if defs} == {}

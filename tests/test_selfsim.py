@@ -378,3 +378,27 @@ class TestSerialization:
             y = np.hstack([psi, np.zeros((50, 3))])
             SelfSimProfile(DenseSolution.from_nodes(r, y, np.zeros_like(y)),
                            FlowParams(2, 1.0, 0.0))
+
+    @staticmethod
+    def _rotating(k):
+        """Nodes of psi = (sin kr, 0, cos kr), on the sphere with A(r) = (kr)^2."""
+        r = np.linspace(0.1, 5.0, 50)
+        psi = np.stack([np.sin(k * r), np.zeros_like(r), np.cos(k * r)], axis=1)
+        dpsi = k * np.stack([np.cos(k * r), np.zeros_like(r), -np.sin(k * r)], axis=1)
+        return r, np.hstack([psi, dpsi])
+
+    def test_refuses_A_above_the_bound(self):
+        r, y = self._rotating(0.5)    # A reaches 6.25 <= 8: accepted
+        SelfSimProfile(DenseSolution.from_nodes(r, y, np.zeros_like(y)), FlowParams(2, 1.0, 0.0))
+        r, y = self._rotating(1.0)    # A reaches 25 > derivative_energy_bound(2)
+        with pytest.raises(NormDriftError, match="derivative invariant"):
+            SelfSimProfile(DenseSolution.from_nodes(r, y, np.zeros_like(y)),
+                           FlowParams(2, 1.0, 0.0))
+
+    @pytest.mark.parametrize("columns", [slice(None), slice(3, None)], ids=["row", "psi_r"])
+    def test_refuses_a_nan_row(self, columns):
+        r, y = self._rotating(0.5)
+        y[20, columns] = np.nan
+        with pytest.raises(NormDriftError):
+            SelfSimProfile(DenseSolution.from_nodes(r, y, np.zeros_like(y)),
+                           FlowParams(2, 1.0, 0.0))
