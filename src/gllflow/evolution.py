@@ -4,7 +4,8 @@ Second-order central differences in r (3-point stencils on a possibly
 graded grid), classical RK4 in time with dt = factor * min(dr)^2, the
 origin pinned at the north pole, and projection back to the sphere after
 every step, on a full-width (3, N) state whose raveled form the stencils
-run over, zero-weighted at the end columns and component seams (see
+run over in length-3 windows, one multiply and one window sum per stage,
+zero-weighted at the end columns and component seams (see
 _spatial_operator).  Residual certification differentiates the stored frames
 with an independent 4th-order stencil so that it measures the scheme's real
 truncation error instead of reproducing its own discretization.
@@ -15,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from ._numerics import check_grid, derivative_nonuniform, frame_rates, weighted_norms
 from .errors import DomainError, GridError, InstabilityError
@@ -30,10 +32,18 @@ RESIDUAL_MARGIN = 3       # nodes dropped at each end of a residual norm
 CONSISTENCY_STENCIL = 9
 
 
+def _require_positive(**values):
+    """DomainError naming the first of the values outside (0, inf)."""
+    for name, value in values.items():
+        if not 0 < value < np.inf:  # NaN too
+            raise DomainError(f"need 0 < {name} < inf, got {value!r}")
+
+
 def make_grid(r_max: float, n_nodes: int, grading: float = 1.0):
     """Radial grid r_i = r_max (i/(N-1))^grading with r_0 = 0."""
     if n_nodes < 5:
         raise GridError("need at least 5 nodes")
+    _require_positive(r_max=r_max, grading=grading)
     s = np.linspace(0.0, 1.0, n_nodes)
     return r_max * s**grading
 
@@ -111,41 +121,41 @@ def _spatial_operator(r, params: FlowParams):
 
     Returns bind(u): for a C-contiguous (3, N) state u, the function that
     writes u's velocity into a (3, N) out.  The stencils run over the raveled
-    u through its slices f[:-2], f[1:-1], f[2:], weights tiled to (2, 3N-2)
-    (rows u_r, u_rr).  The end columns (r = 0, r_max) and the component seams
-    have weight 0, (2n-1)/r = 0 and r^2 = inf: their velocity is a zero of
-    either sign, in columns the step resets.  Interior nodes take the (N, 3)
-    loop's operations in its order, and that sign never reaches them: a
-    stage reads +0 + ±0 = +0 at r = 0, and at r_max it can flip only a zero
-    u_r or u_rr whose partner is +0 or nonzero, leaving their sum b as is.
+    u through its length-3 windows, f[j:j+3] for the center j+1: one multiply
+    by the (2, 3, 3N-2) weights (rows u_r, u_rr; the window's three points)
+    and one sum over the window, (w_m f_m + w_0 f_0) + w_p f_p.  The end
+    columns (r = 0, r_max) and the component seams have weight 0,
+    (2n-1)/r = 0 and r^2 = inf: their velocity is a zero of either sign, in
+    columns the step resets.  Interior nodes take the (N, 3) loop's
+    operations in its order, and that sign never reaches them: a stage reads
+    +0 + ±0 = +0 at r = 0, and at r_max it can flip only a zero u_r or u_rr
+    whose partner is +0 or nonzero, leaving their sum b as is.
     """
     N, hm, hp = r.size, r[1:-1] - r[:-2], r[2:] - r[1:-1]
-    w = np.zeros((3, 2, 3, N))          # (f[:-2], f[1:-1], f[2:]) x (u_r, u_rr)
+    w = np.zeros((2, 3, 3, N))          # (u_r, u_rr) x (f[j], f[j+1], f[j+2])
     # row 0: first derivative, exact for quadratics; row 1: second derivative
-    w[..., 1:-1] = np.array([[-hp / (hm * (hm + hp)), 2.0 / (hm * (hm + hp))],
-                             [(hp - hm) / (hm * hp), -2.0 / (hm * hp)],
-                             [hm / (hp * (hm + hp)), 2.0 / (hp * (hm + hp))]])[:, :, None]
-    w_m, w_0, w_p = w.reshape(3, 2, 3 * N)[:, :, 1:-1].copy()
+    den_m, den_0, den_p = hm * (hm + hp), hm * hp, hp * (hm + hp)
+    w[..., 1:-1] = np.array([[-hp / den_m, (hp - hm) / den_0, hm / den_p],
+                             [2.0 / den_m, -2.0 / den_0, 2.0 / den_p]])[:, :, None]
+    w = w.reshape(2, 3, 3 * N)[:, :, 1:-1].copy()
     coef1 = np.tile(np.r_[0.0, (2 * params.n - 1) / r[1:-1], 0.0], 3)
     r2 = np.r_[np.inf, r[1:-1] ** 2, np.inf]
     d = np.zeros((2, 3, N))             # u_r, u_rr; the stencil leaves the flat ends 0
     d_in, (u_r, b_flat), b, b3 = d.reshape(2, 3 * N)[:, 1:-1], d.reshape(2, 3 * N), d[1], d[1, 2]
-    t, s, scratch = np.empty((2, 3 * N - 2)), np.empty(N), _velocity_scratch(N)
-    c2, alpha, beta = 2 * params.n - 2, params.alpha, params.beta
+    t, s, scratch = np.empty(w.shape), np.empty(N), _velocity_scratch(N)
+    c2 = float(2 * params.n - 2)
 
     def bind(u):
-        u3, f = u[2], u.reshape(-1)
-        f_m, f_0, f_p = f[:-2], f[1:-1], f[2:]
+        u3, windows = u[2], sliding_window_view(u.reshape(-1), 3).T
+        flow = _flow_velocity(u, b, params.alpha, params.beta, scratch)
 
         def velocity(out):
-            np.multiply(w_m, f_m, out=d_in)
-            np.add(d_in, np.multiply(w_0, f_0, out=t), out=d_in)
-            np.add(d_in, np.multiply(w_p, f_p, out=t), out=d_in)
-            np.multiply(u_r, coef1, out=u_r)
-            np.add(b_flat, u_r, out=b_flat)         # u_rr + ((2n-1)/r) u_r
-            np.divide(np.add(u3, c2, out=s), r2, out=s)     # (2n-2 + u3)/r^2
-            np.add(b3, s, out=b3)
-            _flow_velocity(u, b, alpha, beta, out, scratch)
+            np.add.reduce(np.multiply(w, windows, t), 1, None, d_in)
+            np.multiply(u_r, coef1, u_r)
+            np.add(b_flat, u_r, b_flat)                 # u_rr + ((2n-1)/r) u_r
+            np.divide(np.add(u3, c2, s), r2, s)         # (2n-2 + u3)/r^2
+            np.add(b3, s, b3)
+            flow(out)
         return velocity
     return bind
 
@@ -155,10 +165,11 @@ def evolve(field0: RadialField, params: FlowParams, T: float,
     """Run the flow to time T; returns the stored frame sequence.
 
     Norm drift beyond 1e-6 before reprojection aborts with diagnostics.
-    The loop steps a full-width (3, N) copy, writing only into buffers bound once.
+    The loop steps a full-width (3, N) copy, writing only into buffers bound
+    once.  The origin is reset to e3 before the norms, so the projection
+    leaves it e3 (e3/1 is exact).
     """
-    if not 0 < T < np.inf:
-        raise DomainError(f"need 0 < T < inf, got {T!r}")
+    _require_positive(T=T)
     r = field0.r
     bind = _spatial_operator(r, params)
     dr_min = float(np.min(np.diff(r)))
@@ -169,7 +180,7 @@ def evolve(field0: RadialField, params: FlowParams, T: float,
     half, sixth = 0.5 * dt, dt / 6.0
     u = field0.u.T.copy()
     y, k1, k2, k3, k4, sq = (np.empty_like(u) for _ in range(6))
-    (sq1, sq2, sq3), norms, dev = sq, np.empty(r.size), np.empty(r.size)
+    norms, dev = np.empty(r.size), np.empty(r.size)
     velocity_u, velocity_y = bind(u), bind(y)
     origin, outer = u[:, 0], u[:, -1]
     outer_value = outer.copy() if config.outer_boundary == "clamp" else u[:, -2]
@@ -177,31 +188,29 @@ def evolve(field0: RadialField, params: FlowParams, T: float,
     max_drift = 0.0
     for step in range(1, n_steps + 1):
         velocity_u(k1)
-        np.add(np.multiply(k1, half, out=y), u, out=y)
+        np.add(np.multiply(k1, half, y), u, y)
         velocity_y(k2)
-        np.add(np.multiply(k2, half, out=y), u, out=y)
+        np.add(np.multiply(k2, half, y), u, y)
         velocity_y(k3)
-        np.add(np.multiply(k3, dt, out=y), u, out=y)
+        np.add(np.multiply(k3, dt, y), u, y)
         velocity_y(k4)
         # u + dt/6 (k1 + 2 k2 + 2 k3 + k4), summed left to right
-        np.add(np.multiply(k2, 2.0, out=y), k1, out=y)
-        y += np.multiply(k3, 2.0, out=k3)
-        y += k4
-        u += np.multiply(y, sixth, out=y)
+        np.add(np.multiply(k2, 2.0, y), k1, y)
+        np.add(y, np.multiply(k3, 2.0, k3), y)
+        np.add(y, k4, y)
+        np.add(u, np.multiply(y, sixth, y), u)
         outer[:] = outer_value
         origin[:] = E3
-        np.multiply(u, u, out=sq)
-        np.sqrt(np.add(np.add(sq1, sq2, out=norms), sq3, out=norms), out=norms)
-        np.abs(np.subtract(norms, 1.0, out=dev), out=dev)
-        drift = float(dev.max())
+        np.sqrt(np.add.reduce(np.multiply(u, u, sq), 0, None, norms), norms)
+        np.abs(np.subtract(norms, 1.0, dev), dev)
+        drift = float(np.maximum.reduce(dev))
         max_drift = max(max_drift, drift)
         if not drift <= REPAIR_TOL:  # NaN too
             raise InstabilityError(
                 "norm drift beyond 1e-6 before projection",
                 diagnostics={"t": field0.t + step * dt, "drift": drift,
                              "node": int(np.argmax(dev)), "dt": dt})
-        u /= norms
-        origin[:] = E3
+        np.divide(u, norms, u)
         if step % config.store_every == 0 or step == n_steps:
             frames.append(RadialField(r, u.T.copy(), field0.t + step * dt))
     return Trajectory(frames=tuple(frames), params=params,
@@ -332,6 +341,9 @@ def great_circle_bump(grid_r, amplitude: float, center: float, width: float,
 
     The angle is g(r) = amplitude (r/center)^2 exp(-((r-center)/width)^2).
     """
+    if not np.isfinite(amplitude):
+        raise DomainError(f"need a finite amplitude, got {amplitude!r}")
+    _require_positive(center=center, width=width)
     grid_r = np.asarray(grid_r, float)
     v0 = np.asarray(v0, float)
     v0 = v0 / np.linalg.norm(v0)

@@ -312,46 +312,49 @@ def _velocity_scratch(m):
     return np.empty((3, m)), np.empty(m), np.empty((5, m)), np.empty((5, m)), np.empty((3, m))
 
 
-def _flow_velocity(u, b, alpha, beta, out, scratch=None):
-    """Write (alpha P_u + beta u x) b into out; all three are (3, M) arrays.
+def _flow_velocity(u, b, alpha, beta, scratch=None):
+    """Bind (alpha P_u + beta u x) b: returns velocity(out), which writes it
+    from u's and b's current values into out; all three are (3, M) arrays.
 
     Rows are the components.  P_u b = b - (b1 u1 + b2 u2 + b3 u3) u and
     u x b = (u2 b3 - u3 b2, u3 b1 - u1 b3, u1 b2 - u2 b1) take their
     operations in the order of tangent_project_arr and np.cross, so the
     result is theirs bit for bit; a coefficient of exactly 1.0 skips its
-    multiply (x * 1.0 == x).  scratch is `_velocity_scratch(M)`, which a
-    caller evaluating many velocities keeps, or None to allocate it.  out
-    may be a strided view; it must not overlap u, b or scratch.
+    multiply (x * 1.0 == x).  The views velocity reads are taken here, so a
+    caller stepping one state binds it once.  scratch is
+    `_velocity_scratch(M)`, which velocities that never run at once may share,
+    or None to allocate it.  out may be a strided view; it must not overlap
+    u, b or scratch.
     """
     p, s, ur, br, c = _velocity_scratch(u.shape[1]) if scratch is None else scratch
-    if alpha != 0.0:
-        np.multiply(b, u, out=p)
-        np.add(p[0], p[1], out=s)
-        s += p[2]
-        np.multiply(s, u, out=out)
-        np.subtract(b, out, out=out)
-        if alpha != 1.0:
-            out *= alpha
-    if beta != 0.0:
-        np.concatenate((u, u[:2]), out=ur)      # (u1, u2, u3, u1, u2)
-        np.concatenate((b, b[:2]), out=br)
-        if alpha == 0.0:
-            c = out
-        np.multiply(ur[1:4], br[2:5], out=c)
-        np.multiply(ur[2:5], br[1:4], out=p)
-        c -= p
-        if beta != 1.0:
-            c *= beta
+    # ur = (u1, u2, u3, u1, u2), br likewise: ur[1:4] br[2:5] - ur[2:5] br[1:4] is u x b
+    ur_head, ur_tail, br_head, br_tail, u12, b12 = ur[:3], ur[3:], br[:3], br[3:], u[:2], b[:2]
+    u231, b312, u312, b231 = ur[1:4], br[2:5], ur[2:5], br[1:4]
+
+    def velocity(out):
         if alpha != 0.0:
-            out += c
+            np.multiply(b, u, p)
+            np.multiply(np.add.reduce(p, 0, None, s), u, out)
+            np.subtract(b, out, out)
+            if alpha != 1.0:
+                np.multiply(out, alpha, out)
+        if beta != 0.0:
+            ur_head[...], ur_tail[...], br_head[...], br_tail[...] = u, u12, b, b12
+            cross = out if alpha == 0.0 else c
+            np.subtract(np.multiply(u231, b312, cross), np.multiply(u312, b231, p), cross)
+            if beta != 1.0:
+                np.multiply(cross, beta, cross)
+            if alpha != 0.0:
+                np.add(out, cross, out)
+    return velocity
 
 
 def gll_rhs_arr(u, u_r, u_rr, r, params: FlowParams):
     """(alpha P + beta u x) applied to the second-order bracket."""
     b = _second_order_bracket(u, u_r, u_rr, r, params.n)
     out = np.empty(b.shape)
-    _flow_velocity(u.reshape(-1, 3).T, b.reshape(-1, 3).T, params.alpha, params.beta,
-                   out.reshape(-1, 3).T)
+    _flow_velocity(u.reshape(-1, 3).T, b.reshape(-1, 3).T,
+                   params.alpha, params.beta)(out.reshape(-1, 3).T)
     return out
 
 
@@ -400,6 +403,8 @@ def harmonic_map_jet(v: TangentVec, r):
         u_r  = (2 v (1 - a r^2), -4 a r e3) / D^2
         u_rr = (-4 a r v (3 - a r^2), -4 a (1 - 3 a r^2) e3) / D^3
     """
+    if not (math.isfinite(v.v1) and math.isfinite(v.v2)):
+        raise DomainError(f"need finite v1, v2, got {v.v1!r}, {v.v2!r}")
     r = np.asarray(r, float)
     a = v.v1**2 + v.v2**2
     D = 1.0 + a * r**2

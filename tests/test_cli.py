@@ -103,10 +103,17 @@ class TestSelfsimCommand:
     (["realheat", "selfsim", "--beta", "1", "--r-max", "nan"], "r_max=nan"),
     (["evolve", "--alpha", "nan"], "alpha must be >= 0, got nan"),
     (["evolve", "--T", "nan"], "0 < T < inf, got nan"),
-    (["evolve", "--T", "inf"], "0 < T < inf, got inf")])
+    (["evolve", "--T", "inf"], "0 < T < inf, got inf"),
+    (["hasimoto", "run", "--v1", "nan"], "finite v1, v2, got nan"),
+    (["hasimoto", "run", "--v2", "inf"], "finite v1, v2, got 1.0, inf"),
+    (["evolve", "--preset", "harmonic", "--v1", "nan"], "finite v1, v2, got nan"),
+    (["evolve", "--grading", "nan"], "0 < grading < inf, got nan"),
+    (["evolve", "--r-max", "nan"], "0 < r_max < inf, got nan"),
+    (["evolve", "--amplitude", "inf"], "finite amplitude, got inf")])
 def test_non_finite_input_exits_2(tmp_path, capsys, deadline, argv, named):
     # the first three used to run on without end, the fourth to exit 0 with
-    # a one-node profile, the fifth to exit 0, and the last two to raise
+    # a one-node profile, the fifth to exit 0, the next two to raise, and
+    # `hasimoto run` to exit 0 with a NaN, which is not JSON, in its manifest
     out = tmp_path / "nf"
     assert _run(argv + ["--out-dir", str(out)]) == 2
     err = json.loads(capsys.readouterr().err)

@@ -139,12 +139,27 @@ class TestConfigAndTypes:
         assert np.all(np.diff(np.diff(g)) > 0)
         with pytest.raises(GridError):
             make_grid(10.0, 3)
+        # each used to fail later as "evolution grid starts at r = 0"
+        for r_max, grading, named in ((np.nan, 1.0, "r_max"), (-1.0, 1.0, "r_max"),
+                                      (10.0, 0.0, "grading"), (10.0, np.nan, "grading"),
+                                      (10.0, -1.0, "grading"), (10.0, np.inf, "grading")):
+            with pytest.raises(DomainError, match=f"need 0 < {named} < inf"):
+                make_grid(r_max, 11, grading=grading)
 
     def test_config_validation(self):
         with pytest.raises(DomainError):
             EvolveConfig(dt_factor=0.3)
         with pytest.raises(DomainError):
             EvolveConfig(outer_boundary="periodic")
+        # width 0 used to give a flat field; the rest "field off the unit sphere"
+        r = make_grid(8.0, 41)
+        for amplitude, center, width, named in (
+                (0.5, 3.0, 0.0, "0 < width"), (0.5, 3.0, np.nan, "0 < width"),
+                (np.nan, 3.0, 1.0, "finite amplitude"), (-np.inf, 3.0, 1.0, "finite amplitude"),
+                (0.5, np.nan, 1.0, "0 < center"), (0.5, np.inf, 1.0, "0 < center"),
+                (0.5, 0.0, 1.0, "0 < center")):
+            with pytest.raises(DomainError, match=named):
+                great_circle_bump(r, amplitude, center, width)
 
     def test_field_pins_origin(self):
         r = make_grid(5.0, 21)
@@ -214,11 +229,15 @@ class TestEvolve:
         # a NaN node fails `drift > tol`, and used to evolve on with
         # max_norm_drift 0.0; the check reads `not (drift <= tol)`
         node, row = int(rng.integers(1, 40)), int(rng.integers(3))
-        flow_velocity = evolution._flow_velocity
+        bind_flow_velocity = evolution._flow_velocity
 
-        def poisoned(u, b, alpha, beta, out, scratch):
-            flow_velocity(u, b, alpha, beta, out, scratch)
-            out[row, node] = np.nan
+        def poisoned(u, b, alpha, beta, scratch):
+            velocity = bind_flow_velocity(u, b, alpha, beta, scratch)
+
+            def poisoned_velocity(out):
+                velocity(out)
+                out[row, node] = np.nan
+            return poisoned_velocity
 
         monkeypatch.setattr(evolution, "_flow_velocity", poisoned)
         f0 = great_circle_bump(make_grid(8.0, 41), 0.5, 3.0, 1.0)
@@ -243,9 +262,9 @@ class TestComponentMajorLoop:
     """evolve steps a (3, N) copy of the field; the (N, 3) loop is its oracle."""
 
     @staticmethod
-    def _assert_frames_equal_the_row_major_loop(flow, n, outer, grading, v0):
+    def _assert_frames_equal_the_row_major_loop(flow, n, outer, grading, v0, N=61):
         params = FlowParams(n, *FLOWS[flow])
-        r = make_grid(10.0, 61, grading=grading)
+        r = make_grid(10.0, N, grading=grading)
         f0 = great_circle_bump(r, 0.6, 3.0, 1.0, v0=v0)
         config = EvolveConfig(outer_boundary=outer, store_every=7)
         T = 40 * 0.1 * float(np.min(np.diff(r))) ** 2
@@ -274,6 +293,14 @@ class TestComponentMajorLoop:
         # on the great circle u2 starts exactly zero (and stays so under the
         # heat flow), so signed zeros reach the end columns and the boundary
         self._assert_frames_equal_the_row_major_loop(flow, n, outer, grading, (1.0, 0.0, 0.0))
+
+    @pytest.mark.parametrize("flow", sorted(FLOWS))
+    @pytest.mark.parametrize("outer", ["clamp", "neumann"])
+    @pytest.mark.parametrize("grading", [1.0, 1.5])
+    @pytest.mark.parametrize("v0", [(1.0, 0.4, 0.0), (1.0, 0.0, 0.0)])
+    def test_frames_equal_the_row_major_loop_on_401_nodes(self, flow, outer, grading, v0):
+        # the benchmark's largest grid, with the most window and seam positions
+        self._assert_frames_equal_the_row_major_loop(flow, 2, outer, grading, v0, N=401)
 
     def test_drift_abort_names_the_same_node(self):
         r = make_grid(6.0, 61)
