@@ -6,6 +6,8 @@ deterministic: no randomness, no iteration-order ambiguity.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 from .errors import DomainError, GridError
@@ -13,7 +15,16 @@ from .errors import DomainError, GridError
 STENCIL = 5     # points of every sliding finite-difference stencil (4th order)
 
 
+def require_positive(**values):
+    """DomainError naming the first of the values outside (0, inf)."""
+    for name, value in values.items():
+        if not 0 < value < np.inf:  # NaN too
+            raise DomainError(f"need 0 < {name} < inf, got {value!r}")
+
+
 def check_grid(x):
+    """x as a float radial grid: at least two finite, strictly increasing
+    nodes from r >= 0 (a grid may start at the origin)."""
     x = np.asarray(x, dtype=float)
     if x.size < 2:
         raise GridError("grid needs at least two nodes")
@@ -21,6 +32,8 @@ def check_grid(x):
         raise GridError("grid must be strictly increasing")
     if not np.all(np.isfinite(x)):
         raise GridError("grid contains non-finite nodes")
+    if x[0] < 0.0:
+        raise GridError(f"radial grid starts at r = {float(x[0])!r} < 0")
     return x
 
 
@@ -175,18 +188,40 @@ def frame_rates(values, times):
             for k in range(1, len(values) - 1))
 
 
+def radial_integral(values, r, d):
+    """int values r^{d-1} dr on the nodes r, by the trapezoid rule: the radial
+    part of an integral over R^d (times the sphere measure for the whole)."""
+    return np.trapezoid(values * r ** (d - 1), r)
+
+
 def weighted_norms(res, r, n, margin):
     """(L2, Linf) of a residual on the nodes r, L2 with the r^{2n-1} dr weight.
 
     res is (N,) or (N, k), real or complex; its pointwise magnitude sums
-    |res|^2 over the trailing axes, and the L2 integral is a trapezoid.
+    |res|^2 over the trailing axes, and the L2 integral is `radial_integral`.
     margin nodes are dropped at each end, where one-sided stencils sit.
     """
     sl = slice(margin, len(r) - margin)
     res, r = res[sl], r[sl]
     mag2 = np.sum(np.abs(res) ** 2, axis=tuple(range(1, np.ndim(res))))
-    l2 = float(np.sqrt(np.trapezoid(mag2 * r ** (2 * n - 1), r)))
+    l2 = float(np.sqrt(radial_integral(mag2, r, 2 * n)))
     return l2, float(np.sqrt(np.max(mag2)))
+
+
+class ResidualReport(NamedTuple):
+    """`weighted_norms` of a residual per certified frame, with the frames' times."""
+
+    times: np.ndarray
+    l2: np.ndarray        # weighted L2 (r^{2n-1} dr) over interior nodes
+    linf: np.ndarray
+
+    @property
+    def max_l2(self):
+        return float(np.max(self.l2))
+
+    @property
+    def max_linf(self):
+        return float(np.max(self.linf))
 
 
 def locate(xq, x):

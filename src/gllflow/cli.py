@@ -20,6 +20,7 @@ import numpy as np
 
 from . import figure_reference as figref
 from . import realflow as rf
+from ._numerics import require_positive
 from .errors import GLLFlowError
 from .evolution import (EvolveConfig, RadialField, evolve, field_from_profile,
                         great_circle_bump, make_grid, residual)
@@ -49,8 +50,7 @@ def _write_report(out_dir, name, rep):
 
 
 def _write_gnuplot(out_dir, csv_name, columns, title):
-    lines = [f"set datafile separator ','", f"set key autotitle columnhead",
-             f"set title '{title}'",
+    lines = ["set datafile separator ','", "set key autotitle columnhead", f"set title '{title}'",
              "plot " + ", ".join(f"'{csv_name}' using 1:{c} with lines" for c in columns)]
     (Path(out_dir) / "plot.gp").write_text("\n".join(lines) + "\n")
 
@@ -161,11 +161,10 @@ def cmd_realheat_witness(args):
 
 def cmd_realheat_figure(args):
     fit = figref.fit_convention()
-    curves = fit.curves
-    labels = sorted(curves)
+    labels = sorted(fit.curves)
     out = _out_dir(args, "out-realheat-figure")
     errs = {}
-    for lbl, data in sorted(curves.items()):
+    for lbl, data in sorted(fit.curves.items()):
         name = f"curve_beta_{str(lbl).replace('.', 'p')}.csv"
         write_csv(out / name, "x_plot,y_reference,y_simulated", data)
         errs[str(lbl)] = float(np.max(np.abs(data[:, 1] - data[:, 2])))
@@ -214,6 +213,7 @@ def _evolve_initial(args, params, r):
     if args.preset == "bump":
         return great_circle_bump(r, args.amplitude, args.center, args.width)
     if args.preset == "selfsim":
+        require_positive(t0=args.t0)        # it sizes the profile's r_max
         prof = solve_profile((args.v1, args.v2), params, r[-1] / np.sqrt(args.t0) + 1.0)
         return field_from_profile(prof, r, args.t0)
     raise GLLFlowError(f"unknown preset {args.preset!r}")

@@ -18,7 +18,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from ._numerics import check_grid, derivative_nonuniform, frame_rates, weighted_norms
+from ._numerics import (ResidualReport, check_grid, derivative_nonuniform, frame_rates,
+                        require_positive, weighted_norms)
 from .errors import DomainError, GridError, InstabilityError
 from .geometry import (E3, REPAIR_TOL, FlowParams, RadialProfile, _flow_velocity,
                        _velocity_scratch, energy, gll_rhs_arr)
@@ -32,20 +33,12 @@ RESIDUAL_MARGIN = 3       # nodes dropped at each end of a residual norm
 CONSISTENCY_STENCIL = 9
 
 
-def _require_positive(**values):
-    """DomainError naming the first of the values outside (0, inf)."""
-    for name, value in values.items():
-        if not 0 < value < np.inf:  # NaN too
-            raise DomainError(f"need 0 < {name} < inf, got {value!r}")
-
-
 def make_grid(r_max: float, n_nodes: int, grading: float = 1.0):
     """Radial grid r_i = r_max (i/(N-1))^grading with r_0 = 0."""
     if n_nodes < 5:
         raise GridError("need at least 5 nodes")
-    _require_positive(r_max=r_max, grading=grading)
-    s = np.linspace(0.0, 1.0, n_nodes)
-    return r_max * s**grading
+    require_positive(r_max=r_max, grading=grading)
+    return r_max * np.linspace(0.0, 1.0, n_nodes) ** grading
 
 
 @dataclass(frozen=True)
@@ -57,12 +50,10 @@ class RadialField:
     t: float = 0.0
 
     def __post_init__(self):
-        r = np.asarray(self.r, float)
+        r = check_grid(self.r)
         u = np.array(self.u, float)
         if r[0] != 0.0:
             raise GridError("evolution grid starts at r = 0")
-        if r.size > 2:
-            check_grid(r[1:])
         norms = np.linalg.norm(u, axis=1)
         if not np.max(np.abs(norms - 1.0)) <= REPAIR_TOL:  # NaN too
             raise DomainError("field off the unit sphere beyond repair tolerance")
@@ -169,7 +160,7 @@ def evolve(field0: RadialField, params: FlowParams, T: float,
     once.  The origin is reset to e3 before the norms, so the projection
     leaves it e3 (e3/1 is exact).
     """
-    _require_positive(T=T)
+    require_positive(T=T)
     r = field0.r
     bind = _spatial_operator(r, params)
     dr_min = float(np.min(np.diff(r)))
@@ -221,21 +212,6 @@ def evolve(field0: RadialField, params: FlowParams, T: float,
 # residual certification
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ResidualReport:
-    times: np.ndarray
-    l2: np.ndarray        # weighted L2 (r^{2n-1} dr) over interior nodes
-    linf: np.ndarray
-
-    @property
-    def max_l2(self):
-        return float(np.max(self.l2))
-
-    @property
-    def max_linf(self):
-        return float(np.max(self.linf))
-
-
 def residual(trajectory: Trajectory) -> ResidualReport:
     """Centered-in-time u_t minus the flow velocity, on the stored frames.
 
@@ -247,9 +223,7 @@ def residual(trajectory: Trajectory) -> ResidualReport:
     reads 3.61 where store-often runs read 0.005-0.03.  ROADMAP item 3 has
     the fix (keep the states one step either side of each stored frame).
     """
-    params = trajectory.params
-    frames = trajectory.frames
-    r = trajectory.r
+    params, frames, r = trajectory.params, trajectory.frames, trajectory.r
     rows = []       # (t, l2, linf) per interior frame
     rates = frame_rates([f.u for f in frames], [f.t for f in frames])
     # the interior frames side by side, (N, F, 3): one stencil pass per order
@@ -278,16 +252,12 @@ def great_circle_deviation(trajectory: Trajectory, v0) -> float:
     Zero (to discretization accuracy) exactly when the flow preserves the
     great circle spanned by e3 and v0.
     """
-    v0 = np.asarray(v0, float)
-    w = np.cross(v0, E3)
+    w = np.cross(np.asarray(v0, float), E3)
     nw = np.linalg.norm(w)
-    if nw == 0.0:
+    if not nw > 0.0:  # NaN too
         raise DomainError("v0 must not be parallel to e3")
     w = w / nw
-    worst = 0.0
-    for f in trajectory.frames:
-        worst = max(worst, float(np.max(np.abs(f.u @ w))))
-    return worst
+    return max(float(np.max(np.abs(f.u @ w))) for f in trajectory.frames)
 
 
 # ---------------------------------------------------------------------------
@@ -302,6 +272,7 @@ def field_from_profile(profile: SelfSimProfile, grid_r, t0: float) -> RadialFiel
     clamped to r0: RadialField pins the node r = 0 to e3, the profile's
     value at the origin, and psi(r0) stands within O(r0) of it elsewhere.
     """
+    require_positive(t0=t0)
     grid_r = np.asarray(grid_r, float)
     rho = grid_r / np.sqrt(t0)
     beyond = rho > profile.r[-1]
@@ -320,11 +291,8 @@ def selfsim_consistency(profile: SelfSimProfile, t: float, params: FlowParams):
     the residual therefore vanishes at the differentiation order under
     profile-grid refinement.  Returns (l2, linf) over interior nodes.
     """
-    if t <= 0:
-        raise DomainError("need t > 0")
-    rho = profile.r
-    psi = profile.psi
-    dpsi = profile.psi_r
+    require_positive(t=t)
+    rho, psi, dpsi = profile.r, profile.psi, profile.psi_r
     ddpsi = derivative_nonuniform(rho, dpsi, order=1, points=CONSISTENCY_STENCIL)
     u_t = -(rho / (2.0 * t))[:, None] * dpsi
     rhs = gll_rhs_arr(psi, dpsi, ddpsi, rho, params) / t
@@ -343,7 +311,7 @@ def great_circle_bump(grid_r, amplitude: float, center: float, width: float,
     """
     if not np.isfinite(amplitude):
         raise DomainError(f"need a finite amplitude, got {amplitude!r}")
-    _require_positive(center=center, width=width)
+    require_positive(center=center, width=width)
     grid_r = np.asarray(grid_r, float)
     v0 = np.asarray(v0, float)
     v0 = v0 / np.linalg.norm(v0)

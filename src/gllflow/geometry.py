@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._numerics import check_grid, sphere_surface_measure
+from ._numerics import check_grid, radial_integral, require_positive, sphere_surface_measure
 from .errors import DomainError, GridError, NormDriftError, PoleSingularityError
 
 E3 = np.array([0.0, 0.0, 1.0])
@@ -209,8 +209,7 @@ def energy_density(u, u_r, r, n) -> float:
     """
     u = u.array if isinstance(u, SpherePoint) else np.asarray(u, float)
     u_r = u_r.array if isinstance(u_r, TangentVec) else np.asarray(u_r, float)
-    if r <= 0.0:
-        raise DomainError("energy density needs r > 0")
+    require_positive(r=r)
     return float(energy_density_arr(u, u_r, r, n))
 
 
@@ -218,8 +217,7 @@ def energy_density_l2(u, u_r, r, n) -> float:
     """Same density written with |u - e3|^2: agrees with energy_density to 1e-14."""
     u = u.array if isinstance(u, SpherePoint) else np.asarray(u, float)
     u_r = u_r.array if isinstance(u_r, TangentVec) else np.asarray(u_r, float)
-    if r <= 0.0:
-        raise DomainError("energy density needs r > 0")
+    require_positive(r=r)
     pot = u[0] ** 2 + u[1] ** 2 + (2 * n - 2) * float((u - E3) @ (u - E3))
     return 0.5 * (float(u_r @ u_r) + pot / r**2)
 
@@ -233,14 +231,8 @@ class RadialProfile:
     u_r: np.ndarray     # (N, 3)
 
     def __post_init__(self):
-        r = np.asarray(self.r, float)
-        if r.size == 0:
-            raise GridError("empty profile grid")
-        # the grid may start at r = 0 (the pole of the measure); beyond the
-        # first node it must be strictly increasing and finite
-        if r.size > 2:
-            check_grid(r if r[0] > 0 else r[1:])
-        object.__setattr__(self, "r", r)
+        # the grid may start at r = 0, the pole of the measure
+        object.__setattr__(self, "r", check_grid(self.r))
         object.__setattr__(self, "u", np.asarray(self.u, float))
         object.__setattr__(self, "u_r", np.asarray(self.u_r, float))
 
@@ -273,8 +265,7 @@ def energy(profile: RadialProfile, n: int, r_min: float = 0.0, r_max: float | No
         raise GridError("fewer than two grid nodes in the integration window")
     rr = r[mask]
     dens = energy_density_arr(profile.u[mask], profile.u_r[mask], rr, n)
-    sigma = sphere_surface_measure(2 * n)
-    return float(sigma * np.trapezoid(dens * rr ** (2 * n - 1), rr))
+    return float(sphere_surface_measure(2 * n) * radial_integral(dens, rr, 2 * n))
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +275,7 @@ def energy(profile: RadialProfile, n: int, r_min: float = 0.0, r_max: float | No
 def _second_order_bracket(u, u_r, u_rr, r, n):
     """u_rr + ((2n-1)/r) u_r + ((2n-2+u3)/r^2) e3, vectorized."""
     r = np.asarray(r, float)
-    if np.any(r <= 0.0):
+    if not np.all(r > 0.0):  # NaN too
         raise DomainError("radial operators need r > 0")
     coef1 = (2 * n - 1) / r
     coef2 = (2 * n - 2 + u[..., 2]) / r**2
@@ -371,7 +362,7 @@ def stereo_rhs(f, f_r, f_rr, r, params: FlowParams):
                      - ((2n-1)/r^2) f + 2 |f|^2 f / (r^2 (1+|f|^2))]
     """
     r = np.asarray(r, float)
-    if np.any(r <= 0.0):
+    if not np.all(r > 0.0):  # NaN too
         raise DomainError("radial operators need r > 0")
     f = np.asarray(f, complex)
     f_r = np.asarray(f_r, complex)

@@ -21,7 +21,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._numerics import check_grid, cumquad0, derivative_nonuniform, frame_rates, weighted_norms
+from ._numerics import (ResidualReport, check_grid, cumquad0, derivative_nonuniform,
+                        frame_rates, weighted_norms)
 from .errors import DomainError, GridError
 from .geometry import E3, FlowParams
 from .manifest import report_json, write_csv
@@ -50,7 +51,7 @@ class Frame:
 
     def validate(self, u):
         bad = self.defect(u)
-        if bad > FRAME_TOL:
+        if not bad <= FRAME_TOL:  # NaN too
             raise DomainError(f"frame invariants violated by {bad:.3e}")
         return self
 
@@ -67,9 +68,9 @@ def transport_frame(r, u, e_seed) -> Frame:
     """
     u = np.asarray(u, float)
     e_seed = np.asarray(e_seed, float)
-    if abs(np.linalg.norm(e_seed) - 1.0) > FRAME_TOL or abs(e_seed @ E3) > FRAME_TOL:
+    if not (abs(np.linalg.norm(e_seed) - 1.0) <= FRAME_TOL and abs(e_seed @ E3) <= FRAME_TOL):
         raise DomainError("e_seed must be a unit vector tangent at the north pole")
-    if np.linalg.norm(u[0] - E3) > 1e-9:
+    if not np.linalg.norm(u[0] - E3) <= 1e-9:  # NaN too
         raise DomainError("the curve must start at the north pole")
     a, b = u[:-1], u[1:]
     axis = np.cross(a, b)
@@ -167,7 +168,7 @@ def qpde_residual(trajectory, params: FlowParams):
     Every frame is transported from the same seed, QPDE_SEED: the gauge
     choice alpha_g(0) = 0 together with u(0, t) = e3 makes the origin
     frame time-independent, so a fixed seed is the time-coherent choice.
-    Needs >= 3 stored frames; returns (times, l2, linf) arrays.
+    Needs >= 3 stored frames; returns the `ResidualReport` (times, l2, linf).
     """
     frames = trajectory.frames
     r = trajectory.r
@@ -178,7 +179,7 @@ def qpde_residual(trajectory, params: FlowParams):
         V_r = derivative_nonuniform(r, qf.V, order=1)
         res = q_t - (params.alpha + 1j * params.beta) * V_r + 1j * qf.alpha_g * qf.q
         rows.append((frames[k].t, *weighted_norms(res, r, params.n, QPDE_MARGIN)))
-    return tuple(map(np.array, zip(*rows)))
+    return ResidualReport(*map(np.array, zip(*rows)))
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .errors import DomainError
+
 SCHEMA_VERSION = "gllflow.run_manifest/1"
 MANIFEST_NAME = "run_manifest.json"
 
@@ -27,8 +29,21 @@ def write_csv(path, header, *columns):
 
 
 def report_json(doc) -> str:
-    """A report (or manifest) document as sorted, indented JSON text."""
-    return json.dumps(doc, indent=2, sort_keys=True)
+    """A report (or manifest) document as sorted, indented JSON text; a NaN
+    or infinite value, which JSON has no token for, is a DomainError."""
+    try:
+        return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise DomainError(f"report not written, JSON has no NaN or inf: {exc}") from None
+
+
+@dataclass(frozen=True)
+class CheckResult:
+    """One row of a check suite or report: a named property and its verdict."""
+
+    name: str
+    passed: bool
+    detail: str
 
 
 @dataclass

@@ -23,8 +23,9 @@ import numpy as np
 # hermite_eval is not called here: perfbench/tracer.py looks it up in this
 # module (ROADMAP item 4)
 from ._numerics import hermite_eval  # noqa: F401
+from ._numerics import radial_integral
 from .errors import DomainError
-from .manifest import report_json, write_csv
+from .manifest import CheckResult, report_json, write_csv
 from .singular_ode import DenseSolution, SingularIVP, integrate_rk, origin_start
 # series_start is called through origin_start: perfbench/tracer.py looks it
 # up in this module
@@ -141,11 +142,11 @@ def stationary_residual(alpha, r_samples, n) -> float:
     Independent of n up to rounding: the stationary family solves the ODE
     for every n.
     """
-    if alpha < 0:
-        raise DomainError("alpha must be >= 0")
+    if not 0 <= alpha < np.inf:  # NaN too: it would read as residual 0
+        raise DomainError(f"need 0 <= alpha < inf, got {alpha!r}")
     r = np.asarray(r_samples, float)
-    if np.any(r <= 0):
-        raise DomainError("samples must have r > 0")
+    if not np.all((r > 0) & (r < np.inf)):  # NaN too
+        raise DomainError(f"samples need 0 < r < inf, got {r.tolist()!r}")
     g = stationary_profile(alpha, r)
     gp = stationary_profile_derivative(alpha, r)
     gpp = -4.0 * alpha**3 * r / (1.0 + (alpha * r) ** 2) ** 2
@@ -261,13 +262,6 @@ def solve_selfsim_real(beta_slope: float, n: int, r_max: float,
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class ComparisonCheck:
-    name: str
-    passed: bool
-    detail: str
-
-
-@dataclass(frozen=True)
 class ComparisonReport:
     n: int
     beta_labels: tuple
@@ -315,7 +309,7 @@ def comparison_suite(beta_list, n: int, r_max: float) -> ComparisonReport:
     nonzero = [i for i, b in enumerate(betas) if b != 0.0]
     excess = table[nonzero] - stationary_profile(np.array(betas)[nonzero, None], r_common)
     worst, where = _first_max(excess, lambda i, j: (betas[nonzero[i]], float(r_common[j])))
-    checks.append(ComparisonCheck(
+    checks.append(CheckResult(
         "below_matched_stationary", worst <= ORDERING_TOL,
         f"max(phi - stationary) = {worst:.3e} at (beta, r) = {where}"))
 
@@ -327,28 +321,28 @@ def comparison_suite(beta_list, n: int, r_max: float) -> ComparisonReport:
             worst, where = float(dec), b
         if p.g.max() > top:
             top, top_where = float(p.g.max()), b
-    checks.append(ComparisonCheck(
+    checks.append(CheckResult(
         "monotone_in_r", worst <= ORDERING_TOL,
         f"largest decrease {worst:.3e} (beta = {where})"))
-    checks.append(ComparisonCheck(
+    checks.append(CheckResult(
         "below_pi", top < math.pi,
         f"max phi = {top:.6f} (beta = {top_where}), pi = {math.pi:.6f}"))
 
     worst, where = _first_max(table[:-1] - table[1:],
                               lambda i, j: (betas[i], betas[i + 1], float(r_common[j])))
-    checks.append(ComparisonCheck(
+    checks.append(CheckResult(
         "increasing_in_beta", worst <= ORDERING_TOL,
         f"max(phi_lo - phi_hi) = {worst:.3e} at (beta_lo, beta_hi, r) = {where}"))
 
     big = solve_selfsim_real(2.0 * LIMIT_BETA, n, r_max)
     gap_pi = math.pi - big.g_inf
-    checks.append(ComparisonCheck(
+    checks.append(CheckResult(
         "large_beta_near_pi", 0.0 < gap_pi < 0.05,
         f"pi - phi_{{{LIMIT_BETA:g}}}(r_max) = {gap_pi:.4f}"))
 
     ginfs = [p.g_inf for p in profiles]
     incr = all(a < b for a, b in zip(ginfs[:-1], ginfs[1:]))
-    checks.append(ComparisonCheck(
+    checks.append(CheckResult(
         "limits_increasing_in_beta", incr,
         f"phi(infty) per beta: {[round(v, 6) for v in ginfs]}"))
 
@@ -402,8 +396,7 @@ def witness_energy_gap(epsilon, delta, quad_nodes=4000):
         h = math.pi - (delta / 2.0) * f
         hp = -(delta / 2.0) * fp
         pot = np.where(r > 0, 2.0 * gamma(h, 2) / np.where(r > 0, r, 1.0) ** 2, 0.0)
-        integrand = (hp**2 + pot) * r**3
-        total += float(np.trapezoid(integrand, r))
+        total += float(radial_integral(hp**2 + pot, r, 4))
     return total
 
 
@@ -411,8 +404,8 @@ def hardy_saturation_ratio(epsilon, quad_nodes=4000):
     """int |f'|^2 r^3 dr / int |f/r|^2 r^3 dr for the kink family (>= 1, -> 1)."""
     num = den = 0.0
     for r, f, fp in _witness_nodes(epsilon, quad_nodes):
-        num += float(np.trapezoid(fp**2 * r**3, r))
-        den += float(np.trapezoid(np.where(r > 0, (f / np.where(r > 0, r, 1.0)) ** 2, 0.0) * r**3, r))
+        num += float(radial_integral(fp**2, r, 4))
+        den += float(radial_integral(np.where(r > 0, (f / np.where(r > 0, r, 1.0)) ** 2, 0.0), r, 4))
     return num / den
 
 

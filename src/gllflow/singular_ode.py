@@ -30,7 +30,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import _dop853 as dop
-from ._numerics import check_grid, hermite_eval, locate
+from ._numerics import check_grid, hermite_eval, locate, radial_integral, require_positive
 from .errors import DomainError, GridError, NonFiniteError, StiffnessError
 from .manifest import write_csv
 
@@ -161,14 +161,6 @@ def _error_norm(err, y_old, y_new, rel_tol):
     return e5 / math.sqrt(denom * y_old.size) if denom else 0.0
 
 
-def check_tolerance(rel_tol):
-    """Refuse a tolerance outside (0, inf): the error scale
-    ERROR_FLOOR + rel_tol max|y| would go negative (and be squared away) or
-    stop bounding anything."""
-    if not 0.0 < rel_tol < math.inf:
-        raise DomainError(f"need 0 < rel_tol < inf, got {rel_tol!r}")
-
-
 def _initial_step(fun, r0, y0, f0, rel_tol, max_step):
     """Hairer's starting step for an error estimate of order 7."""
     scale = ERROR_FLOOR + rel_tol * np.abs(y0)
@@ -207,7 +199,7 @@ def integrate_rk(fun: Callable, r0: float, y0: np.ndarray, r_max: float,
     """
     if not -math.inf < r0 < r_max < math.inf:
         raise DomainError(f"need finite r0 < r_max, got r0={r0!r}, r_max={r_max!r}")
-    check_tolerance(rel_tol)
+    require_positive(rel_tol=rel_tol)  # else ERROR_FLOOR + rel_tol max|y| bounds nothing
     if not max_step > 0.0:
         raise DomainError(f"need max_step > 0, got {max_step!r}")
     y = np.array(y0, copy=True)
@@ -310,8 +302,7 @@ class SingularIVP:
     series: tuple     # (c3,) or (c3, c5, c7)
 
     def __post_init__(self):
-        if self.k <= 0:
-            raise DomainError("singular strength k must be > 0")
+        require_positive(k=self.k)
 
     def validate(self):
         """Runtime assertions: A(alpha0,0,0)=0 and cubic vanishing of B."""
@@ -351,8 +342,7 @@ def series_start(ivp: SingularIVP, r0: float):
     leading term `series_remainder` gives.  Refuses r0 > 1e-2: beyond that
     the remainder estimate (and so the accuracy contract) is unverifiable.
     """
-    if r0 <= 0.0:
-        raise DomainError("need r0 > 0")
+    require_positive(r0=r0)
     if r0 > 1e-2:
         raise DomainError("series start only certified for r0 <= 1e-2")
     ivp.validate()
@@ -398,7 +388,7 @@ def origin_start(ivp: SingularIVP, rel_tol: float) -> OriginStart:
     DomainError that names it.  A cubic start, a looser tolerance and
     alpha0 = 0 (where the series is exactly zero) keep r0 = DEFAULT_R0.
     """
-    check_tolerance(rel_tol)
+    require_positive(rel_tol=rel_tol)
     a = abs(ivp.alpha0)
     r0 = (DEFAULT_R0 if len(ivp.series) == 1 or a == 0.0 or rel_tol >= ROUNDING_TOL
           else min(START_REACH, START_REACH / a))
@@ -464,8 +454,8 @@ def hardy_check(r, f, f_r, d: int, p: float, k: float) -> HardyReport:
     ratio).  Requires p >= 1, k >= 0 and p < d/(k+1); the samples should be
     a smooth compactly supported f with its derivative.
     """
-    if p < 1.0 or k < 0.0:
-        raise DomainError("need p >= 1 and k >= 0")
+    if not (p >= 1.0 and k >= 0.0):  # NaN too
+        raise DomainError(f"need p >= 1 and k >= 0, got p={p!r}, k={k!r}")
     if p >= d / (k + 1.0):
         raise DomainError(f"exponent condition violated: p={p} >= d/(k+1)={d/(k+1)}")
     num, den = _hardy_norms(r, f, f_r, d, p, k)
@@ -486,6 +476,6 @@ def _hardy_norms(r, f, f_r, d, p, k):
     r = check_grid(r)
     f = np.asarray(f, dtype=float)
     f_r = np.asarray(f_r, dtype=float)
-    num = np.trapezoid(np.abs(f / r ** (k + 1)) ** p * r ** (d - 1), r) ** (1.0 / p)
-    den = np.trapezoid(np.abs(f_r / r**k) ** p * r ** (d - 1), r) ** (1.0 / p)
+    num = radial_integral(np.abs(f / r ** (k + 1)) ** p, r, d) ** (1.0 / p)
+    den = radial_integral(np.abs(f_r / r**k) ** p, r, d) ** (1.0 / p)
     return num, den

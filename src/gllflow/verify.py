@@ -1,34 +1,27 @@
 """Executable invariant suites, one per module, driven by `gllflow verify`.
 
-Each suite returns a list of CheckResult rows; a suite passes when every
-row does.  All randomness is seeded, so repeated runs are identical.
+Each suite returns a list of `manifest.CheckResult` rows; a suite passes
+when every row does.  All randomness is seeded, so repeated runs are
+identical.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import _numerics as num
 from . import geometry as geo
 from . import realflow as rf
-from .evolution import (EvolveConfig, evolve, great_circle_bump, energy_history,
-                        make_grid, residual)
+from .evolution import (RESIDUAL_MARGIN, EvolveConfig, evolve, great_circle_bump,
+                        energy_history, make_grid, residual)
 from .geometry import (CPPoint, E3, FlowParams, RadialProfile, TangentVec,
                        embed_equivariant, energy, fs_distance, gll_rhs_arr,
                        harmonic_map_jet, stereo_lift_arr, stereo_lift_differential,
                        stereo_rhs, unitary_action)
 from .hasimoto import compute_q, pole_projection_coordinates, transport_frame
+from .manifest import CheckResult
 from .selfsim import apriori_identity_residual, derivative_energy_bound, solve_profile
 from .singular_ode import hardy_check, series_start
-
-
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str
 
 
 def _bump(t):
@@ -82,7 +75,7 @@ def suite_geom():
         prof = RadialProfile(r, u, u_r)
         E = energy(prof, 2)
         grad2 = float(geo.sphere_surface_measure(4) *
-                      np.trapezoid(np.sum(u_r**2, axis=1) * r**3, r))
+                      num.radial_integral(np.sum(u_r**2, axis=1), r, 4))
         if grad2 > 0:
             worst_lower = min(worst_lower, 2.0 * E / grad2)
             worst_C = max(worst_C, E / grad2)
@@ -316,7 +309,7 @@ def _great_circle_reduction_residuals():
         g_rr = num.derivative_nonuniform(r, g, order=2)
         res = np.zeros_like(g)
         res[1:] = g_t[1:] - (g_rr[1:] + 3.0 / r[1:] * g_r[1:] - rf.eta(g[1:], 2) / r[1:] ** 2)
-        resids.append(num.weighted_norms(res, r, 2, 3)[0])
+        resids.append(num.weighted_norms(res, r, 2, RESIDUAL_MARGIN)[0])
     return resids
 
 

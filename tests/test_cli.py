@@ -11,7 +11,8 @@ from gllflow import figure_reference
 from gllflow import realflow as rf
 from gllflow.cli import main
 from gllflow.geometry import FlowParams, SpherePoint
-from gllflow.manifest import MANIFEST_NAME, write_csv
+from gllflow.errors import DomainError
+from gllflow.manifest import MANIFEST_NAME, report_json, write_csv
 from gllflow.selfsim import solve_profile, tail_limit
 
 
@@ -119,6 +120,38 @@ def test_non_finite_input_exits_2(tmp_path, capsys, deadline, argv, named):
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "DomainError" and named in err["message"]
     assert not (out / MANIFEST_NAME).exists()
+
+
+SMALL_EVOLVE = ["evolve", "--nodes", "41", "--r-max", "8", "--T", "0.01"]
+
+
+@pytest.mark.parametrize("argv,named", [
+    (["realheat", "stationary", "--alpha", "nan"], "need 0 <= alpha < inf, got nan"),
+    (["realheat", "stationary", "--r-list", "0.1,nan"], "0 < r < inf, got [0.1, nan]"),
+    (SMALL_EVOLVE + ["--preset", "selfsim", "--t0", "nan"], "need 0 < t0 < inf, got nan"),
+    (SMALL_EVOLVE + ["--preset", "selfsim", "--t0", "-1"], "need 0 < t0 < inf, got -1.0"),
+    (SMALL_EVOLVE + ["--preset", "selfsim", "--t0", "0"], "need 0 < t0 < inf, got 0.0")])
+def test_input_outside_its_domain_exits_2_naming_it(tmp_path, capsys, argv, named):
+    # the stationary cases used to exit 0 with max residual 0 (the NaN
+    # residuals dropped out of the max); the t0 cases named the profile's
+    # r_max, sized from t0, instead of t0
+    out = tmp_path / "d"
+    assert _run(argv + ["--out-dir", str(out)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "DomainError" and named in err["message"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [["--v1", "nan"], ["--preset", "harmonic", "--amplitude", "nan"]])
+def test_a_nan_parameter_leaves_no_manifest(tmp_path, capsys, argv):
+    # neither value is read by its preset; the manifest used to hold it as
+    # the token NaN, which is not JSON.  The frame CSVs are written before it.
+    out = tmp_path / "m"
+    assert _run(SMALL_EVOLVE + argv + ["--out-dir", str(out)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "DomainError" and "JSON has no NaN or inf" in err["message"]
+    assert not (out / MANIFEST_NAME).exists()
+    assert (out / "frame_0000.csv").exists()
 
 
 class TestRealheatCommands:
@@ -477,6 +510,13 @@ class TestManifests:
             assert "savetxt" not in text, path.name
             for token in ("%.17g", "indent=2"):
                 assert (token in text) == (path.name == "manifest.py"), (path.name, token)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_report_json_refuses_what_json_cannot_hold(self, value):
+        assert report_json({"b": [1.0, 2], "a": {"c": None}}) == (
+            '{\n  "a": {\n    "c": null\n  },\n  "b": [\n    1.0,\n    2\n  ]\n}')
+        with pytest.raises(DomainError, match="JSON has no NaN or inf"):
+            report_json({"a": {"c": [1.0, value]}})
 
     def test_write_csv_bytes_equal_savetxt(self, tmp_path):
         # np.savetxt with these arguments is the reference the writer replaced

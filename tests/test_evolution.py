@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from gllflow import evolution
-from gllflow._numerics import central_difference3, derivative_nonuniform
+from gllflow._numerics import ResidualReport, central_difference3, derivative_nonuniform
 from gllflow.errors import DomainError, GridError, InstabilityError
 from gllflow.evolution import (RESIDUAL_MARGIN, EvolveConfig, RadialField, energy_history,
                                evolve, field_from_profile, great_circle_bump,
@@ -145,6 +145,14 @@ class TestConfigAndTypes:
                                       (10.0, -1.0, "grading"), (10.0, np.inf, "grading")):
             with pytest.raises(DomainError, match=f"need 0 < {named} < inf"):
                 make_grid(r_max, 11, grading=grading)
+
+    def test_field_checks_its_whole_grid(self):
+        # the first two used to be accepted, as the check skipped the node r = 0
+        for bad, why in (([0.0, -1.0, 2.0, 3.0], "increasing"), ([0.0, 2.0, 1.0], "increasing"),
+                         ([-1.0, 0.0, 1.0], "r = -1.0 < 0"), ([1.0, 2.0, 3.0], "starts at r = 0"),
+                         ([0.0, 1.0, np.nan], "increasing"), ([0.0], "two nodes")):
+            with pytest.raises(GridError, match=why):
+                RadialField(bad, np.tile(E3, (len(bad), 1)))
 
     def test_config_validation(self):
         with pytest.raises(DomainError):
@@ -351,6 +359,16 @@ class TestResidual:
         with pytest.raises(DomainError):
             qpde_residual(traj, HEAT)
 
+    def test_both_residuals_return_one_report_type(self):
+        r = make_grid(8.0, 41)
+        traj = evolve(great_circle_bump(r, 0.5, 3.0, 1.0), HEAT, 0.02,
+                      EvolveConfig(store_every=1))
+        rep, q_rep = residual(traj), qpde_residual(traj, HEAT)
+        assert type(rep) is type(q_rep) is ResidualReport
+        times, l2, linf = q_rep       # it still unpacks as the bare tuple did
+        assert np.array_equal(times, rep.times)
+        assert q_rep.max_l2 == float(np.max(l2)) and q_rep.max_linf == float(np.max(linf))
+
     def test_uneven_last_frame_interval(self):
         # 115 steps stored every 6: the last frame interval is one step, the
         # others six; a centred u_t over the two would be first order there
@@ -521,6 +539,15 @@ class TestSelfsimConsistency:
         assert prof.sol.steps_accepted == prof.r.size - 1 > 0
         l2, linf = selfsim_consistency(prof, 1.0, HEAT)
         assert l2 == 0.0 and linf == 0.0
+
+    @pytest.mark.parametrize("t", [0.0, -1.0, np.nan, np.inf])
+    def test_refuses_a_time_outside_zero_to_inf(self, t):
+        # NaN used to return (nan, nan)
+        prof = solve_profile((0.0, 0.0), HEAT, 15.0)
+        with pytest.raises(DomainError, match=f"need 0 < t < inf, got {t!r}"):
+            selfsim_consistency(prof, t, HEAT)
+        with pytest.raises(DomainError, match=f"need 0 < t0 < inf, got {t!r}"):
+            field_from_profile(prof, make_grid(5.0, 11), t)
 
     def test_heat_profile_residual_small(self):
         prof = solve_profile((1.0, 0.0), HEAT, 25.0, max_step=0.05)

@@ -181,6 +181,25 @@ class TestEnergy:
         with pytest.raises(DomainError):
             energy_density(SpherePoint(0, 0, 1.0), TangentVec(0, 0, 0), 0.0, 2)
 
+    @pytest.mark.parametrize("density", [energy_density, energy_density_l2])
+    @pytest.mark.parametrize("r", [-1.0, np.nan, np.inf])
+    def test_density_names_a_radius_outside_zero_to_inf(self, density, r):
+        # NaN used to pass the r <= 0 guard and return nan
+        with pytest.raises(DomainError, match=f"need 0 < r < inf, got {r!r}"):
+            density(SpherePoint(0, 0, 1.0), TangentVec(0, 0, 0), r, 2)
+
+    def test_profile_checks_its_whole_grid(self):
+        # r = 0 may open the grid; the first two used to be accepted, as the
+        # check skipped the first node and grids of two nodes
+        u = np.tile(E3, (3, 1))
+        prof = RadialProfile([0.0, 0.5, 1.0], u, np.zeros_like(u))
+        assert prof.r.dtype == float and prof.r[0] == 0.0
+        for bad, why in (([-1.0, 0.5, 1.0], "r = -1.0 < 0"), ([-1.0, 1.0], "r = -1.0 < 0"),
+                         ([0.0, 1.0, 0.5], "increasing"), ([0.5, 1.0, np.inf], "non-finite"),
+                         ([], "two nodes")):
+            with pytest.raises(GridError, match=why):
+                RadialProfile(bad, u[:len(bad)], u[:len(bad)])
+
     def test_constant_profile_zero(self):
         r = np.linspace(0.1, 10.0, 200)
         u = np.tile(E3, (r.size, 1))

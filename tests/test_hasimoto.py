@@ -107,6 +107,26 @@ class TestTransport:
         with pytest.raises(DomainError):
             transport_frame(r, u, np.array([2.0, 0.0, 0.0]))
 
+    def test_seed_validation_refuses_nan(self):
+        # NaN used to pass the `> FRAME_TOL` tests and give a NaN frame
+        r = np.linspace(0.0, 1.0, 10)
+        with pytest.raises(DomainError, match="e_seed"):
+            transport_frame(r, np.tile(E3, (10, 1)), np.array([np.nan, 0.0, 0.0]))
+
+    def test_curve_start_refuses_nan(self):
+        r = np.linspace(0.0, 1.0, 10)
+        u = np.tile(E3, (10, 1))
+        u[0, 0] = np.nan
+        with pytest.raises(DomainError, match="north pole"):
+            transport_frame(r, u, SEED)
+
+    def test_validate_refuses_a_nan_frame(self):
+        r = np.linspace(0.0, 1.0, 10)
+        u = np.tile(E3, (10, 1))
+        nan = np.full((10, 3), np.nan)
+        with pytest.raises(DomainError, match="violated by nan"):
+            Frame(r, nan, nan).validate(u)
+
     def test_great_circle_stays_in_plane(self):
         # transporting an in-plane seed along a great circle keeps q real
         r = np.linspace(0.0, 10.0, 2001)

@@ -1,8 +1,12 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from gllflow._numerics import (central_difference3, cumquad0, derivative_nonuniform,
-                               fd_weights, frame_rates, hermite_eval, stencil_weights,
+import gllflow
+from gllflow._numerics import (central_difference3, check_grid, cumquad0,
+                               derivative_nonuniform, fd_weights, frame_rates, hermite_eval,
+                               radial_integral, require_positive, stencil_weights,
                                weighted_norms)
 from gllflow.errors import DomainError, GridError
 from gllflow.geometry import FlowParams
@@ -131,6 +135,44 @@ class TestWeightedNorms:
         res[:4] = res[-4:] = 1e6        # only the dropped nodes are large
         assert weighted_norms(res, rr, 2, 4) == weighted_norms(res[4:-4], rr[4:-4], 2, 0)
         assert weighted_norms(res, rr, 2, 4)[1] < 10.0
+
+
+class TestRadialMeasure:
+    def test_radial_integral_is_the_weighted_trapezoid(self, rng):
+        # the expression the written-out integrals used, bit for bit
+        r = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 5.0, 59))])
+        values = rng.normal(size=60)
+        for d in (2, 4, 6):
+            assert radial_integral(values, r, d) == np.trapezoid(values * r ** (d - 1), r)
+
+    def test_each_rule_is_defined_once(self):
+        # the radial measure, the positivity guard and the residual report
+        # live in _numerics, the check row in manifest; every module calls them
+        package = Path(gllflow.__file__).parent
+        homes = {"np.trapezoid(": "_numerics.py", "def require_positive": "_numerics.py",
+                 "class ResidualReport": "_numerics.py", "class CheckResult": "manifest.py"}
+        for path in sorted(package.glob("*.py")):
+            text = path.read_text()
+            for token, home in homes.items():
+                assert text.count(token) == (path.name == home), (path.name, token)
+
+
+class TestGuards:
+    @pytest.mark.parametrize("value", [0.0, -1.0, np.nan, np.inf, -np.inf])
+    def test_require_positive_names_the_value(self, value):
+        require_positive(a=1.0, b=5e-324)
+        with pytest.raises(DomainError, match=f"need 0 < b < inf, got {value!r}"):
+            require_positive(a=1.0, b=value)
+
+    @pytest.mark.parametrize("x,why", [([0.0], "two nodes"), ([0.0, 2.0, 1.0], "increasing"),
+                                       ([0.0, 1.0, np.inf], "non-finite"),
+                                       ([-1.0, 0.5, 1.0], "starts at r = -1.0 < 0")])
+    def test_check_grid_refuses(self, x, why):
+        with pytest.raises(GridError, match=why):
+            check_grid(x)
+
+    def test_check_grid_accepts_the_origin(self):
+        assert check_grid([0, 1]).tolist() == [0.0, 1.0]
 
 
 class TestCentralDifference3:

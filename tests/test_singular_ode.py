@@ -90,6 +90,19 @@ class TestSeriesStart:
         with pytest.raises(DomainError):
             series_start(real_selfsim_ivp(1.0, 2), 0.05)
 
+    @pytest.mark.parametrize("r0", [0.0, -1e-3, math.nan])
+    def test_refuses_a_start_outside_zero_to_inf(self, r0):
+        # NaN used to pass the r0 <= 0 guard and the 1e-2 cap
+        with pytest.raises(DomainError, match=f"need 0 < r0 < inf, got {r0!r}"):
+            series_start(real_selfsim_ivp(1.0, 2), r0)
+
+    @pytest.mark.parametrize("k", [0.0, -3.0, math.nan, math.inf])
+    def test_ivp_refuses_a_strength_outside_zero_to_inf(self, k):
+        # NaN used to pass the k <= 0 guard
+        with pytest.raises(DomainError, match=f"need 0 < k < inf, got {k!r}"):
+            SingularIVP(k=k, A=lambda z1, z2, r: 0.0 * z1, B=lambda z: z**3, alpha0=1.0,
+                        series=(0.0,))
+
     def test_validate_rejects_bad_A(self):
         ivp = SingularIVP(k=3.0, A=lambda z1, z2, r: z1, B=lambda z: 0.0 * z, alpha0=1.0,
                           series=(0.0,))
@@ -619,6 +632,13 @@ class TestHardy:
             hardy_check(r, f, -f, d=4, p=2, k=1)   # p = d/(k+1): bound degenerates
         with pytest.raises(DomainError):
             hardy_check(r, f, -f, d=2, p=3, k=0)
+
+    @pytest.mark.parametrize("p,k", [(math.nan, 0.0), (2.0, math.nan)])
+    def test_refuses_nan_exponents(self, p, k):
+        # p = NaN used to return ratio and bound NaN
+        r = np.linspace(1e-6, 5, 100)
+        with pytest.raises(DomainError, match="need p >= 1 and k >= 0"):
+            hardy_check(r, np.exp(-r), -np.exp(-r), d=4, p=p, k=k)
 
     def test_random_family_respects_bound(self, rng):
         r = np.linspace(1e-6, 10.0, 4001)
