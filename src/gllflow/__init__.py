@@ -10,7 +10,7 @@ from .geometry import (CPPoint, FlowParams, RadialProfile, SpherePoint, TangentV
                        embed_equivariant, energy, energy_density, fs_distance, gll_rhs,
                        harmonic_map, harmonic_map_jet, stereo_lift, stereo_project,
                        stereo_rhs, tension)
-from .singular_ode import HardyReport, ProfileGrid, SingularIVP, hardy_check, series_start
+from .singular_ode import HardyReport, SingularIVP, hardy_check, series_start
 from .selfsim import (SelfSimProfile, TailReport, apriori_identity_residual,
                       decay_exponent, limit_map_continuity, solve_profile, tail_limit)
 from .realflow import (ClassifierReport, RealProfile, WitnessReport, classify_uniqueness,
@@ -28,7 +28,7 @@ __all__ = [
     "embed_equivariant", "energy", "energy_density", "fs_distance", "gll_rhs",
     "harmonic_map", "harmonic_map_jet", "stereo_lift", "stereo_project",
     "stereo_rhs", "tension",
-    "HardyReport", "ProfileGrid", "SingularIVP", "hardy_check", "series_start",
+    "HardyReport", "SingularIVP", "hardy_check", "series_start",
     "SelfSimProfile", "TailReport", "apriori_identity_residual", "decay_exponent",
     "limit_map_continuity", "solve_profile", "tail_limit",
     "ClassifierReport", "RealProfile", "WitnessReport", "classify_uniqueness",

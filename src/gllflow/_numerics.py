@@ -22,6 +22,12 @@ def require_positive(**values):
             raise DomainError(f"need 0 < {name} < inf, got {value!r}")
 
 
+def require_dimension(n, least):
+    """DomainError naming n unless it is an int (numpy's too) >= least: NaN, 2.5, 3.0 fail."""
+    if not (isinstance(n, (int, np.integer)) and n >= least):
+        raise DomainError(f"need an integer n >= {least}, got {n!r}")
+
+
 def check_grid(x):
     """x as a float radial grid: at least two finite, strictly increasing
     nodes from r >= 0 (a grid may start at the origin)."""

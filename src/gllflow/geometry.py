@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._numerics import check_grid, radial_integral, require_positive, sphere_surface_measure
+from ._numerics import (check_grid, radial_integral, require_dimension, require_positive,
+                        sphere_surface_measure)
 from .errors import DomainError, GridError, NormDriftError, PoleSingularityError
 
 E3 = np.array([0.0, 0.0, 1.0])
@@ -99,8 +100,7 @@ class FlowParams:
     beta: float
 
     def __post_init__(self):
-        if not isinstance(self.n, (int, np.integer)) or self.n < 1:
-            raise DomainError(f"n must be an integer >= 1, got {self.n!r}")
+        require_dimension(self.n, 1)
         if not self.alpha >= 0:  # NaN too
             raise DomainError(f"alpha must be >= 0, got {self.alpha!r}")
         s = math.hypot(self.alpha, self.beta)
@@ -253,13 +253,13 @@ def energy(profile: RadialProfile, n: int, r_min: float = 0.0, r_max: float | No
     Composite trapezoid on the profile's own (possibly graded) grid; the
     grid refinement study is the accuracy contract.
     """
-    if r_min < 0:
-        raise DomainError("r_min must be >= 0")
+    if not r_min >= 0:  # NaN too
+        raise DomainError(f"need r_min >= 0, got {r_min!r}")
     r = profile.r
     mask = r >= r_min
     if r_max is not None:
-        if r_max <= r_min:
-            raise DomainError("need r_min < r_max")
+        if not r_max > r_min:  # NaN too
+            raise DomainError(f"need r_min < r_max, got r_min={r_min!r}, r_max={r_max!r}")
         mask &= r <= r_max
     if mask.sum() < 2:
         raise GridError("fewer than two grid nodes in the integration window")

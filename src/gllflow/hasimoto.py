@@ -22,7 +22,7 @@ from fractions import Fraction
 import numpy as np
 
 from ._numerics import (ResidualReport, check_grid, cumquad0, derivative_nonuniform,
-                        frame_rates, weighted_norms)
+                        frame_rates, require_dimension, weighted_norms)
 from .errors import DomainError, GridError
 from .geometry import E3, FlowParams
 from .manifest import report_json, write_csv
@@ -237,8 +237,7 @@ def eigenfunction_check(n: int, sample_count: int = 100) -> EigenReport:
     reconstruction of Delta(q(r) a) from the radial operator
     q'' + ((2n-1)/r) q' - ((2n-1)/r^2) q for a smooth test q.
     """
-    if n < 1:
-        raise DomainError("need n >= 1")
+    require_dimension(n, 1)
     rng = np.random.default_rng(EIGEN_RNG_SEED)
     d = 2 * n
     lam = -(2 * n - 1)

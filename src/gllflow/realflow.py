@@ -23,7 +23,7 @@ import numpy as np
 # hermite_eval is not called here: perfbench/tracer.py looks it up in this
 # module (ROADMAP item 4)
 from ._numerics import hermite_eval  # noqa: F401
-from ._numerics import radial_integral
+from ._numerics import radial_integral, require_dimension
 from .errors import DomainError
 from .manifest import CheckResult, report_json, write_csv
 from .singular_ode import DenseSolution, SingularIVP, integrate_rk, origin_start
@@ -107,8 +107,7 @@ def classify_uniqueness(n: int) -> ClassifierReport:
     borderline otherwise (the n = 2 case: equality at pi but the global
     minimum dips below; pi is a local maximum of eta').
     """
-    if n < 2:
-        raise DomainError("classifier defined for n >= 2")
+    require_dimension(n, 2)
     d = 2 * n
     thr = -((d - 2) ** 2) / 4.0
     at_pi = float(eta_prime_at_pi(n))
@@ -140,13 +139,19 @@ def stationary_residual(alpha, r_samples, n) -> float:
     """Max |psi'' + ((2n-1)/r) psi' - eta(psi)/r^2| with analytic derivatives.
 
     Independent of n up to rounding: the stationary family solves the ODE
-    for every n.
+    for every n.  An alpha whose terms overflow at the largest sample (4
+    alpha^3 r, or (1 + (alpha r)^2)^2) is refused.
     """
+    require_dimension(n, 1)
     if not 0 <= alpha < np.inf:  # NaN too: it would read as residual 0
         raise DomainError(f"need 0 <= alpha < inf, got {alpha!r}")
     r = np.asarray(r_samples, float)
     if not np.all((r > 0) & (r < np.inf)):  # NaN too
         raise DomainError(f"samples need 0 < r < inf, got {r.tolist()!r}")
+    a, top = float(alpha), float(r.max())  # Python floats overflow to inf, unwarned
+    wide = 1.0 + (a * top) * (a * top)
+    if not (4.0 * a * a * a * top < np.inf and wide * wide < np.inf):
+        raise DomainError(f"alpha={alpha!r} overflows the residual's terms at r={top!r}")
     g = stationary_profile(alpha, r)
     gp = stationary_profile_derivative(alpha, r)
     gpp = -4.0 * alpha**3 * r / (1.0 + (alpha * r) ** 2) ** 2
@@ -164,6 +169,7 @@ def real_selfsim_ivp(slope: float, n: int, drift: bool = True) -> SingularIVP:
     powers of r with eta(x) = (2n-1) x - (n+1) x^3/3 + (n+7) x^5/60 - ...;
     without drift it is that of the stationary profile 2 arctan(a r/2).
     """
+    require_dimension(n, 1)
 
     def A(z1, z2, r):
         return -(r / 2.0) * z1 if drift else 0.0 * z1
@@ -250,8 +256,7 @@ def solve_selfsim_real(beta_slope: float, n: int, r_max: float,
     """
     if beta_slope < 0:
         raise DomainError("need beta_slope >= 0")
-    if n < 2:
-        raise DomainError("need n >= 2")
+    require_dimension(n, 2)
     start = origin_start(real_selfsim_ivp(beta_slope, n), rel_tol)
     sol = integrate_rk(_selfsim_rhs(n), start.r0, start.y0.real, r_max, rel_tol=rel_tol)
     return RealProfile(sol, start.remainder)

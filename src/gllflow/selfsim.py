@@ -23,7 +23,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from ._numerics import cumquad0
+from ._numerics import cumquad0, require_dimension
 # derivative_nonuniform, hermite_eval and series_start are not called here
 # (origin_start calls series_start): perfbench/tracer.py looks them up in
 # this module
@@ -169,8 +169,7 @@ def solve_profile(v, params: FlowParams, r_max: float, rel_tol: float | None = N
         v = np.array([v[0], v[1], 0.0])
     if abs(v[2]) > 1e-14:
         raise DomainError("initial data must be tangent at the north pole: v = (v1, v2, 0)")
-    if params.n < 2:
-        raise DomainError("self-similar profiles are solved for n >= 2")
+    require_dimension(params.n, 2)
     if rel_tol is None:
         rel_tol = 1e-12 if params.alpha == 0.0 else 1e-10
 

@@ -226,7 +226,8 @@ def integrate_rk(fun: Callable, r0: float, y0: np.ndarray, r_max: float,
     nonfinite = None  # (r, h, first non-finite stage) of the last rejected attempt
     while r < r_max:
         if len(hs) + rejected > MAX_STEPS:
-            raise StiffnessError("step budget exhausted", r_last=r,
+            raise StiffnessError(f"step budget exhausted: {MAX_STEPS} attempts, stopped at "
+                                 f"r={r!r} with h={h!r}", r_last=r,
                                  partial=(np.array(rs), np.array(ys), np.array(fs)))
         r_new = r + h
         if r_max - r_new < 1e-14 * max(abs(r_new), 1.0):
@@ -242,8 +243,8 @@ def integrate_rk(fun: Callable, r0: float, y0: np.ndarray, r_max: float,
                 raise NonFiniteError(
                     f"non-finite step from r={r!r} with h={h_bad!r} ({where}); "
                     f"state {y!r}", r_last=r, partial=partial)
-            raise StiffnessError("step size underflow (stiffness/blowup)", r_last=r,
-                                 partial=partial)
+            raise StiffnessError(f"step size underflow (stiffness/blowup) at r={r!r} with "
+                                 f"h={h!r}", r_last=r, partial=partial)
         np.multiply(_ROWS, h, out=hM)
         YK[0] = y
         K[0] = f
@@ -403,8 +404,7 @@ def origin_start(ivp: SingularIVP, rel_tol: float) -> OriginStart:
 
 @dataclass(frozen=True)
 class ProfileGrid:
-    """Solver output: the dense solution of the state (f, f') on strictly
-    increasing nodes."""
+    """The dense solution of a state (f, f') on strictly increasing nodes, as CSV."""
 
     sol: DenseSolution
 
@@ -413,27 +413,10 @@ class ProfileGrid:
         if not (np.all(np.isfinite(self.sol.y)) and np.all(np.isfinite(self.sol.f))):
             raise GridError("profile contains non-finite values")
 
-    @property
-    def r(self):
-        return self.sol.r
-
-    @property
-    def f(self):
-        return self.sol.y[:, 0]
-
-    @property
-    def fp(self):
-        return self.sol.y[:, 1]
-
-    def interpolate(self, r_new):
-        """Value and derivative at arbitrary query points."""
-        y = self.sol.eval(r_new)
-        return y[:, 0], y[:, 1]
-
     def to_csv(self, path):
-        fpp = self.sol.f[:, 1]
-        write_csv(path, "r,re_f,im_f,re_fp,im_fp,re_fpp,im_fpp", self.r, self.f.real,
-                  self.f.imag, self.fp.real, self.fp.imag, fpp.real, fpp.imag)
+        f, fp, fpp = self.sol.y[:, 0], self.sol.y[:, 1], self.sol.f[:, 1]
+        write_csv(path, "r,re_f,im_f,re_fp,im_fp,re_fpp,im_fpp", self.sol.r, f.real, f.imag,
+                  fp.real, fp.imag, fpp.real, fpp.imag)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gllflow.singular_ode import ProfileGrid, integrate_rk, origin_start
+from gllflow.singular_ode import integrate_rk, origin_start
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "gllflow"
 
@@ -41,7 +41,7 @@ def solve_from_origin(ivp, r_max, rel_tol):
     """The complex-spec solve of a singular problem: its `origin_start`,
     carried out to r_max by `integrate_rk`."""
     start = origin_start(ivp, rel_tol)
-    return ProfileGrid(integrate_rk(ivp.rhs(), start.r0, start.y0, r_max, rel_tol=rel_tol))
+    return integrate_rk(ivp.rhs(), start.r0, start.y0, r_max, rel_tol=rel_tol)
 
 
 def solution_content(sol):

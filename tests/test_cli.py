@@ -128,6 +128,7 @@ SMALL_EVOLVE = ["evolve", "--nodes", "41", "--r-max", "8", "--T", "0.01"]
 @pytest.mark.parametrize("argv,named", [
     (["realheat", "stationary", "--alpha", "nan"], "need 0 <= alpha < inf, got nan"),
     (["realheat", "stationary", "--r-list", "0.1,nan"], "0 < r < inf, got [0.1, nan]"),
+    (["realheat", "stationary", "--alpha", "1e200"], "alpha=1e+200 overflows"),
     (SMALL_EVOLVE + ["--preset", "selfsim", "--t0", "nan"], "need 0 < t0 < inf, got nan"),
     (SMALL_EVOLVE + ["--preset", "selfsim", "--t0", "-1"], "need 0 < t0 < inf, got -1.0"),
     (SMALL_EVOLVE + ["--preset", "selfsim", "--t0", "0"], "need 0 < t0 < inf, got 0.0")])

@@ -224,6 +224,16 @@ class TestEnergy:
         with pytest.raises(GridError):
             energy(prof, 2, r_min=5.0)
 
+    def test_window_bounds_refuse_nan_naming_it(self):
+        r = np.linspace(0.1, 1.0, 50)
+        prof = _harmonic_profile(TangentVec(1.0, 0.0, 0.0), r)
+        with pytest.raises(DomainError, match="need r_min >= 0, got nan"):
+            energy(prof, 2, r_min=np.nan)
+        with pytest.raises(DomainError, match="need r_min < r_max, got r_min=0.0, r_max=nan"):
+            energy(prof, 2, r_max=np.nan)
+        whole = energy(prof, 2)
+        assert energy(prof, 2, r_min=-0.0) == energy(prof, 2, r_max=np.inf) == whole
+
 
 class TestTensionAndFlow:
     def test_harmonic_maps_are_stationary(self, rng):

@@ -6,13 +6,15 @@ import pytest
 import gllflow
 from gllflow._numerics import (central_difference3, check_grid, cumquad0,
                                derivative_nonuniform, fd_weights, frame_rates, hermite_eval,
-                               radial_integral, require_positive, stencil_weights,
-                               weighted_norms)
+                               radial_integral, require_dimension, require_positive,
+                               stencil_weights, weighted_norms)
 from gllflow.errors import DomainError, GridError
 from gllflow.geometry import FlowParams
-from gllflow.realflow import solve_selfsim_real
+from gllflow.hasimoto import eigenfunction_check
+from gllflow.realflow import (classify_uniqueness, comparison_suite, real_selfsim_ivp,
+                              solve_selfsim_real, stationary_residual)
 from gllflow.selfsim import solve_profile
-from gllflow.singular_ode import DenseSolution, ProfileGrid
+from gllflow.singular_ode import DenseSolution
 
 
 def _graded(N, r_max=12.0):
@@ -171,6 +173,26 @@ class TestGuards:
         with pytest.raises(GridError, match=why):
             check_grid(x)
 
+    @pytest.mark.parametrize("n", [np.nan, 2.5, np.inf, 3.0])
+    def test_every_dimension_argument_is_an_integer(self, n):
+        callers = [lambda: FlowParams(n, 1.0, 0.0), lambda: classify_uniqueness(n),
+                   lambda: real_selfsim_ivp(1.0, n), lambda: solve_selfsim_real(1.0, n, 3.0),
+                   lambda: comparison_suite([1.0], n, 5.0),
+                   lambda: stationary_residual(1.0, [1.0], n),
+                   lambda: eigenfunction_check(n, sample_count=1)]
+        for call in callers:
+            with pytest.raises(DomainError, match=f"need an integer n >= ., got {n!r}"):
+                call()
+
+    def test_require_dimension_takes_integers_from_its_least(self):
+        for n in (2, np.int64(2), 7):
+            require_dimension(n, 2)
+        with pytest.raises(DomainError, match="need an integer n >= 2, got 1"):
+            require_dimension(1, 2)
+        assert FlowParams(np.int64(3), 1.0, 0.0).n == 3
+        assert classify_uniqueness(np.int64(3)).verdict == "unique"
+        assert stationary_residual(1.0, [1.0], np.int64(3)) <= 1e-12
+
     def test_check_grid_accepts_the_origin(self):
         assert check_grid([0, 1]).tolist() == [0.0, 1.0]
 
@@ -231,10 +253,10 @@ class TestNoExtrapolation:
     def test_profile_evaluators(self, rng):
         r = np.linspace(0.1, 5.0, 40)
         y = np.stack([np.sin(r), np.cos(r)], axis=1).astype(complex)
-        grid = ProfileGrid(DenseSolution.from_nodes(r, y, np.stack([y[:, 1], -y[:, 0]], axis=1)))
+        dense = DenseSolution.from_nodes(r, y, np.stack([y[:, 1], -y[:, 0]], axis=1))
         sphere = solve_profile((1.0, 0.0), FlowParams(2, 1.0, 0.0), 5.0)
         scalar = solve_selfsim_real(2.0, 3, 2.0)
-        for name, ev, nodes in (("ProfileGrid.interpolate", grid.interpolate, grid.r),
+        for name, ev, nodes in (("DenseSolution.eval", dense.eval, dense.r),
                                 ("SelfSimProfile.eval", sphere.eval, sphere.r),
                                 ("RealProfile.eval", scalar.eval, scalar.r)):
             ev(nodes[[0, -1]])

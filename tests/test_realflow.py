@@ -18,7 +18,7 @@ from gllflow.realflow import (LIMIT_BETA, RealProfile, classify_uniqueness, comp
                               search_negative_gap, solve_selfsim_real, stationary_profile,
                               stationary_residual, taylor_domination_delta,
                               witness_energy_gap, _selfsim_rhs)
-from gllflow.singular_ode import DEFAULT_R0, integrate_rk, series_start
+from gllflow.singular_ode import DEFAULT_R0, DenseSolution, integrate_rk, series_start
 from conftest import solution_content, solve_from_origin
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -112,6 +112,16 @@ class TestStationary:
 
     def test_trivial(self):
         assert stationary_residual(0.0, [1.0], 4) == 0.0
+
+    def test_an_alpha_whose_terms_overflow_is_refused(self):
+        # alpha**3 overflows above 5.6e102, (alpha r)^4 above alpha r = 1.16e77
+        with pytest.raises(DomainError, match="alpha=1e[+]200 overflows"):
+            stationary_residual(1e200, [0.1, 1.0], 2)
+        with pytest.raises(DomainError, match="alpha=2e[+]77 overflows"):
+            stationary_residual(2e77, [0.1, 1.0], 2)
+        with pytest.raises(DomainError, match="alpha=6e[+]102 overflows"):
+            stationary_residual(6e102, [1e-200], 2)
+        assert stationary_residual(1e77, [0.1, 1.0], 2) <= 1e-10
 
 
 class TestScalarSelfsim:
@@ -257,16 +267,16 @@ class TestRealArithmetic:
     def test_solve_matches_the_complex_path(self):
         for slope, n, r_max, tol in _sweep(24, 7):
             prof = solve_selfsim_real(slope, n, r_max, rel_tol=tol)
-            grid = solve_from_origin(real_selfsim_ivp(slope, n), r_max, tol)
+            spec = solve_from_origin(real_selfsim_ivp(slope, n), r_max, tol)
             for arr in solution_content(prof.sol)[:4]:
                 assert arr.dtype == np.float64
             # the same steps: node counts agree, and the end values to rounding
             # (rounding-level start-up steps shift interior nodes slightly)
-            assert prof.r.size == grid.r.size
-            assert prof.r[-1] == grid.r[-1] == r_max
-            assert abs(prof.g[-1] - grid.f[-1].real) <= 1e-13
-            assert abs(prof.g_r[-1] - grid.fp[-1].real) <= 1e-13
-            assert np.max(np.abs(prof.r - grid.r) / grid.r) <= 1e-4
+            assert prof.r.size == spec.r.size
+            assert prof.r[-1] == spec.r[-1] == r_max
+            assert abs(prof.g[-1] - spec.y[-1, 0].real) <= 1e-13
+            assert abs(prof.g_r[-1] - spec.y[-1, 1].real) <= 1e-13
+            assert np.max(np.abs(prof.r - spec.r) / spec.r) <= 1e-4
 
     @pytest.mark.parametrize("slope,n,r_max,tol", [
         (22.113375001669648, 5, 10.0, 1e-10),   # the benchmark's scalar anchor
@@ -274,9 +284,9 @@ class TestRealArithmetic:
     def test_error_against_scipy_no_worse_than_complex(self, slope, n, r_max, tol):
         sol = _scalar_oracle(slope, n, r_max)
         prof = solve_selfsim_real(slope, n, r_max, rel_tol=tol)
-        grid = solve_from_origin(real_selfsim_ivp(slope, n), r_max, tol)
-        ref_real, ref_cplx = sol(prof.r), sol(grid.r)
-        for mine, spec, row in ((prof.g, grid.f, 0), (prof.g_r, grid.fp, 1)):
+        cplx = solve_from_origin(real_selfsim_ivp(slope, n), r_max, tol)
+        ref_real, ref_cplx = sol(prof.r), sol(cplx.r)
+        for mine, spec, row in ((prof.g, cplx.y[:, 0], 0), (prof.g_r, cplx.y[:, 1], 1)):
             ratio = np.max(np.abs(mine - ref_real[row])) / tol
             ratio_spec = np.max(np.abs(spec.real - ref_cplx[row])) / tol
             assert ratio <= 1.001 * ratio_spec + 1e-3
@@ -287,6 +297,15 @@ class TestRealArithmetic:
         b = solve_selfsim_real(22.113375001669648, 5, 10.0)
         for x, y in zip(solution_content(a.sol), solution_content(b.sol)):
             assert np.array_equal(x, y)
+
+    def test_profile_refuses_a_non_finite_row(self):
+        r = np.linspace(0.1, 1.0, 6)
+        y = np.stack([r, np.ones_like(r)], axis=1)
+        f = np.stack([y[:, 1], np.zeros_like(r)], axis=1)
+        RealProfile(DenseSolution.from_nodes(r, y, f), 0.0)
+        y[3, 1] = np.nan
+        with pytest.raises(DomainError, match="non-finite values"):
+            RealProfile(DenseSolution.from_nodes(r, y, f), 0.0)
 
     def test_domain(self):
         with pytest.raises(DomainError):

@@ -164,7 +164,7 @@ class TestSolveProfile:
         ivp = stereo_selfsim_ivp((1.0, 0.0), params)
         chart = solve_from_origin(ivp, 3.0, 1e-11)
         for rv in (0.5, 1.0, 2.0, 3.0):
-            F, _ = chart.interpolate(np.array([rv]))
+            F = chart.eval(np.array([rv]))[:, 0]
             lifted = stereo_lift_arr(F[0])
             mine, _ = prof.eval(np.array([rv]))
             assert np.max(np.abs(mine[0] - lifted)) <= 1e-8, rv

@@ -10,7 +10,7 @@ from scipy.integrate._ivp.rk import Dop853DenseOutput
 from gllflow import _dop853 as dop
 from gllflow import singular_ode
 from gllflow._numerics import hermite_eval
-from gllflow.errors import DomainError, NonFiniteError, StiffnessError
+from gllflow.errors import DomainError, GridError, NonFiniteError, StiffnessError
 from gllflow.realflow import _selfsim_rhs, real_selfsim_ivp
 from gllflow.geometry import FlowParams
 from gllflow.selfsim import solve_profile, stereo_selfsim_ivp
@@ -164,15 +164,15 @@ class TestIntegrateAdaptive:
     def test_stationary_scalar_profile(self):
         # no drift, slope 2: the closed form is 2 arctan(r)
         ivp = real_selfsim_ivp(2.0, 2, drift=False)
-        grid = solve_from_origin(ivp, 6.0, 1e-10)
+        sol = solve_from_origin(ivp, 6.0, 1e-10)
         for rv in (1.0, 2.0, 5.0):
-            f, _ = grid.interpolate(np.array([rv]))
+            f = sol.eval(np.array([rv]))[:, 0]
             assert abs(complex(f[0]) - 2 * np.arctan(rv)) <= 1e-8
 
     def test_trivial_zero_solution(self):
-        grid = solve_from_origin(real_selfsim_ivp(0.0, 2), 5.0, 1e-10)
-        assert np.max(np.abs(grid.f)) == 0.0
-        assert np.max(np.abs(grid.fp)) == 0.0
+        sol = solve_from_origin(real_selfsim_ivp(0.0, 2), 5.0, 1e-10)
+        assert np.max(np.abs(sol.y[:, 0])) == 0.0
+        assert np.max(np.abs(sol.y[:, 1])) == 0.0
 
     def test_halving_tolerance_halves_error(self):
         # error measured against a 10x tighter reference run
@@ -182,7 +182,7 @@ class TestIntegrateAdaptive:
         def err(tol):
             g = solve_from_origin(ivp, 6.0, tol)
             ref = solve_from_origin(ivp, 6.0, tol / 10.0)
-            return float(np.max(np.abs(g.interpolate(probe)[0] - ref.interpolate(probe)[0])))
+            return float(np.max(np.abs(g.eval(probe)[:, 0] - ref.eval(probe)[:, 0])))
 
         e1, e2 = err(1e-6), err(5e-7)
         assert e2 <= e1 / 2.0
@@ -191,23 +191,23 @@ class TestIntegrateAdaptive:
         # a drift profile with rejected steps, against scipy DOP853 at rtol
         # 1e-13: every node within the requested relative tolerance
         ivp = real_selfsim_ivp(1.0, 3)
-        grid = solve_from_origin(ivp, 10.0, 1e-8)
-        f0, fp0 = series_start(ivp, grid.r[0])
+        sol = solve_from_origin(ivp, 10.0, 1e-8)
+        f0, fp0 = series_start(ivp, sol.r[0])
         fun = ivp.rhs()
-        ref = solve_ivp(lambda r, y: np.array(fun(r, y.astype(complex))).real, (grid.r[0], 10.0),
+        ref = solve_ivp(lambda r, y: np.array(fun(r, y.astype(complex))).real, (sol.r[0], 10.0),
                         [f0.real, fp0.real], method="DOP853", rtol=1e-13, atol=1e-15,
-                        t_eval=grid.r).y[0]
-        assert np.max(np.abs(grid.f.real - ref) / (1e-14 + 1e-8 * np.abs(ref))) <= 1.0
+                        t_eval=sol.r).y[0]
+        assert np.max(np.abs(sol.y[:, 0].real - ref) / (1e-14 + 1e-8 * np.abs(ref))) <= 1.0
 
     def test_deterministic(self):
         ivp = real_selfsim_ivp(1.0, 2)
         g1 = solve_from_origin(ivp, 8.0, 1e-9)
         g2 = solve_from_origin(ivp, 8.0, 1e-9)
         assert np.array_equal(g1.r, g2.r)
-        assert np.array_equal(g1.f, g2.f)
-        assert np.array_equal(g1.fp, g2.fp)
+        assert np.array_equal(g1.y[:, 0], g2.y[:, 0])
+        assert np.array_equal(g1.y[:, 1], g2.y[:, 1])
         # derivatives, dense rows and counts too
-        for a, b in zip(solution_content(g1.sol), solution_content(g2.sol)):
+        for a, b in zip(solution_content(g1), solution_content(g2)):
             assert np.array_equal(a, b)
 
     def test_blowup_reports_last_state(self):
@@ -279,6 +279,15 @@ class TestIntegrateAdaptive:
         with pytest.raises(StiffnessError, match="step budget exhausted") as exc:
             integrate_rk(fun, 0.1, np.array([1.0, 2.0]), 2.0, rel_tol=1e-8)
         assert exc.value.r_last == 0.1
+        assert "3 attempts, stopped at r=0.1 with h=" in str(exc.value)
+
+    def test_underflow_names_where_it_stopped(self, deadline):
+        # y' = 1e3 y^2, y(0) = 1 blows up at r = 1e-3
+        with pytest.raises(StiffnessError, match="step size underflow") as exc:
+            integrate_rk(lambda r, y: 1e3 * y * y, 0.0, np.array([1.0]), 1.0)
+        r_last = exc.value.r_last
+        assert abs(r_last - 1e-3) <= 1e-9
+        assert f"at r={r_last!r} with h=" in str(exc.value)
 
     def test_second_derivative_vanishes_at_origin(self):
         for ivp in (real_selfsim_ivp(1.0, 2), real_selfsim_ivp(0.5, 3)):
@@ -580,25 +589,37 @@ class TestDenseOutput:
 
 class TestProfileGrid:
     def test_csv_round_trip(self, tmp_path):
-        grid = solve_from_origin(real_selfsim_ivp(1.0, 2), 3.0, 1e-8)
+        sol = solve_from_origin(real_selfsim_ivp(1.0, 2), 3.0, 1e-8)
         path = tmp_path / "grid.csv"
-        grid.to_csv(path)
+        ProfileGrid(sol).to_csv(path)
         assert path.read_text().splitlines()[0] == "r,re_f,im_f,re_fp,im_fp,re_fpp,im_fpp"
         r, f_re, f_im, fp_re, fp_im, fpp_re, fpp_im = np.loadtxt(
             path, delimiter=",", skiprows=1, unpack=True)
-        assert np.array_equal(r, grid.r)
-        assert np.array_equal(f_re + 1j * f_im, grid.f)
-        assert np.array_equal(fp_re + 1j * fp_im, grid.fp)
-        assert np.array_equal(fpp_re + 1j * fpp_im, grid.sol.f[:, 1])
+        assert np.array_equal(r, sol.r)
+        assert np.array_equal(f_re + 1j * f_im, sol.y[:, 0])
+        assert np.array_equal(fp_re + 1j * fp_im, sol.y[:, 1])
+        assert np.array_equal(fpp_re + 1j * fpp_im, sol.f[:, 1])
 
     def test_hermite_interpolation_accuracy(self):
         r = np.linspace(0.1, 5.0, 80)
         y = np.stack([np.sin(r), np.cos(r)], axis=1).astype(complex)
-        grid = ProfileGrid(DenseSolution.from_nodes(r, y, np.stack([y[:, 1], -y[:, 0]], axis=1)))
+        sol = DenseSolution.from_nodes(r, y, np.stack([y[:, 1], -y[:, 0]], axis=1))
         rq = np.linspace(0.2, 4.9, 333)
-        f, fp = grid.interpolate(rq)
+        f, fp = sol.eval(rq).T
         assert np.max(np.abs(f - np.sin(rq))) <= 1e-6
         assert np.max(np.abs(fp - np.cos(rq))) <= 1e-4
+
+    def test_refuses_a_non_finite_row_or_a_non_increasing_grid(self):
+        r = np.linspace(0.1, 1.0, 6)
+        y = np.stack([r, np.ones_like(r)], axis=1).astype(complex)
+        f = np.stack([y[:, 1], np.zeros_like(r)], axis=1)
+        ProfileGrid(DenseSolution.from_nodes(r, y, f))
+        bad = y.copy()
+        bad[3, 0] = np.nan
+        with pytest.raises(GridError, match="non-finite values"):
+            ProfileGrid(DenseSolution.from_nodes(r, bad, f))
+        with pytest.raises(GridError, match="strictly increasing"):
+            ProfileGrid(DenseSolution.from_nodes(r[::-1], y, f))
 
 
 class TestHardy:
