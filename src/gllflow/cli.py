@@ -10,6 +10,7 @@ sets the default output root.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -312,7 +313,14 @@ def cmd_verify(args):
 
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser():
+    """The gllflow argument parser, built once per process on first call.
+
+    Every caller gets the same parser, so none may change it.  parse_args
+    keeps no state between calls: each returns a new namespace and converts
+    string defaults (the stationary lists) afresh.
+    """
     ap = argparse.ArgumentParser(prog="gllflow", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
     # shared by every subcommand that writes an output directory

@@ -22,10 +22,11 @@ MANIFEST_NAME = "run_manifest.json"
 
 
 def write_csv(path, header, *columns):
-    """Columns (1-D or (N, k)) side by side under a header row, each value as %.17g."""
+    """Columns (1-D or (N, k)) side by side under a header row, each value as
+    %.17g; the row format, repeated once per row, formats the table in one pass."""
     table = np.column_stack(columns)
     row = ",".join(["%.17g"] * table.shape[1]) + "\n"
-    Path(path).write_text(header + "\n" + "".join([row % tuple(v) for v in table.tolist()]))
+    Path(path).write_text(header + "\n" + (row * table.shape[0]) % tuple(table.ravel().tolist()))
 
 
 def report_json(doc) -> str:

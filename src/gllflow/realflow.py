@@ -136,11 +136,18 @@ def stationary_profile_derivative(alpha, r):
 
 
 def stationary_residual(alpha, r_samples, n) -> float:
-    """Max |psi'' + ((2n-1)/r) psi' - eta(psi)/r^2| with analytic derivatives.
+    """Max over the samples of |psi'' + ((2n-1)/r) psi' - eta(psi)/r^2|, with
+    analytic derivatives, relative to the largest of its terms (0 where all
+    vanish).
 
     Independent of n up to rounding: the stationary family solves the ODE
-    for every n.  An alpha whose terms overflow at the largest sample (4
-    alpha^3 r, or (1 + (alpha r)^2)^2) is refused.
+    for every n.  Relative, because the terms grow like 1/r near the origin,
+    where an absolute residual measures only their rounding.  The potential's
+    linear part (2n-1) psi/r^2 counts among the terms: where psi rounds to
+    pi (large alpha r) the computed terms are tiny and differ by psi's own
+    rounding, carried through that part.  An alpha whose terms overflow at
+    the largest sample (4 alpha^3 r, or (1 + (alpha r)^2)^2) is refused, and
+    so is a sample whose r^2 is not a normal float.
     """
     require_dimension(n, 1)
     if not 0 <= alpha < np.inf:  # NaN too: it would read as residual 0
@@ -148,15 +155,21 @@ def stationary_residual(alpha, r_samples, n) -> float:
     r = np.asarray(r_samples, float)
     if not np.all((r > 0) & (r < np.inf)):  # NaN too
         raise DomainError(f"samples need 0 < r < inf, got {r.tolist()!r}")
-    a, top = float(alpha), float(r.max())  # Python floats overflow to inf, unwarned
+    # Python floats overflow to inf and underflow to 0 without a warning
+    a, low, top = float(alpha), float(r.min()), float(r.max())
     wide = 1.0 + (a * top) * (a * top)
     if not (4.0 * a * a * a * top < np.inf and wide * wide < np.inf):
         raise DomainError(f"alpha={alpha!r} overflows the residual's terms at r={top!r}")
+    for end in (low, top):
+        if not np.finfo(float).tiny <= end * end < np.inf:
+            raise DomainError(f"sample r={end!r}: r^2 is not a normal float")
     g = stationary_profile(alpha, r)
     gp = stationary_profile_derivative(alpha, r)
     gpp = -4.0 * alpha**3 * r / (1.0 + (alpha * r) ** 2) ** 2
-    res = gpp + (2 * n - 1) / r * gp - eta(g, n) / r**2
-    return float(np.max(np.abs(res)))
+    drift, pot = (2 * n - 1) / r * gp, eta(g, n) / r**2
+    res = np.abs(gpp + drift - pot)
+    scale = np.max(np.abs([gpp, drift, pot, (2 * n - 1) * g / r**2]), axis=0)
+    return float(np.max(np.where(scale > 0, res / np.where(scale > 0, scale, 1.0), 0.0)))
 
 
 def real_selfsim_ivp(slope: float, n: int, drift: bool = True) -> SingularIVP:
@@ -380,8 +393,11 @@ def f_kink_derivative(r, epsilon):
 
 def _witness_nodes(epsilon, quad_nodes):
     """(r, f, f') of the kink family on each segment of quadrature nodes
-    between its breakpoints (log-spaced middle)."""
-    m = max(quad_nodes // 3, 64)
+    between its breakpoints (log-spaced middle): quad_nodes // 3 nodes on
+    each outer segment, twice that in the middle, at least 64."""
+    if not quad_nodes >= 3 * 64:
+        raise DomainError(f"need quad_nodes >= 192 (64 nodes a segment), got {quad_nodes!r}")
+    m = quad_nodes // 3
     for r in (np.linspace(0.0, epsilon, m), np.geomspace(epsilon, 0.5, 2 * m),
               np.linspace(0.5, 1.0, m)):
         yield r, f_kink(r, epsilon), f_kink_derivative(r, epsilon)

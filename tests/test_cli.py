@@ -1,3 +1,4 @@
+import argparse
 import json
 import re
 from dataclasses import asdict, fields, is_dataclass
@@ -9,7 +10,7 @@ import pytest
 import gllflow
 from gllflow import figure_reference
 from gllflow import realflow as rf
-from gllflow.cli import main
+from gllflow.cli import build_parser, main
 from gllflow.geometry import FlowParams, SpherePoint
 from gllflow.errors import DomainError
 from gllflow.manifest import MANIFEST_NAME, report_json, write_csv
@@ -129,13 +130,15 @@ SMALL_EVOLVE = ["evolve", "--nodes", "41", "--r-max", "8", "--T", "0.01"]
     (["realheat", "stationary", "--alpha", "nan"], "need 0 <= alpha < inf, got nan"),
     (["realheat", "stationary", "--r-list", "0.1,nan"], "0 < r < inf, got [0.1, nan]"),
     (["realheat", "stationary", "--alpha", "1e200"], "alpha=1e+200 overflows"),
+    (["realheat", "stationary", "--r-list", "1,1e-200"], "r=1e-200: r^2 is not a normal"),
     (SMALL_EVOLVE + ["--preset", "selfsim", "--t0", "nan"], "need 0 < t0 < inf, got nan"),
     (SMALL_EVOLVE + ["--preset", "selfsim", "--t0", "-1"], "need 0 < t0 < inf, got -1.0"),
     (SMALL_EVOLVE + ["--preset", "selfsim", "--t0", "0"], "need 0 < t0 < inf, got 0.0")])
 def test_input_outside_its_domain_exits_2_naming_it(tmp_path, capsys, argv, named):
     # the stationary cases used to exit 0 with max residual 0 (the NaN
-    # residuals dropped out of the max); the t0 cases named the profile's
-    # r_max, sized from t0, instead of t0
+    # residuals dropped out of the max), or, at r = 1e-200, to write the CSV
+    # and fail on an inf residual in the manifest; the t0 cases named the
+    # profile's r_max, sized from t0, instead of t0
     out = tmp_path / "d"
     assert _run(argv + ["--out-dir", str(out)]) == 2
     err = json.loads(capsys.readouterr().err)
@@ -237,6 +240,29 @@ class TestRealheatCommands:
     def test_witness_bad_epsilon(self, tmp_path):
         assert _run(["realheat", "witness", "--epsilon", "0.9",
                      "--out-dir", str(tmp_path / "wx")]) == 2
+
+    def test_stationary_passes_near_the_origin(self, tmp_path):
+        # the absolute residual read 7.45e-9 at r = 1e-6 and 3.05e-5 at 1e-10
+        out = tmp_path / "st0"
+        assert _run(["realheat", "stationary", "--r-list", "1e-10,1e-6,1e-100",
+                     "--out-dir", str(out)]) == 0
+        assert _manifest(out)["results"]["max_residual"] <= 1e-14
+
+    @pytest.mark.parametrize("nodes", ["0", "191"])
+    def test_witness_refuses_fewer_than_192_quad_nodes(self, tmp_path, capsys, nodes):
+        # a count below 64 nodes a segment used to be raised to that floor
+        # while the manifest and report recorded the count given
+        out = tmp_path / "wq"
+        assert _run(["realheat", "witness", "--epsilon", "1e-3", "--quad-nodes", nodes,
+                     "--out-dir", str(out)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "DomainError"
+        assert f"need quad_nodes >= 192 (64 nodes a segment), got {nodes}" in err["message"]
+        assert not out.exists()
+        assert _run(["realheat", "witness", "--epsilon", "1e-3", "--quad-nodes", "192",
+                     "--out-dir", str(out)]) == 0
+        assert _manifest(out)["tolerances"]["quad_nodes"] == 192
+        assert json.loads((out / "witness_report.json").read_text())["quad_nodes"] == 192
 
     def test_figure(self, tmp_path, capsys):
         out = tmp_path / "fig"
@@ -373,6 +399,44 @@ class TestHasimotoCommands:
             assert json.loads(capsys.readouterr().err)["error"] == "GridError"
             assert not (out / "qfield.csv").exists()
         assert _run(["hasimoto", "run", "--nodes", "4", "--out-dir", str(tmp_path / "n4")]) == 0
+
+
+class TestParserReuse:
+    def test_main_builds_no_parser_after_its_first_call(self, tmp_path, monkeypatch):
+        argv = ["realheat", "classify", "--n", "2", "--out-dir", str(tmp_path / "c")]
+        assert _run(argv) == 0
+        built = []
+        original = argparse.ArgumentParser.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        assert _run(argv) == 0
+        assert _run(["realheat", "classify", "--n", "3", "--out-dir", str(tmp_path / "d")]) == 0
+        assert built == []
+
+    def test_one_parser_per_process(self):
+        assert build_parser() is build_parser()
+
+    def test_no_state_leaks_between_calls(self, tmp_path, capsys):
+        def stationary(name, *flags):
+            out = tmp_path / name
+            assert _run(["realheat", "stationary", *flags, "--out-dir", str(out)]) == 0
+            return _manifest(out)["parameters"]
+
+        assert stationary("a", "--n-list", "2,5", "--alpha", "2") == {
+            "alpha": 2.0, "n_list": [2, 5], "r_list": [0.1, 1.0, 10.0]}
+        defaults = {"alpha": 1.0, "n_list": [2, 3, 4, 5, 6, 7, 8], "r_list": [0.1, 1.0, 10.0]}
+        assert stationary("b") == defaults
+        with pytest.raises(SystemExit) as exc:
+            _run(["realheat", "stationary", "--n-list", "2", "--bogus"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --bogus" in capsys.readouterr().err
+        assert stationary("c") == defaults
+        assert stationary("d", "--alpha", "2")["alpha"] == 2.0
+        assert stationary("e") == defaults
 
 
 class TestOutputRoot:
@@ -518,6 +582,27 @@ class TestManifests:
             '{\n  "a": {\n    "c": null\n  },\n  "b": [\n    1.0,\n    2\n  ]\n}')
         with pytest.raises(DomainError, match="JSON has no NaN or inf"):
             report_json({"a": {"c": [1.0, value]}})
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("rows", [0, 1, 9, 401])
+    def test_write_csv_bytes_equal_the_row_wise_format(self, tmp_path, seed, rows):
+        def row_wise(header, *columns):
+            # the writer's former expression, one % per row: the oracle
+            table = np.column_stack(columns)
+            row = ",".join(["%.17g"] * table.shape[1]) + "\n"
+            return header + "\n" + "".join([row % tuple(v) for v in table.tolist()])
+
+        rng = np.random.default_rng(seed)
+        floats = rng.standard_normal((rows, 3)) * 10.0 ** rng.integers(-320, 300, (rows, 3))
+        special = [-0.0, 5e-324, 1e308, -1e308, 0.0, np.inf, -np.inf, np.nan]
+        floats.flat[:min(rows * 3, len(special))] = special[:rows * 3]
+        ints = rng.integers(-2**62, 2**62, rows)
+        tables = {"mixed": ("a,b1,b2,b3,i", floats[:, 0], floats[:, 1:], ints),
+                  "ints": ("i,j", np.arange(rows), ints)}
+        for name, (header, *cols) in tables.items():
+            path = tmp_path / f"{name}.csv"
+            write_csv(path, header, *cols)
+            assert path.read_bytes() == row_wise(header, *cols).encode(), name
 
     def test_write_csv_bytes_equal_savetxt(self, tmp_path):
         # np.savetxt with these arguments is the reference the writer replaced

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad, solve_ivp
 
-from gllflow import singular_ode
+from gllflow import realflow, singular_ode
 from gllflow.errors import DomainError
 from gllflow.figure_reference import (FIGURE_CURVES, X_SCALE, Y_SCALE, curve_error,
                                       fit_convention)
@@ -122,6 +122,32 @@ class TestStationary:
         with pytest.raises(DomainError, match="alpha=6e[+]102 overflows"):
             stationary_residual(6e102, [1e-200], 2)
         assert stationary_residual(1e77, [0.1, 1.0], 2) <= 1e-10
+
+    def test_a_sample_whose_square_is_not_normal_is_refused(self):
+        # r^2 underflows below about 1.5e-154, where eta/r^2 divided by zero
+        # and the residual read inf; above about 1.3e154 it overflows
+        with pytest.raises(DomainError, match=r"sample r=1e-200: r\^2 is not a normal float"):
+            stationary_residual(1.0, [0.1, 1e-200], 2)
+        with pytest.raises(DomainError, match=r"sample r=1e-155: r\^2 is not a normal float"):
+            stationary_residual(1.0, [1e-155], 5)
+        with pytest.raises(DomainError, match=r"sample r=1e\+160: r\^2 is not a normal float"):
+            stationary_residual(1e-170, [1.0, 1e160], 2)
+        assert stationary_residual(1.0, [1.5e-154], 2) <= 1e-14
+
+    def test_exact_family_passes_near_the_origin(self):
+        # relative to its largest term: the absolute residual, on terms of
+        # size (2n-1)|g'|/r, read 7.45e-9 at r = 1e-6 and 3.05e-5 at 1e-10
+        for n in range(2, 9):
+            for r in (1e-6, 1e-10, 1e-100):
+                assert stationary_residual(1.0, [r], n) <= 1e-14, (n, r)
+        assert stationary_residual(0.0, [1e-100], 3) == 0.0
+
+    def test_relative_residual_still_sees_a_defect(self, monkeypatch):
+        # a 1% error in the potential reads 0.04% (r = 10, psi near pi) to 1%
+        exact = eta
+        monkeypatch.setattr(realflow, "eta", lambda x, n: 1.01 * exact(x, n))
+        for r in (1e-100, 1e-6, 0.1, 1.0, 10.0):
+            assert 3e-4 <= stationary_residual(1.0, [r], 3) <= 1e-2, r
 
 
 class TestScalarSelfsim:
