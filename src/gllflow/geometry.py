@@ -120,8 +120,9 @@ class CPPoint:
     def __post_init__(self):
         c = np.asarray(self.coords, dtype=complex)
         nrm = float(np.linalg.norm(c))
-        if nrm == 0.0:
-            raise DomainError("CPPoint needs a nonzero representative")
+        if not 0.0 < nrm < math.inf:  # a NaN or infinite coordinate too
+            raise DomainError(f"CPPoint needs coordinates of nonzero, finite norm, "
+                              f"got {c.tolist()!r} (norm {nrm!r})")
         object.__setattr__(self, "coords", c / nrm)
 
     @property
@@ -224,11 +225,11 @@ def energy_density_l2(u, u_r, r, n) -> float:
 
 @dataclass(frozen=True)
 class RadialProfile:
-    """Radial samples of the field and its derivative on a graded grid."""
+    """Radial samples of a field and its derivative, or of K fields, on a graded grid."""
 
     r: np.ndarray
-    u: np.ndarray       # (N, 3)
-    u_r: np.ndarray     # (N, 3)
+    u: np.ndarray       # (N, 3) or (K, N, 3)
+    u_r: np.ndarray     # like u
 
     def __post_init__(self):
         # the grid may start at r = 0, the pole of the measure
@@ -247,11 +248,11 @@ def energy_density_arr(u, u_r, r, n):
     return 0.5 * (kin + np.where(r > 0, pot / np.where(r > 0, r, 1.0) ** 2, 0.0))
 
 
-def energy(profile: RadialProfile, n: int, r_min: float = 0.0, r_max: float | None = None) -> float:
+def energy(profile: RadialProfile, n: int, r_min: float = 0.0, r_max: float | None = None):
     """Total energy sigma_{2n-1} * int density r^{2n-1} dr over [r_min, r_max].
 
     Composite trapezoid on the profile's own (possibly graded) grid; the
-    grid refinement study is the accuracy contract.
+    grid refinement study is the accuracy contract.  A stack: one per field.
     """
     if not r_min >= 0:  # NaN too
         raise DomainError(f"need r_min >= 0, got {r_min!r}")
@@ -264,8 +265,11 @@ def energy(profile: RadialProfile, n: int, r_min: float = 0.0, r_max: float | No
     if mask.sum() < 2:
         raise GridError("fewer than two grid nodes in the integration window")
     rr = r[mask]
-    dens = energy_density_arr(profile.u[mask], profile.u_r[mask], rr, n)
-    return float(sphere_surface_measure(2 * n) * radial_integral(dens, rr, 2 * n))
+    # compress keeps a stack C-ordered, so each field sums along its own row
+    dens = energy_density_arr(np.compress(mask, profile.u, axis=-2),
+                              np.compress(mask, profile.u_r, axis=-2), rr, n)
+    e = sphere_surface_measure(2 * n) * radial_integral(dens, rr, 2 * n)
+    return float(e) if np.ndim(e) == 0 else e
 
 
 # ---------------------------------------------------------------------------

@@ -63,6 +63,16 @@ class TestTypes:
         p = CPPoint(np.array([3.0, 4.0j]))
         assert abs(np.linalg.norm(p.coords) - 1.0) <= 1e-15
 
+    def test_cp_point_refuses_non_finite_coordinates(self):
+        # a NaN norm would pass a zero test, and fs_distance's clamp would
+        # read a NaN inner product as distance pi/2
+        for bad, norm in (([1.0, np.nan], "nan"), ([np.inf, 1j], "inf"),
+                          ([0.0, complex(1.0, -np.inf)], "inf"), ([0.0, 0.0], "0.0")):
+            with pytest.raises(DomainError, match=rf"finite norm, got \[.*\] \(norm {norm}\)"):
+                CPPoint(np.array(bad))
+        with np.errstate(over="ignore"), pytest.raises(DomainError, match=r"\(norm inf\)"):
+            CPPoint(np.array([1e300, 1e300]))
+
 
 class TestStereo:
     def test_north_pole_to_origin(self):
