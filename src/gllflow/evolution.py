@@ -3,9 +3,9 @@
 Second-order central differences in r (3-point stencils on a possibly
 graded grid), classical RK4 in time with dt = factor * min(dr)^2, the
 origin pinned at the north pole, and projection back to the sphere after
-every step, on a full-width (3, N) state whose raveled form the stencils
-run over in length-3 windows, one multiply and one window sum per stage,
-zero-weighted at the end columns and component seams (see
+every step, on a full-width (3, N) state whose raveled form one folded
+bracket row runs over in length-3 windows, one multiply, one window sum and
+one add per stage, zero-weighted at the end columns and component seams (see
 _spatial_operator).  Residual certification differentiates the stored frames
 with an independent 4th-order stencil so that it measures the scheme's real
 truncation error instead of reproducing its own discretization.
@@ -13,7 +13,7 @@ truncation error instead of reproducing its own discretization.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -111,41 +111,39 @@ def _spatial_operator(r, params: FlowParams):
     with the work buffers of one solve.
 
     Returns bind(u): for a C-contiguous (3, N) state u, the function that
-    writes u's velocity into a (3, N) out.  The stencils run over the raveled
-    u through its length-3 windows, f[j:j+3] for the center j+1: one multiply
-    by the (2, 3, 3N-2) weights (rows u_r, u_rr; the window's three points)
-    and one sum over the window, (w_m f_m + w_0 f_0) + w_p f_p.  The end
-    columns (r = 0, r_max) and the component seams have weight 0,
-    (2n-1)/r = 0 and r^2 = inf: their velocity is a zero of either sign, in
-    columns the step resets.  Interior nodes take the (N, 3) loop's
-    operations in its order, and that sign never reaches them: a stage reads
-    +0 + ±0 = +0 at r = 0, and at r_max it can flip only a zero u_r or u_rr
-    whose partner is +0 or nonzero, leaving their sum b as is.
+    writes u's velocity into a (3, N) out.  The bracket
+    b = u_rr + ((2n-1)/r) u_r + ((2n-2+u3)/r^2) e3 is one weight row (the u_rr
+    row, plus (2n-1)/r times the u_r row, plus 1/r^2 on u3's center weight)
+    run over the raveled u through its length-3 windows, f[j:j+3] for the
+    center j+1: one multiply by the (3, 3N-2) weights, one window sum
+    (w_m f_m + w_0 f_0) + w_p f_p, and one add of the (2n-2)/r^2 column to b3.
+    The end columns (r = 0, r_max) and the component seams have weight 0 and
+    a zero column: their velocity is a zero of either sign, in columns the
+    step resets, and the sign never reaches an interior node: a stage reads
+    +0 + ±0 = +0 at r = 0, where u is e3, and at r_max it can flip only a
+    zero f_p, the last term of node N-2's sum after a +0 or nonzero partial.
     """
     N, hm, hp = r.size, r[1:-1] - r[:-2], r[2:] - r[1:-1]
-    w = np.zeros((2, 3, 3, N))          # (u_r, u_rr) x (f[j], f[j+1], f[j+2])
-    # row 0: first derivative, exact for quadratics; row 1: second derivative
     den_m, den_0, den_p = hm * (hm + hp), hm * hp, hp * (hm + hp)
-    w[..., 1:-1] = np.array([[-hp / den_m, (hp - hm) / den_0, hm / den_p],
-                             [2.0 / den_m, -2.0 / den_0, 2.0 / den_p]])[:, :, None]
-    w = w.reshape(2, 3, 3 * N)[:, :, 1:-1].copy()
-    coef1 = np.tile(np.r_[0.0, (2 * params.n - 1) / r[1:-1], 0.0], 3)
-    r2 = np.r_[np.inf, r[1:-1] ** 2, np.inf]
-    d = np.zeros((2, 3, N))             # u_r, u_rr; the stencil leaves the flat ends 0
-    d_in, (u_r, b_flat), b, b3 = d.reshape(2, 3 * N)[:, 1:-1], d.reshape(2, 3 * N), d[1], d[1, 2]
-    t, s, scratch = np.empty(w.shape), np.empty(N), _velocity_scratch(N)
-    c2 = float(2 * params.n - 2)
+    coef1, r2 = (2 * params.n - 1) / r[1:-1], r[1:-1] ** 2
+    w = np.zeros((3, 3, N))             # (f[j], f[j+1], f[j+2]) x component x node
+    d1 = np.array([-hp / den_m, (hp - hm) / den_0, hm / den_p])   # u_r, exact for quadratics
+    d2 = np.array([2.0 / den_m, -2.0 / den_0, 2.0 / den_p])        # u_rr
+    w[..., 1:-1] = (d2 + coef1 * d1)[:, None]
+    w[1, 2, 1:-1] += 1.0 / r2
+    w = w.reshape(3, 3 * N)[:, 1:-1].copy()
+    c2 = np.r_[0.0, (2 * params.n - 2) / r2, 0.0]
+    b = np.zeros((3, N))                # the sum leaves the flat ends 0
+    b_in, b3 = b.reshape(-1)[1:-1], b[2]
+    t, scratch = np.empty(w.shape), _velocity_scratch(N)
 
     def bind(u):
-        u3, windows = u[2], sliding_window_view(u.reshape(-1), 3).T
+        windows = sliding_window_view(u.reshape(-1), 3).T
         flow = _flow_velocity(u, b, params.alpha, params.beta, scratch)
 
         def velocity(out):
-            np.add.reduce(np.multiply(w, windows, t), 1, None, d_in)
-            np.multiply(u_r, coef1, u_r)
-            np.add(b_flat, u_r, b_flat)                 # u_rr + ((2n-1)/r) u_r
-            np.divide(np.add(u3, c2, s), r2, s)         # (2n-2 + u3)/r^2
-            np.add(b3, s, b3)
+            np.add.reduce(np.multiply(w, windows, t), 0, None, b_in)
+            np.add(b3, c2, b3)
             flow(out)
         return velocity
     return bind
@@ -153,7 +151,7 @@ def _spatial_operator(r, params: FlowParams):
 
 def evolve(field0: RadialField, params: FlowParams, T: float,
            config: EvolveConfig = EvolveConfig()) -> Trajectory:
-    """Run the flow to time T; returns the stored frame sequence.
+    """Run the flow to time T; returns the stored frames, field0 itself first.
 
     Norm drift beyond 1e-6 before reprojection aborts with diagnostics.
     The loop steps a full-width (3, N) copy, writing only into buffers bound
@@ -175,7 +173,7 @@ def evolve(field0: RadialField, params: FlowParams, T: float,
     velocity_u, velocity_y = bind(u), bind(y)
     origin, outer = u[:, 0], u[:, -1]
     outer_value = outer.copy() if config.outer_boundary == "clamp" else u[:, -2]
-    frames = [replace(field0, t=field0.t)]
+    frames = [field0]
     max_drift = 0.0
     for step in range(1, n_steps + 1):
         velocity_u(k1)
@@ -314,7 +312,7 @@ def great_circle_bump(grid_r, amplitude: float, center: float, width: float,
     require_positive(center=center, width=width)
     grid_r = np.asarray(grid_r, float)
     v0 = np.asarray(v0, float)
-    v0 = v0 / np.linalg.norm(v0)
+    v0 = v0 / np.sqrt(np.add.reduce(v0 * v0))     # not np.linalg.norm: its BLAS dot rounds by CPU
     g = amplitude * (grid_r / center) ** 2 * np.exp(-((grid_r - center) / width) ** 2)
     u = np.cos(g)[:, None] * E3 + np.sin(g)[:, None] * v0
     return RadialField(grid_r, u, 0.0)

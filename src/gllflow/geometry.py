@@ -124,6 +124,7 @@ class CPPoint:
             raise DomainError(f"CPPoint needs coordinates of nonzero, finite norm, "
                               f"got {c.tolist()!r} (norm {nrm!r})")
         object.__setattr__(self, "coords", c / nrm)
+        self.coords.flags.writeable = False     # a write would bypass the norm guard
 
     @property
     def n(self):

@@ -1,5 +1,10 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+from conftest import PACKAGE
 
 from gllflow import evolution
 from gllflow._numerics import ResidualReport, central_difference3, derivative_nonuniform
@@ -22,7 +27,11 @@ FLOWS = {"heat": (1.0, 0.0), "schrodinger": (0.0, 1.0), "mixed": (0.8, 0.6)}
 
 def _cross_formula(u, u_r, u_rr, r, params):
     """The flow velocity written with np.cross and tangent_project_arr."""
-    b = _second_order_bracket(u, u_r, u_rr, r, params.n)
+    return _flow_of_bracket(u, _second_order_bracket(u, u_r, u_rr, r, params.n), params)
+
+
+def _flow_of_bracket(u, b, params):
+    """(alpha P_u + beta u x) b with tangent_project_arr and np.cross."""
     out = 0.0
     if params.alpha != 0.0:
         out = params.alpha * tangent_project_arr(u, b)
@@ -32,9 +41,10 @@ def _cross_formula(u, u_r, u_rr, r, params):
 
 
 class _RowStencils:
-    """3-point nonuniform central stencils for u_r and u_rr of an (N, 3) field."""
+    """3-point nonuniform central stencils for u_r and u_rr of an (N, 3) field,
+    and the bracket from their per-node fold."""
 
-    def __init__(self, r):
+    def __init__(self, r, n):
         hm = r[1:-1] - r[:-2]
         hp = r[2:] - r[1:-1]
         self.d1_m = -hp / (hm * (hm + hp))
@@ -43,6 +53,13 @@ class _RowStencils:
         self.d2_m = 2.0 / (hm * (hm + hp))
         self.d2_0 = -2.0 / (hm * hp)
         self.d2_p = 2.0 / (hp * (hm + hp))
+        # b = u_rr + ((2n-1)/r) u_r + ((2n-2+u3)/r^2) e3 as one weight per
+        # window point, node and component: u3/r^2 sits on the center weight
+        coef1, r2 = (2 * n - 1) / r[1:-1], r[1:-1] ** 2
+        self.b_m, self.b_0, self.b_p = (np.tile((d2 + coef1 * d1)[:, None], 3) for d1, d2 in (
+            (self.d1_m, self.d2_m), (self.d1_0, self.d2_0), (self.d1_p, self.d2_p)))
+        self.b_0[:, 2] += 1.0 / r2
+        self.c2 = (2 * n - 2) / r2
 
     def derivatives(self, u):
         um, u0, up = u[:-2], u[1:-1], u[2:]
@@ -50,21 +67,30 @@ class _RowStencils:
         urr = self.d2_m[:, None] * um + self.d2_0[:, None] * u0 + self.d2_p[:, None] * up
         return ur, urr
 
+    def bracket(self, u):
+        b = self.b_m * u[:-2] + self.b_0 * u[1:-1] + self.b_p * u[2:]
+        b[:, 2] += self.c2
+        return b
 
-def _row_major_evolve(field0, params, T, n_steps, config):
+
+def _row_major_evolve(field0, params, T, n_steps, config, folded=True):
     """The MOL loop on the (N, 3) field, one stencil pass and one velocity
-    call per RK4 stage: the oracle of evolve.  Returns (frames, max drift)
-    and raises the same InstabilityError."""
+    call per RK4 stage: the oracle of evolve.  The bracket comes from the
+    folded weight row, as evolve takes it, or with folded=False from u_r
+    and u_rr apart (the unfolded arithmetic, equal to it up to rounding).
+    Returns (frames, max drift) and raises the same InstabilityError."""
     r = field0.r
-    op = _RowStencils(r)
+    op = _RowStencils(r, params.n)
     dt = T / n_steps
     interior = slice(1, r.size - 1)
     u_outer0 = field0.u[-1].copy()
 
     def rhs(u):
-        ur, urr = op.derivatives(u)
         out = np.zeros_like(u)
-        out[interior] = _cross_formula(u[interior], ur, urr, r[interior], params)
+        if folded:
+            out[interior] = _flow_of_bracket(u[interior], op.bracket(u), params)
+        else:
+            out[interior] = _cross_formula(u[interior], *op.derivatives(u), r[interior], params)
         return out
 
     u = field0.u.copy()
@@ -322,6 +348,22 @@ class TestComponentMajorLoop:
             _row_major_evolve(f0, params, 1.0, n_steps, config)
         assert exc.value.diagnostics["node"] == ref.value.diagnostics["node"]
         assert exc.value.diagnostics["drift"] == ref.value.diagnostics["drift"]
+
+    @pytest.mark.parametrize("flow", sorted(FLOWS))
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("outer", ["clamp", "neumann"])
+    @pytest.mark.parametrize("grading", [1.0, 1.5])
+    def test_folding_the_bracket_moves_frames_only_by_rounding(self, flow, n, outer, grading):
+        # the folded row against the separate u_r, u_rr arithmetic
+        params = FlowParams(n, *FLOWS[flow])
+        r = make_grid(10.0, 61, grading=grading)
+        f0 = great_circle_bump(r, 0.6, 3.0, 1.0, v0=(1.0, 0.4, 0.0))
+        config = EvolveConfig(outer_boundary=outer, store_every=7)
+        T = 40 * 0.1 * float(np.min(np.diff(r))) ** 2
+        traj = evolve(f0, params, T, config)
+        frames, _ = _row_major_evolve(f0, params, T, traj.n_steps, config, folded=False)
+        assert len(traj.frames) == len(frames) == 7
+        assert max(np.max(np.abs(got.u - want)) for got, want in zip(traj.frames, frames)) <= 1e-12
 
     @pytest.mark.parametrize("flow", sorted(FLOWS))
     def test_gll_rhs_arr_equals_the_cross_formula(self, flow, rng):
@@ -598,6 +640,25 @@ class TestSelfsimConsistency:
         assert errs[1] <= errs[0] / 3.0
         assert errs[1] <= 2.0 * (25.0 / 200) ** 2
 
+    @pytest.mark.parametrize("flow, n, T", [("heat", 2, 0.5), ("heat", 3, 0.5), ("mixed", 2, 0.5),
+                                            ("mixed", 3, 0.5), ("schrodinger", 2, 0.1)])
+    def test_second_order_against_the_exact_solution(self, flow, n, T):
+        # u(t, r) = psi(r/sqrt(t)) from t = 1, on r <= 12: away from the
+        # outer node, which is not the exact solution's
+        params = FlowParams(n, *FLOWS[flow])
+        prof = solve_profile((1.0, 0.0), params, 25.0)
+        errs = []
+        for N in (201, 401):
+            r = make_grid(25.0, N)
+            traj = evolve(field_from_profile(prof, r, 1.0), params, T,
+                          EvolveConfig(dt_factor=0.05, outer_boundary="neumann",
+                                       store_every=10**9))
+            target = field_from_profile(prof, r, 1.0 + T)
+            near = r <= 12.0
+            errs.append(float(np.max(np.linalg.norm(traj.frames[-1].u[near] - target.u[near],
+                                                    axis=1))))
+        assert np.log2(errs[0] / errs[1]) >= 1.8
+
     def test_sampling_beyond_the_profile_raises(self):
         prof = solve_profile((1.0, 0.0), HEAT, 10.0)
         r = make_grid(25.0, 101)
@@ -607,3 +668,40 @@ class TestSelfsimConsistency:
         field = field_from_profile(prof, r, 6.25)
         assert np.array_equal(field.u[0], E3)
         assert np.allclose(field.u[-1], prof.psi[-1], atol=1e-12)
+
+
+# a short evolve of three flows at n = 2 and 3, off the great circle; prints
+# the SHA-256 of every frame's bytes
+_FRAMES_DIGEST = """
+import hashlib
+import numpy as np
+from gllflow.evolution import EvolveConfig, evolve, great_circle_bump, make_grid
+from gllflow.geometry import FlowParams
+h = hashlib.sha256()
+r = make_grid(10.0, 61)
+f0 = great_circle_bump(r, 0.6, 3.0, 1.0, v0=(1.0, 0.4, 0.0))
+T = 40 * 0.1 * float(np.min(np.diff(r))) ** 2
+for alpha, beta in ((1.0, 0.0), (0.0, 1.0), (0.8, 0.6)):
+    for n in (2, 3):
+        for f in evolve(f0, FlowParams(n, alpha, beta), T, EvolveConfig(store_every=7)).frames:
+            h.update(f.u.tobytes())
+print(h.hexdigest())
+"""
+
+
+class TestBlasKernel:
+    def test_frames_do_not_depend_on_the_openblas_kernel(self):
+        # a BLAS dot (np.linalg.norm of a vector) rounds by the kernel
+        # OpenBLAS picks for the CPU; the evolve path must not contain one
+        digests = {}
+        for core in ("Haswell", "Sandybridge", "SkylakeX"):
+            env = dict(os.environ, OPENBLAS_CORETYPE=core, OPENBLAS_VERBOSE="2",
+                       OPENBLAS_NUM_THREADS="1", PYTHONPATH=str(PACKAGE.parent))
+            proc = subprocess.run([sys.executable, "-c", _FRAMES_DIGEST], env=env,
+                                  capture_output=True, text=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            if f"Core: {core}" in proc.stderr:
+                digests[core] = proc.stdout
+        if not {"Haswell", "Sandybridge"} <= digests.keys():
+            pytest.skip(f"OpenBLAS ran only {sorted(digests)} of the kernels asked for")
+        assert len(set(digests.values())) == 1, digests

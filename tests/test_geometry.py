@@ -74,6 +74,16 @@ class TestTypes:
             CPPoint(np.array([1e300, 1e300]))
 
 
+    def test_cp_point_coords_are_read_only(self):
+        # a write used to bypass the norm guard: fs_distance then read a NaN
+        # coordinate as distance pi/2
+        p, q = CPPoint(np.array([3.0, 4.0j])), CPPoint(np.array([1.0, 1.0]))
+        before = fs_distance(p, q)
+        with pytest.raises(ValueError, match="read-only"):
+            p.coords[0] = np.nan
+        assert fs_distance(p, q) == before
+        assert np.isfinite(before) and before != np.pi / 2
+
 class TestStereo:
     def test_north_pole_to_origin(self):
         assert stereo_project(SpherePoint(0.0, 0.0, 1.0)) == 0.0
