@@ -218,7 +218,7 @@ def residual(trajectory: Trajectory) -> ResidualReport:
     than the scheme.  u_t spans the stored-frame spacing, not dt, so with a
     large store_every the report includes the frames' time-sampling error:
     `rarely-schrodinger-201` (benchmark seed 5, every 400th step stored)
-    reads 3.61 where store-often runs read 0.005-0.03.  ROADMAP item 3 has
+    reads 3.61 where store-often runs read 0.005-0.03.  ROADMAP item 4 has
     the fix (keep the states one step either side of each stored frame).
     """
     params, frames, r = trajectory.params, trajectory.frames, trajectory.r
@@ -229,7 +229,7 @@ def residual(trajectory: Trajectory) -> ResidualReport:
     ur_all, urr_all = (derivative_nonuniform(r, inner, order=m) for m in (1, 2))
     for k, u_t in rates:
         u, ur, urr = frames[k].u, ur_all[:, k - 1], urr_all[:, k - 1]
-        rhs = np.zeros_like(u)
+        rhs = np.zeros_like(u)  # per frame: one pass over all frames raises the peak RSS
         rhs[1:] = gll_rhs_arr(u[1:], ur[1:], urr[1:], r[1:], params)
         rows.append((frames[k].t, *weighted_norms(u_t - rhs, r, params.n, RESIDUAL_MARGIN)))
     return ResidualReport(*map(np.array, zip(*rows)))

@@ -292,17 +292,6 @@ def tangent_project_arr(u, w):
     return w - np.sum(w * u, axis=-1, keepdims=True) * u
 
 
-def tension_arr(u, u_r, u_rr, r, n):
-    b = _second_order_bracket(u, u_r, u_rr, r, n)
-    return tangent_project_arr(u, b)
-
-
-def tension(u: SpherePoint, u_r: TangentVec, u_rr, r: float, n: int) -> TangentVec:
-    """Tension field P_u(u_rr + ((2n-1)/r) u_r + ((2n-2+u3)/r^2) e3)."""
-    out = tension_arr(u.array, u_r.array, np.asarray(u_rr, float), float(r), n)
-    return TangentVec.from_array(out)
-
-
 def _velocity_scratch(m):
     """Work buffers of `_flow_velocity` for (3, m) arrays."""
     return np.empty((3, m)), np.empty(m), np.empty((5, m)), np.empty((5, m)), np.empty((3, m))
@@ -358,6 +347,11 @@ def gll_rhs(u: SpherePoint, u_r: TangentVec, u_rr, r: float, params: FlowParams)
     """Flow velocity of the generalized Landau-Lifshitz equation at one point."""
     out = gll_rhs_arr(u.array, u_r.array, np.asarray(u_rr, float), float(r), params)
     return TangentVec.from_array(out)
+
+
+def tension(u: SpherePoint, u_r: TangentVec, u_rr, r: float, n: int) -> TangentVec:
+    """Tension field P_u(u_rr + ((2n-1)/r) u_r + ((2n-2+u3)/r^2) e3): the heat-flow velocity."""
+    return gll_rhs(u, u_r, u_rr, r, FlowParams(n, 1.0, 0.0))
 
 
 def stereo_rhs(f, f_r, f_rr, r, params: FlowParams):

@@ -42,12 +42,10 @@ class Frame:
     je: np.ndarray       # (N, 3)
 
     def defect(self, u):
-        """Largest departure of e from unit length, from T_u and from Je."""
-        return max(
-            float(np.max(np.abs(np.linalg.norm(self.e, axis=1) - 1.0))),
-            float(np.max(np.abs(np.sum(self.e * u, axis=1)))),
-            float(np.max(np.abs(np.sum(self.e * self.je, axis=1)))),
-        )
+        """Largest departure of e from unit length, from T_u and from Je (NaN if any is)."""
+        return float(np.max([np.max(np.abs(np.linalg.norm(self.e, axis=1) - 1.0)),
+                             np.max(np.abs(np.sum(self.e * u, axis=1))),
+                             np.max(np.abs(np.sum(self.e * self.je, axis=1)))]))
 
     def validate(self, u):
         bad = self.defect(u)

@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 # hermite_eval is not called here: perfbench/tracer.py looks it up in this
-# module (ROADMAP item 4)
+# module (ROADMAP item 5)
 from ._numerics import hermite_eval  # noqa: F401
 from ._numerics import radial_integral, require_dimension
 from .errors import DomainError

@@ -5,14 +5,15 @@ The problem class is
     f''(r) = A(f', f, r) - k (f'/r - f/r^2) + B(f)/r^2,   f(0)=0, f'(0)=alpha0,
 
 with k > 0, A smooth with A(alpha0, 0, 0) = 0, and B vanishing cubically
-at 0.  The unique bounded-slope solution satisfies f''(0) = 0, so it looks
-like f = alpha0 r + c3 r^3 + c5 r^5 + ... near the origin (the Frobenius
-series at a regular singular point).  Every problem states its odd
-coefficients in closed form: (c3,) for a cubic start, (c3, c5, c7) for a
-quintic one whose next term is known.  `series_start` produces data at a
-small r0 > 0, and `origin_start`, the one start of a solve, picks r0
-(min(1e-2, 1e-2/|alpha0|) for a quintic start below ROUNDING_TOL, else
-DEFAULT_R0) and checks the quintic series' next term against the tolerance.
+at 0; a `SingularIVP` checks all three when it is built.  The unique
+bounded-slope solution satisfies f''(0) = 0, so it looks like f = alpha0 r
++ c3 r^3 + c5 r^5 + ... near the origin (the Frobenius series at a regular
+singular point).  Every problem states its odd coefficients in closed
+form: (c3,) for a cubic start, (c3, c5, c7) for a quintic one whose next
+term is known.  `series_start` produces data at a small r0 > 0, and
+`origin_start`, the one start of a solve, picks r0 (min(1e-2, 1e-2/|alpha0|)
+for a quintic start below ROUNDING_TOL, else DEFAULT_R0) and checks the
+quintic series' next term against the tolerance.
 `integrate_rk` carries the data outward with the DOP853 pair of Hairer,
 Norsett & Wanner (8th order, 5th/3rd-order error estimate) and its
 7th-order dense output, returned as a `DenseSolution`.
@@ -303,26 +304,21 @@ class SingularIVP:
     series: tuple     # (c3,) or (c3, c5, c7)
 
     def __post_init__(self):
+        """Refuse a spec outside the class: A(alpha0, 0, 0) = 0 and B cubic at 0."""
         require_positive(k=self.k)
-
-    def validate(self):
-        """Runtime assertions: A(alpha0,0,0)=0 and cubic vanishing of B."""
+        if not np.isfinite(self.alpha0):  # else it would read as A(alpha0, 0, 0) = nan
+            raise DomainError(f"non-finite start state: alpha0 = {self.alpha0!r}")
         a = complex(self.A(self.alpha0, 0.0, 0.0))
-        if abs(a) > 1e-12 * max(1.0, abs(self.alpha0)):
+        if not abs(a) <= 1e-12 * max(1.0, abs(self.alpha0)):  # NaN too
             raise DomainError(f"A(alpha0, 0, 0) = {a!r}, expected 0")
         # sample |B(z)|/|z|^3 on shrinking circles: for a genuine cubic the
         # ratio is bounded, while a quadratic contaminant grows 10x per decade
-        per_mag = []
-        for mag in (1e-3, 1e-4, 1e-5):
-            worst = 0.0
-            for phase in np.linspace(0.0, 2 * np.pi, 8, endpoint=False):
-                z = mag * np.exp(1j * phase)
-                worst = max(worst, abs(complex(self.B(z))) / mag**3)
-            per_mag.append(worst)
-        if per_mag[-1] > 30.0 * per_mag[0] + 1e-9 or per_mag[-1] > 1e6:
-            raise DomainError(
-                f"B does not vanish cubically near 0 (|B|/|z|^3 samples {per_mag})")
-        return self
+        circle = np.exp(1j * np.linspace(0.0, 2 * np.pi, 8, endpoint=False))
+        per_mag = np.max([[abs(complex(self.B(z))) / mag**3 for z in mag * circle]
+                          for mag in (1e-3, 1e-4, 1e-5)], axis=1)  # unlike max(), keeps a NaN
+        if not np.all(per_mag[1:] <= np.minimum(30.0 * per_mag[0] + 1e-9, 1e6)):  # NaN too
+            raise DomainError(f"B does not vanish cubically near 0 "
+                              f"(|B|/|z|^3 samples {per_mag.tolist()})")
 
     def rhs(self):
         """First-order system y = (f, f') for the integrator."""
@@ -346,7 +342,6 @@ def series_start(ivp: SingularIVP, r0: float):
     require_positive(r0=r0)
     if r0 > 1e-2:
         raise DomainError("series start only certified for r0 <= 1e-2")
-    ivp.validate()
     a = ivp.alpha0
     if len(ivp.series) == 1:
         c3, = ivp.series

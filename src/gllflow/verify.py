@@ -19,7 +19,7 @@ from .geometry import (CPPoint, E3, FlowParams, RadialProfile, TangentVec,
                        embed_equivariant, energy, fs_distance, gll_rhs_arr,
                        harmonic_map_jet, stereo_lift_arr, stereo_lift_differential,
                        stereo_rhs, unitary_action)
-from .hasimoto import compute_q, pole_projection_coordinates, transport_frame
+from .hasimoto import FRAME_TOL, compute_q, pole_projection_coordinates, transport_frame
 from .manifest import CheckResult
 from .selfsim import apriori_identity_residual, derivative_energy_bound, solve_profile
 from .singular_ode import hardy_check, series_start
@@ -122,7 +122,7 @@ def suite_geom():
 
     # tangency and unit norm of flow outputs on random states
     worst_t = float(np.max(_tangency_ratios(rng)))
-    out.append(CheckResult("flow_outputs_tangent", worst_t <= 1e-12,
+    out.append(CheckResult("flow_outputs_tangent", worst_t <= geo.NORM_TOL,
                            f"max normal component {worst_t:.2e}"))
 
     # energy equivalence on 200 random smooth compact profiles, n = 2
@@ -379,7 +379,7 @@ def suite_hasimoto():
     u, ur, _ = harmonic_map_jet(TangentVec(1.0, 0.0, 0.0), r)
     fr = transport_frame(r, u, np.array([1.0, 0.0, 0.0]))
     worst = fr.defect(u)
-    out.append(CheckResult("frame_orthonormal_tangent", worst <= 1e-10,
+    out.append(CheckResult("frame_orthonormal_tangent", worst <= FRAME_TOL,
                            f"max frame defect {worst:.2e}"))
 
     params = FlowParams(2, 0.0, 1.0)

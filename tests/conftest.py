@@ -1,4 +1,7 @@
+import os
 import signal
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -49,6 +52,24 @@ def solution_content(sol):
     step built."""
     return (sol.r, sol.y, sol.f, sol.rows(np.arange(sol.r.size - 1)), sol.steps_accepted,
             sol.steps_rejected, sol.rhs_evals)
+
+
+def digests_by_openblas_kernel(script):
+    """The stdout of `python -c script` under each OpenBLAS kernel that ran,
+    by kernel name; skips the test unless Haswell and Sandybridge both did
+    (OPENBLAS_VERBOSE=2 reports the kernel a process runs)."""
+    digests = {}
+    for core in ("Haswell", "Sandybridge", "SkylakeX"):
+        env = dict(os.environ, OPENBLAS_CORETYPE=core, OPENBLAS_VERBOSE="2",
+                   OPENBLAS_NUM_THREADS="1", PYTHONPATH=str(PACKAGE.parent))
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        if f"Core: {core}" in proc.stderr:
+            digests[core] = proc.stdout
+    if not {"Haswell", "Sandybridge"} <= digests.keys():
+        pytest.skip(f"OpenBLAS ran only {sorted(digests)} of the kernels asked for")
+    return digests
 
 
 @pytest.fixture

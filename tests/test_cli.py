@@ -351,6 +351,40 @@ class TestEvolveCommand:
         assert len(list(out.glob("run_manifest.json"))) == 1
 
 
+# a bump whose tail reaches r_max, so the outer node moves unless clamped
+OUTER_EVOLVE = ["evolve", "--nodes", "81", "--r-max", "8", "--T", "0.02", "--store-every", "4",
+                "--amplitude", "0.6", "--center", "5", "--width", "1.5"]
+
+
+def _frames(out_dir):
+    """Every written frame's (N, 4) table of r, u1, u2, u3, in order."""
+    return [np.loadtxt(p, delimiter=",", skiprows=1) for p in sorted(out_dir.glob("frame_*.csv"))]
+
+
+class TestEvolveOuterBoundary:
+    def test_neumann_copies_the_neighbour(self, tmp_path):
+        out = tmp_path / "neumann"
+        assert _run(OUTER_EVOLVE + ["--outer", "neumann", "--out-dir", str(out)]) == 0
+        assert _manifest(out)["tolerances"]["outer_boundary"] == "neumann"
+        frames = _frames(out)
+        assert len(frames) == 6
+        # the initial data has a slope at r_max; every evolved frame is flat there
+        assert not np.array_equal(frames[0][-1, 1:], frames[0][-2, 1:])
+        for f in frames[1:]:
+            assert np.array_equal(f[-1, 1:], f[-2, 1:])
+        assert not np.array_equal(frames[-1][-1], frames[0][-1])
+
+    def test_clamp_is_the_default_and_holds_the_initial_value(self, tmp_path):
+        out = tmp_path / "clamp"
+        assert _run(OUTER_EVOLVE + ["--out-dir", str(out)]) == 0
+        assert _manifest(out)["tolerances"]["outer_boundary"] == "clamp"
+        frames = _frames(out)
+        assert len(frames) == 6
+        for f in frames[1:]:
+            assert np.array_equal(f[-1], frames[0][-1])
+        assert not np.array_equal(frames[-1][-2], frames[0][-2])
+
+
 class TestHasimotoCommands:
     def test_exponents(self, tmp_path, capsys):
         out = tmp_path / "h"

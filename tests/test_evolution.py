@@ -1,10 +1,6 @@
-import os
-import subprocess
-import sys
-
 import numpy as np
 import pytest
-from conftest import PACKAGE
+from conftest import digests_by_openblas_kernel
 
 from gllflow import evolution
 from gllflow._numerics import ResidualReport, central_difference3, derivative_nonuniform
@@ -693,15 +689,5 @@ class TestBlasKernel:
     def test_frames_do_not_depend_on_the_openblas_kernel(self):
         # a BLAS dot (np.linalg.norm of a vector) rounds by the kernel
         # OpenBLAS picks for the CPU; the evolve path must not contain one
-        digests = {}
-        for core in ("Haswell", "Sandybridge", "SkylakeX"):
-            env = dict(os.environ, OPENBLAS_CORETYPE=core, OPENBLAS_VERBOSE="2",
-                       OPENBLAS_NUM_THREADS="1", PYTHONPATH=str(PACKAGE.parent))
-            proc = subprocess.run([sys.executable, "-c", _FRAMES_DIGEST], env=env,
-                                  capture_output=True, text=True, timeout=120)
-            assert proc.returncode == 0, proc.stderr
-            if f"Core: {core}" in proc.stderr:
-                digests[core] = proc.stdout
-        if not {"Haswell", "Sandybridge"} <= digests.keys():
-            pytest.skip(f"OpenBLAS ran only {sorted(digests)} of the kernels asked for")
+        digests = digests_by_openblas_kernel(_FRAMES_DIGEST)
         assert len(set(digests.values())) == 1, digests

@@ -6,8 +6,9 @@ from gllflow.geometry import (CPPoint, E3, FlowParams, RadialProfile, SpherePoin
                               TangentVec, embed_equivariant, energy, energy_density,
                               energy_density_l2, fs_distance, gll_rhs, gll_rhs_arr,
                               harmonic_map, harmonic_map_jet, stereo_lift,
-                              stereo_lift_arr, stereo_project, stereo_rhs, tension,
-                              tension_arr, unitary_action)
+                              stereo_lift_arr, stereo_project, stereo_rhs,
+                              tangent_project_arr, tension, unitary_action)
+from gllflow.geometry import _second_order_bracket
 from gllflow._numerics import sphere_surface_measure
 
 
@@ -271,6 +272,19 @@ class TestTensionAndFlow:
         t = tension(SpherePoint(0, 0, 1.0), TangentVec(0, 0, 0), np.zeros(3), 1.0, 2)
         assert t.norm == 0.0
 
+    def test_tension_is_the_projected_bracket_bit_for_bit(self, rng):
+        # tension is the heat-flow velocity; the composition it replaced,
+        # P_u of the second-order bracket, is the oracle
+        for n in (1, 2, 3, 5):
+            for _ in range(200):
+                u = rng.normal(size=3)
+                u /= np.linalg.norm(u)
+                u_r, u_rr, r = rng.normal(size=3), rng.normal(size=3), 0.05 + 3 * rng.random()
+                got = tension(SpherePoint.from_array(u), TangentVec.from_array(u_r), u_rr, r, n)
+                p = SpherePoint.from_array(u).array
+                want = tangent_project_arr(p, _second_order_bracket(p, u_r, u_rr, r, n))
+                assert got.array.tobytes() == want.tobytes()
+
     def test_variation_matches_tension(self, rng):
         # central finite difference of the energy under a compact tangent
         # perturbation agrees with -<tension, w> at second order
@@ -283,7 +297,7 @@ class TestTensionAndFlow:
         w = np.cross(u, u2)
         w *= smooth_bump(r, 3.0, 1.5)[:, None]
         n = 2
-        tau = tension_arr(u, u_r, u_rr, r, n)
+        tau = gll_rhs_arr(u, u_r, u_rr, r, FlowParams(n, 1.0, 0.0))
         sigma = sphere_surface_measure(2 * n)
         inner = -sigma * np.trapezoid(np.sum(tau * w, axis=1) * r ** (2 * n - 1), r)
 

@@ -127,6 +127,24 @@ class TestTransport:
         with pytest.raises(DomainError, match="violated by nan"):
             Frame(r, nan, nan).validate(u)
 
+    @pytest.mark.parametrize("poisoned", ["je", "u"])
+    def test_defect_keeps_a_nan_row(self, poisoned):
+        # max() kept the first maximum when a later one was NaN: one NaN row
+        # of Je, or one NaN node of u, read as a defect of 1e-16
+        r = np.linspace(0.0, 3.0, 31)
+        u, _ = _harmonic_data(r)
+        fr = transport_frame(r, u, SEED)
+        if poisoned == "je":
+            je = fr.je.copy()
+            je[12] = np.nan
+            fr = Frame(r, fr.e, je)
+        else:
+            u = u.copy()
+            u[12, 0] = np.nan
+        assert np.isnan(fr.defect(u))
+        with pytest.raises(DomainError, match="violated by nan"):
+            fr.validate(u)
+
     def test_great_circle_stays_in_plane(self):
         # transporting an in-plane seed along a great circle keeps q real
         r = np.linspace(0.0, 10.0, 2001)

@@ -1,3 +1,4 @@
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -83,6 +84,20 @@ class TestStencils:
                 got = derivative_nonuniform(x, y, order=order, points=points)
                 assert got.dtype == want.dtype and got.shape == want.shape
                 assert got.tobytes() == want.tobytes(), (order, y.shape, y.dtype)
+
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_peak_allocation_stays_within_three_inputs(self, order, rng):
+        # a residual's frame stack, (401, 21, 3): the sliced centred rows
+        # peak at 2.5x y.nbytes, where gathering every window reads 3.5x
+        x, y = _graded(401), rng.normal(size=(401, 21, 3))
+        derivative_nonuniform(x, y, order=order)
+        tracemalloc.start()
+        try:
+            derivative_nonuniform(x, y, order=order)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * y.nbytes
 
     @pytest.mark.parametrize("order,expected", [(1, 3.9), (2, 2.9)])
     def test_convergence_order_on_graded_grid(self, order, expected):

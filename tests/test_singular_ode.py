@@ -18,7 +18,7 @@ from gllflow.singular_ode import (DEFAULT_R0, ERROR_FLOOR, RADIAL_STEP, ROUNDING
                                   DenseSolution, ProfileGrid, SingularIVP, _error_norm,
                                   _initial_step, hardy_check, hardy_ratio_raw,
                                   integrate_rk, origin_start, series_remainder, series_start)
-from conftest import smooth_bump, solution_content, solve_from_origin
+from conftest import digests_by_openblas_kernel, smooth_bump, solution_content, solve_from_origin
 
 
 def _series_mismatch(ivp, r0):
@@ -104,16 +104,45 @@ class TestSeriesStart:
                         series=(0.0,))
 
     def test_validate_rejects_bad_A(self):
-        ivp = SingularIVP(k=3.0, A=lambda z1, z2, r: z1, B=lambda z: 0.0 * z, alpha0=1.0,
-                          series=(0.0,))
         with pytest.raises(DomainError):
-            series_start(ivp, 1e-3)
+            SingularIVP(k=3.0, A=lambda z1, z2, r: z1, B=lambda z: 0.0 * z, alpha0=1.0,
+                        series=(0.0,))
 
     def test_validate_rejects_quadratic_B(self):
-        ivp = SingularIVP(k=3.0, A=lambda z1, z2, r: 0.0 * z1,
-                          B=lambda z: z**2, alpha0=1.0, series=(0.0,))
         with pytest.raises(DomainError):
-            ivp.validate()
+            SingularIVP(k=3.0, A=lambda z1, z2, r: 0.0 * z1,
+                        B=lambda z: z**2, alpha0=1.0, series=(0.0,))
+
+    def test_a_nan_A_is_refused(self):
+        # abs(nan) > tol is False: a NaN A(alpha0, 0, 0) used to pass
+        with pytest.raises(DomainError, match=r"A\(alpha0, 0, 0\) = \(nan"):
+            SingularIVP(k=3.0, A=lambda z1, z2, r: math.nan, B=lambda z: z**3, alpha0=1.0,
+                        series=(0.0,))
+
+    @pytest.mark.parametrize("alpha0", [math.nan, complex(0.0, math.inf)])
+    def test_a_non_finite_slope_is_named(self, alpha0):
+        # before A is called: it would read A(alpha0, 0, 0) = nan
+        with pytest.raises(DomainError, match="non-finite start state: alpha0"):
+            SingularIVP(k=3.0, A=lambda z1, z2, r: 0.0 * z1, B=lambda z: z**3, alpha0=alpha0,
+                        series=(0.0,))
+
+    @pytest.mark.parametrize("where", [lambda z: z.imag > 0.0, lambda z: abs(z) < 5e-5,
+                                       lambda z: 5e-5 < abs(z) < 5e-4],
+                             ids=["upper-half-plane", "innermost-circle", "middle-circle"])
+    def test_a_B_that_is_nan_on_part_of_the_circles_is_refused(self, where):
+        # max(worst, nan) keeps worst: NaN samples of B used to be dropped
+        def B(z):
+            return complex(math.nan, 0.0) if where(z) else z**3
+
+        with pytest.raises(DomainError, match="B does not vanish cubically.*nan"):
+            SingularIVP(k=3.0, A=lambda z1, z2, r: 0.0 * z1, B=B, alpha0=1.0, series=(0.0,))
+
+    def test_the_package_specs_are_accepted(self):
+        for slope in (0.0, 1e-3, 1.0, 22.113, 2000.0):
+            for n in (2, 3, 5, 8):
+                real_selfsim_ivp(slope, n)
+                real_selfsim_ivp(slope, n, drift=False)
+                stereo_selfsim_ivp((slope, -0.5 * slope), FlowParams(n, 0.6, 0.8))
 
 
 class TestOriginStart:
@@ -487,6 +516,33 @@ class TestStepper:
         assert np.all(np.diff(tight.r) <= RADIAL_STEP * tight.r[:-1] * (1 + 1e-12))
         loose = integrate_rk(fun, 1e-4, y0, 2.0, rel_tol=ROUNDING_TOL)
         assert np.max(np.diff(loose.r) / loose.r[:-1]) > 1.0
+
+
+# the heat profile n = 2, v = (1, 0) to r_max 20 at its default tolerance,
+# and the scalar benchmark anchor (slope 22.113, n = 5, r_max 10, rel_tol
+# 1e-10); prints the SHA-256 of both solutions' nodes and states
+_PROFILES_DIGEST = """
+import hashlib
+from gllflow.geometry import FlowParams
+from gllflow.realflow import solve_selfsim_real
+from gllflow.selfsim import solve_profile
+h = hashlib.sha256()
+for sol in (solve_profile((1.0, 0.0), FlowParams(2, 1.0, 0.0), 20.0).sol,
+            solve_selfsim_real(2 * 11.056687500834824, 5, 10.0, 1e-10).sol):
+    h.update(sol.r.tobytes())
+    h.update(sol.y.tobytes())
+print(h.hexdigest())
+"""
+
+
+class TestBlasKernel:
+    @pytest.mark.xfail(strict=True, reason=(
+        "CHANGES.md FOUND line on integrate_rk/_dop853: DOP853's stage sums (a BLAS "
+        "gemv) and _rms round by OpenBLAS kernel, so the heat profile takes 393/397/402 "
+        "nodes under Haswell/Sandybridge/SkylakeX"))
+    def test_profile_nodes_do_not_depend_on_the_openblas_kernel(self):
+        digests = digests_by_openblas_kernel(_PROFILES_DIGEST)
+        assert len(set(digests.values())) == 1, digests
 
 
 class TestDenseOutput:

@@ -10,6 +10,7 @@ from gllflow import _numerics as num
 from gllflow import geometry as geo
 from gllflow import verify
 from gllflow.cli import main
+from gllflow.hasimoto import Frame
 from gllflow.geometry import (CPPoint, FlowParams, RadialProfile, energy, fs_distance,
                               gll_rhs_arr, stereo_lift_arr, stereo_lift_differential,
                               stereo_rhs, unitary_action)
@@ -199,6 +200,16 @@ class TestNaNSampleFailsItsCheck:
         assert not rows["hardy_ratio_below_bound"].passed
         assert rows["hardy_ratio_below_bound"].detail == "max ratio/bound = nan"
         assert rows["deterministic_grids"].passed
+
+    def test_frame_defect(self, monkeypatch):
+        # one NaN row of Je: Frame.defect's max() used to drop it.  q reads
+        # Je too, so the q checks of that frame fail with it
+        def poison(fr):
+            return Frame(fr.r, fr.e, _with_nan(fr.je, (1000, 1)))
+
+        _nth_call_nan(monkeypatch, "transport_frame", 1, poison)
+        row = _rows(verify.suite_hasimoto)["frame_orthonormal_tangent"]
+        assert not row.passed and row.detail == "max frame defect nan"
 
     def test_energy_equivalence_counts_every_sample(self, monkeypatch):
         real = verify._chart_energies
