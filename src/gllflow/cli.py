@@ -72,7 +72,8 @@ def cmd_selfsim(args):
         "max_A": float(prof.A.max()),
         "A_bound_4n": 4.0 * args.n,
         "identity_residual": apriori_identity_residual(prof, r_stop=min(20.0, args.r_max)),
-        "solver": prof.sol.counters(),
+        "solver": dict(prof.sol.counters(), r0=float(prof.r[0]),
+                       start_remainder=prof.start_remainder),
     }
     # SelfSimProfile refuses a profile whose A(r) exceeds the bound
     print(f"max A(r) = {results['max_A']:.6f} (bound 4n = {results['A_bound_4n']:g}): ok")

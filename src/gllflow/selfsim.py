@@ -18,6 +18,7 @@ origin slope of psi is 2v.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import asdict, dataclass
 
@@ -32,7 +33,8 @@ from .errors import DomainError, NonConvergedError, NormDriftError
 from .geometry import (E3, REPAIR_TOL, FlowParams, SpherePoint, stereo_lift_arr,
                        stereo_lift_differential, tangent_project_arr)
 from .manifest import report_json, write_csv
-from .singular_ode import DenseSolution, SingularIVP, integrate_rk, origin_start
+from .singular_ode import (DenseSolution, SingularIVP, integrate_rk, origin_start,
+                           series_remainder)
 from .singular_ode import series_start  # noqa: F401
 
 UNIT_NORM_TOL = 1e-10
@@ -51,20 +53,40 @@ def stereo_selfsim_ivp(v, params: FlowParams) -> SingularIVP:
     F'' = -(2n-1)(F'/r - F/r^2) + 2 conj(F) F'^2/(1+|F|^2)
           - 2 |F|^2 F / (r^2 (1+|F|^2)) - (alpha - i beta)(r/2) F'
 
-    Its start is cubic: the two nonlinear terms cancel at F = a r, so the
-    drift alone sets c3 = -(alpha - i beta) a / (8(n+1)), a = v1 + i v2.
+    Its origin series comes from the r^3, r^5 and r^7 coefficients of the
+    ODE times r^2 (1+|F|^2), with F and conj(F) expanded as independent
+    series; w = alpha - i beta, a = v1 + i v2:
+        c3 = -w a / (8(n+1))  (the nonlinear terms cancel at F = a r),
+        c5 = -(a|a|^2 w + 8(n-1)|a|^2 c3 + 3 c3 w) / (16(n+2)),
+        c7 = -(a^2 conj(c3) w + 4|a|^2 c3 w + 16n |a|^2 c5 + 8(n-1) a |c3|^2
+               + 8(n-3) conj(a) c3^2 + 5 c5 w) / (24(n+3)).
+    The arithmetic is products, which overflow to inf where powers would
+    raise; a v whose series or A(a, 0, 0) is not finite is refused.
     """
-    al, be = params.alpha, params.beta
-    alpha0 = complex(v[0], v[1])
+    w, n = params.alpha - 1j * params.beta, params.n
+    a = complex(v[0], v[1])
 
     def A(z1, z2, r):
-        return 2.0 * np.conj(z2) * z1**2 / (1.0 + abs(z2) ** 2) - (al - 1j * be) * (r / 2.0) * z1
+        m = abs(z2)
+        return 2.0 * np.conj(z2) * (z1 * z1) / (1.0 + m * m) - w * (r / 2.0) * z1
 
     def B(z):
-        return -2.0 * abs(z) ** 2 * z / (1.0 + abs(z) ** 2)
+        m = abs(z)
+        return -2.0 * m * m * z / (1.0 + m * m)
 
-    c3 = -(al - 1j * be) * alpha0 / (8.0 * (params.n + 1))
-    return SingularIVP(k=2 * params.n - 1, A=A, B=B, alpha0=alpha0, series=(c3,))
+    aa = a.real * a.real + a.imag * a.imag
+    c3 = -w * a / (8.0 * (n + 1))
+    c5 = -(a * aa * w + 8.0 * (n - 1) * aa * c3 + 3.0 * c3 * w) / (16.0 * (n + 2))
+    c7 = -(a * a * c3.conjugate() * w + 4.0 * aa * c3 * w + 16.0 * n * aa * c5
+           + 8.0 * (n - 1) * a * c3 * c3.conjugate() + 8.0 * (n - 3) * a.conjugate() * c3 * c3
+           + 5.0 * c5 * w) / (24.0 * (n + 3))
+    # A(a, 0, 0) is read only once the series is finite (then a * a is too);
+    # a non-finite v itself is named by SingularIVP, as a non-finite start state
+    finite = all(map(cmath.isfinite, (c3, c5, c7))) and cmath.isfinite(A(a, 0.0, 0.0))
+    if cmath.isfinite(a) and not finite:
+        raise DomainError(f"v = ({a.real!r}, {a.imag!r}) is out of range: the chart "
+                          f"series (c3, c5, c7) = {(c3, c5, c7)!r} is not finite")
+    return SingularIVP(k=2 * n - 1, A=A, B=B, alpha0=a, series=(c3, c5, c7))
 
 
 def sphere_profile_rhs(params: FlowParams):
@@ -110,11 +132,13 @@ def _project_state(r, y):
 
 @dataclass(frozen=True)
 class SelfSimProfile:
-    """Solved profile: the dense solution of the state (psi, psi_r), and the
-    drift parameters."""
+    """Solved profile: the dense solution of the state (psi, psi_r), the
+    drift parameters, and the chart problem whose series started it at r[0]
+    (None for a profile built from nodes)."""
 
     sol: DenseSolution     # y = (psi, psi_r), (N, 6)
     params: FlowParams
+    ivp: SingularIVP | None = None
 
     def __post_init__(self):
         norms = np.linalg.norm(self.psi, axis=1)
@@ -146,6 +170,11 @@ class SelfSimProfile:
     def r_max(self):
         return float(self.r[-1])
 
+    @property
+    def start_remainder(self):
+        """The next-term estimate of the series start at r[0] (0 without one)."""
+        return 0.0 if self.ivp is None else series_remainder(self.ivp, float(self.r[0]))
+
     def eval(self, r_query):
         """Dense-output (psi, psi_r) at query radii, projected to the sphere."""
         y = self.sol.eval(r_query)
@@ -173,12 +202,13 @@ def solve_profile(v, params: FlowParams, r_max: float, rel_tol: float | None = N
     if rel_tol is None:
         rel_tol = 1e-12 if params.alpha == 0.0 else 1e-10
 
-    start = origin_start(stereo_selfsim_ivp(v, params), rel_tol)
+    ivp = stereo_selfsim_ivp(v, params)
+    start = origin_start(ivp, rel_tol)
     F0, Fp0 = start.y0
     y0 = np.concatenate([stereo_lift_arr(F0), stereo_lift_differential(F0, Fp0)])
     sol = integrate_rk(sphere_profile_rhs(params), start.r0, y0, r_max, rel_tol=rel_tol,
                        max_step=max_step, postprocess=_project_state)
-    return SelfSimProfile(sol, params)
+    return SelfSimProfile(sol, params, ivp)
 
 
 # ---------------------------------------------------------------------------

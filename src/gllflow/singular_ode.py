@@ -8,12 +8,11 @@ with k > 0, A smooth with A(alpha0, 0, 0) = 0, and B vanishing cubically
 at 0; a `SingularIVP` checks all three when it is built.  The unique
 bounded-slope solution satisfies f''(0) = 0, so it looks like f = alpha0 r
 + c3 r^3 + c5 r^5 + ... near the origin (the Frobenius series at a regular
-singular point).  Every problem states its odd coefficients in closed
-form: (c3,) for a cubic start, (c3, c5, c7) for a quintic one whose next
-term is known.  `series_start` produces data at a small r0 > 0, and
-`origin_start`, the one start of a solve, picks r0 (min(1e-2, 1e-2/|alpha0|)
-for a quintic start below ROUNDING_TOL, else DEFAULT_R0) and checks the
-quintic series' next term against the tolerance.
+singular point).  Every problem states its odd coefficients (c3, c5, c7)
+in closed form.  `series_start` produces the quintic series at a small
+r0 > 0, and `origin_start`, the one start of a solve, picks r0
+(min(1e-2, 1e-2/|alpha0|) below ROUNDING_TOL, else DEFAULT_R0) and checks
+the series' next term against the tolerance.
 `integrate_rk` carries the data outward with the DOP853 pair of Hairer,
 Norsett & Wanner (8th order, 5th/3rd-order error estimate) and its
 7th-order dense output, returned as a `DenseSolution`.
@@ -293,15 +292,14 @@ def integrate_rk(fun: Callable, r0: float, y0: np.ndarray, r_max: float,
 @dataclass(frozen=True)
 class SingularIVP:
     """Data of the singular Cauchy problem (see module docstring), with the
-    odd series coefficients of f = alpha0 r + c3 r^3 + c5 r^5 + c7 r^7 + ...
-    in closed form: (c3,) starts the cubic series, (c3, c5, c7) the quintic
-    one with its next term."""
+    odd series coefficients (c3, c5, c7) of f = alpha0 r + c3 r^3 + c5 r^5
+    + c7 r^7 + ... in closed form: the quintic start and its next term."""
 
     k: float
     A: Callable       # A(z1, z2, r) -> complex, smooth, A(alpha0, 0, 0) = 0
     B: Callable       # B(z) -> complex, |B(z)| <= C |z|^3 near 0
     alpha0: complex
-    series: tuple     # (c3,) or (c3, c5, c7)
+    series: tuple     # (c3, c5, c7)
 
     def __post_init__(self):
         """Refuse a spec outside the class: A(alpha0, 0, 0) = 0 and B cubic at 0."""
@@ -332,66 +330,61 @@ class SingularIVP:
 
 
 def series_start(ivp: SingularIVP, r0: float):
-    """(f(r0), f'(r0)) from the origin series.
-
-    A cubic start is f = alpha0 r + c3 r^3 + O(r0^5); a quintic one is
-    f = alpha0 r + c3 r^3 + c5 r^5, with remainder O((|alpha0| r0)^7) whose
-    leading term `series_remainder` gives.  Refuses r0 > 1e-2: beyond that
-    the remainder estimate (and so the accuracy contract) is unverifiable.
+    """(f(r0), f'(r0)) from the quintic origin series f = alpha0 r + c3 r^3
+    + c5 r^5, with remainder O((|alpha0| r0)^7) whose leading term
+    `series_remainder` gives.  Refuses r0 > 1e-2: beyond that the remainder
+    estimate (and so the accuracy contract) is unverifiable.
     """
     require_positive(r0=r0)
     if r0 > 1e-2:
         raise DomainError("series start only certified for r0 <= 1e-2")
     a = ivp.alpha0
-    if len(ivp.series) == 1:
-        c3, = ivp.series
-        f = a * r0 + c3 * r0**3
-        fp = a + 3.0 * c3 * r0**2
-    else:
-        c3, c5, _ = ivp.series
-        r2 = r0 * r0
-        f = a * r0 + (c3 + c5 * r2) * r2 * r0
-        fp = a + (3.0 * c3 + 5.0 * c5 * r2) * r2
+    c3, c5, _ = ivp.series
+    r2 = r0 * r0
+    f = a * r0 + (c3 + c5 * r2) * r2 * r0
+    fp = a + (3.0 * c3 + 5.0 * c5 * r2) * r2
     return complex(f), complex(fp)
 
 
-def series_remainder(ivp: SingularIVP, r0: float) -> float | None:
-    """The first term a quintic `series_start` at r0 leaves out, in f':
-    7 |c7| r0^6 (in f it is r0/7 times that); None for a cubic start."""
-    return None if len(ivp.series) == 1 else 7.0 * abs(ivp.series[2]) * r0**6
+def series_remainder(ivp: SingularIVP, r0: float) -> float:
+    """The first term `series_start` at r0 leaves out, in f': 7 |c7| r0^6
+    (in f it is r0/7 times that)."""
+    return 7.0 * abs(ivp.series[2]) * r0**6
 
 
 DEFAULT_R0 = 1e-4        # the singular pair amplifies start-up error quadratically
-# |alpha0| r0 of a quintic start, so its remainder is O(START_REACH^7)
-# relative to the data.  Below ROUNDING_TOL the steps climb from r0 at
+# |alpha0| r0 of a start below ROUNDING_TOL, so its remainder is
+# O(START_REACH^7) relative to the data.  There the steps climb from r0 at
 # RADIAL_STEP r, 24 per decade of r, so a start two decades above DEFAULT_R0
-# saves about 48 nodes.  Above it no cap binds, the controller climbs those
-# decades in about six steps, and the start stays at DEFAULT_R0.
+# saves about 48 nodes.  Above it no cap binds and the start stays at
+# DEFAULT_R0: the scalar form climbs those decades in about six steps, the
+# sphere form in 40-60 (its two O(1/r) terms cancel), but a slope-scaled
+# start there stops the scalar error from falling with the tolerance.
 START_REACH = 1e-2
 
 
 class OriginStart(NamedTuple):
     r0: float
     y0: np.ndarray               # (f, f') at r0, complex
-    remainder: float | None      # `series_remainder` at r0
+    remainder: float             # `series_remainder` at r0
 
 
 def origin_start(ivp: SingularIVP, rel_tol: float) -> OriginStart:
     """The series start of a solve at rel_tol.
 
-    A quintic start below ROUNDING_TOL sits at r0 = min(1e-2, 1e-2/|alpha0|);
-    one whose `series_remainder` exceeds rel_tol max|y0| is refused with a
-    DomainError that names it.  A cubic start, a looser tolerance and
-    alpha0 = 0 (where the series is exactly zero) keep r0 = DEFAULT_R0.
+    Below ROUNDING_TOL the start sits at r0 = min(1e-2, 1e-2/|alpha0|); a
+    looser tolerance and alpha0 = 0 (where the series is exactly zero) keep
+    r0 = DEFAULT_R0.  A start whose `series_remainder` exceeds
+    rel_tol max|y0| is refused with a DomainError that names it.
     """
     require_positive(rel_tol=rel_tol)
     a = abs(ivp.alpha0)
-    r0 = (DEFAULT_R0 if len(ivp.series) == 1 or a == 0.0 or rel_tol >= ROUNDING_TOL
+    r0 = (DEFAULT_R0 if a == 0.0 or rel_tol >= ROUNDING_TOL
           else min(START_REACH, START_REACH / a))
     f0, fp0 = series_start(ivp, r0)
     remainder = series_remainder(ivp, r0)
     scale = rel_tol * max(abs(f0), abs(fp0))
-    if remainder is not None and remainder > scale:
+    if remainder > scale:
         raise DomainError(f"series start at r0={r0!r}: its next term {remainder:.3e} "
                           f"exceeds rel_tol max|y0| = {scale:.3e}")
     return OriginStart(r0, np.array([f0, fp0]), remainder)

@@ -46,6 +46,30 @@ class TestSelfsimCommand:
         assert "solver" not in doc["provenance"]
         assert doc["schema_version"].startswith("gllflow.run_manifest")
 
+    def test_manifest_records_the_start(self, tmp_path):
+        # at --tol 1e-10 the start sits at min(1e-2, 1e-2/|v|), |v| = 2.5,
+        # with the next term of the quintic chart series inside the tolerance
+        out = tmp_path / "start"
+        assert _run(["selfsim", "--n", "3", "--alpha", "0.6", "--beta", "0.8", "--v1", "1.5",
+                     "--v2", "-2", "--r-max", "5", "--tol", "1e-10", "--out-dir", str(out)]) == 0
+        solver = _manifest(out)["results"]["solver"]
+        prof = solve_profile((1.5, -2.0), FlowParams(3, 0.6, 0.8), 5.0, rel_tol=1e-10)
+        assert solver == dict(prof.sol.counters(), r0=prof.r[0],
+                              start_remainder=prof.start_remainder)
+        assert solver["r0"] == min(1e-2, 1e-2 / 2.5) == 4e-3
+        assert 0.0 < solver["start_remainder"] <= 1e-10 * 2.0 * 2.5
+
+    def test_data_whose_chart_series_overflows_exits_2(self, tmp_path, capsys):
+        # |v|^2 overflows: z1**2 in the chart's A used to raise OverflowError
+        # (a traceback, exit 1); the chart arithmetic is products now, and a
+        # series that is not finite is refused, naming v
+        out = tmp_path / "huge"
+        assert _run(["selfsim", "--v1", "1e160", "--r-max", "5", "--out-dir", str(out)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "DomainError"
+        assert "v = (1e+160, 0.0) is out of range" in err["message"]
+        assert not (out / MANIFEST_NAME).exists()
+
     def test_trivial_data_warns(self, tmp_path, capsys):
         out = tmp_path / "trivial"
         code = _run(["selfsim", "--v1", "0", "--v2", "0", "--r-max", "15",

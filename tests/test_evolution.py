@@ -112,7 +112,7 @@ def _row_major_evolve(field0, params, T, n_steps, config, folded=True):
         u = u / norms[:, None]
         u[0] = E3
         if step % config.store_every == 0 or step == n_steps:
-            frames.append(RadialField(r, u.copy()).u)
+            frames.append(u.copy())
     return frames, max_drift
 
 
@@ -654,6 +654,20 @@ class TestSelfsimConsistency:
             errs.append(float(np.max(np.linalg.norm(traj.frames[-1].u[near] - target.u[near],
                                                     axis=1))))
         assert np.log2(errs[0] / errs[1]) >= 1.8
+
+    def test_nodes_below_the_start_read_its_series(self):
+        # the start sits at 1e-2 (|v| = 1); a 1.5-graded 801-node grid puts
+        # four nodes below it, where psi(1e-2) in their place stood 1.8e-2
+        # off.  They read the lifted chart series, as the profile started
+        # at 1e-4 (tol 1e-9) reads them from its nodes
+        prof = solve_profile((1.0, 0.0), HEAT, 26.0)
+        ref = solve_profile((1.0, 0.0), HEAT, 26.0, rel_tol=1e-9)
+        assert prof.r[0] == 1e-2 and ref.r[0] == DEFAULT_R0
+        r = make_grid(25.0, 801, grading=1.5)
+        assert np.count_nonzero((r > 0.0) & (r < 1e-2)) == 4
+        field, want = field_from_profile(prof, r, 1.0), field_from_profile(ref, r, 1.0)
+        assert np.max(np.abs(field.u[:6] - want.u[:6])) <= 1e-15
+        assert np.max(np.abs(field.u - want.u)) <= 1e-9
 
     def test_sampling_beyond_the_profile_raises(self):
         prof = solve_profile((1.0, 0.0), HEAT, 10.0)

@@ -8,7 +8,7 @@ from gllflow.geometry import E3, REPAIR_TOL, FlowParams, TangentVec, harmonic_ma
 from gllflow.selfsim import (SelfSimProfile, apriori_identity_residual, decay_exponent,
                              limit_map_continuity, solve_profile,
                              sphere_profile_rhs, stereo_selfsim_ivp, tail_limit)
-from gllflow.singular_ode import DenseSolution, series_start
+from gllflow.singular_ode import DenseSolution, integrate_rk, series_start
 from gllflow.geometry import stereo_lift_arr, stereo_lift_differential
 from conftest import solution_content, solve_from_origin
 
@@ -169,28 +169,77 @@ class TestSolveProfile:
             mine, _ = prof.eval(np.array([rv]))
             assert np.max(np.abs(mine[0] - lifted)) <= 1e-8, rv
 
+    def test_starts_at_the_slope_scaled_radius(self):
+        # below ROUNDING_TOL a sphere profile starts from the quintic chart
+        # series at min(1e-2, 1e-2/|v|), and no node lies below that
+        for v, r0 in (((1.0, 0.0), 1e-2), ((3.0, -4.0), 2e-3), ((0.2, 0.1), 1e-2)):
+            prof = solve_profile(v, FlowParams(2, 1.0, 0.0), 20.0, rel_tol=1e-10)
+            assert prof.r[0] == np.min(prof.r) == r0, v
+            if v == (1.0, 0.0):
+                # from the cubic series at 1e-4 the same solve took 392, 396
+                # or 401 steps under OpenBLAS's Haswell, Sandybridge and
+                # SkylakeX kernels; this count is the same under all three
+                assert prof.sol.steps_accepted == 305
+
+    @pytest.mark.parametrize("v,params,r_max,tol", [
+        ((1.0, 0.0), FlowParams(2, 1.0, 0.0), 20.0, 1e-10),
+        ((0.6, 0.8), FlowParams(3, 0.6, 0.8), 20.0, 1e-10),
+        ((3.0, -4.0), FlowParams(2, 0.0, 1.0), 10.0, 1e-10),
+        ((1.0, 0.0), FlowParams(2, 0.0, 1.0), 30.0, 1e-12)],
+        ids=["heat", "mixed", "schrodinger-steep", "schrodinger-1e-12"])
+    def test_agrees_with_the_cubic_start_at_default_r0(self, v, params, r_max, tol):
+        # the start sphere profiles used before the quintic chart series:
+        # a r + c3 r^3 at 1e-4, lifted and carried out by the same solver
+        ivp = stereo_selfsim_ivp(v, params)
+        a, c3, r0 = ivp.alpha0, ivp.series[0], 1e-4
+        F0, Fp0 = a * r0 + c3 * r0**3, a + 3.0 * c3 * r0**2
+        y0 = np.concatenate([stereo_lift_arr(F0), stereo_lift_differential(F0, Fp0)])
+        old = integrate_rk(sphere_profile_rhs(params), r0, y0, r_max, rel_tol=tol,
+                           postprocess=selfsim._project_state)
+        prof = solve_profile(v, params, r_max, rel_tol=tol)
+        assert prof.sol.steps_accepted < old.steps_accepted
+        assert np.max(np.abs(prof.psi[-1] - old.y[-1, :3])) <= tol
+        q = np.linspace(prof.r[0], r_max, 400)
+        psi_old = old.eval(q)[:, :3]
+        psi_old /= np.linalg.norm(psi_old, axis=1, keepdims=True)
+        assert np.max(np.abs(prof.eval(q)[0] - psi_old)) <= tol
+
     def test_chart_series_matches_a_sympy_series_solution(self):
-        # F and conj(F) as independent series G: the chart ODE is then
-        # rational in both, and its r^1 coefficient fixes c3
+        # F and conj(F) as independent series G: the chart ODE times
+        # r^2 (1 + G F) is then polynomial in r, and its r^3, r^5 and r^7
+        # coefficients fix c3, c5 and c7, each solved once and evaluated at
+        # 30 digits with the conjugates of the lower ones
+        import mpmath
         import sympy as sp
 
         r, n = sp.symbols("r n", positive=True)
-        al, be = sp.symbols("alpha beta", real=True)
-        a, ab, c, cb = sp.symbols("a abar c cbar")
-        F, G = a * r + c * r**3, ab * r + cb * r**3
+        w, a, ab = sp.symbols("w a abar")
+        c, cb = sp.symbols("c3 c5 c7"), sp.symbols("cbar3 cbar5 cbar7")
+        F = a * r + sum(ck * r ** (2 * k + 3) for k, ck in enumerate(c))
+        G = ab * r + sum(ck * r ** (2 * k + 3) for k, ck in enumerate(cb))
         Fp = sp.diff(F, r)
-        res = (sp.diff(F, r, 2) + (2 * n - 1) * (Fp / r - F / r**2) - 2 * G * Fp**2 / (1 + G * F)
-               + 2 * G * F**2 / (r**2 * (1 + G * F)) + (al - sp.I * be) * (r / 2) * Fp)
-        exact = sp.solve(sp.expand(sp.series(res, r, 0, 2).removeO()).coeff(r, 1), c)[0]
-        for nn in (2, 3, 4, 5):
-            for theta in (0.0, 0.7, -1.1, np.pi / 2, -np.pi / 2):
-                params = FlowParams(nn, np.cos(theta), np.sin(theta))
-                for v in ((1.0, 0.0), (0.3, -2.0), (-1.7, 0.4)):
-                    got, = stereo_selfsim_ivp(v, params).series
-                    want = complex(exact.subs({a: sp.Float(v[0]) + sp.I * sp.Float(v[1]), n: nn,
-                                               al: sp.Float(params.alpha),
-                                               be: sp.Float(params.beta)}).evalf(30))
-                    assert abs(got - want) <= 1e-14 * abs(want), (nn, theta, v)
+        res = sp.Poly(sp.expand(
+            r**2 * (1 + G * F) * (sp.diff(F, r, 2) + (2 * n - 1) * (Fp / r - F / r**2)
+                                  + w * (r / 2) * Fp)
+            - 2 * G * Fp**2 * r**2 + 2 * G * F**2), r)
+        coeffs = [sp.lambdify((n, w, a, ab, c[:k], cb[:k]),
+                              sp.solve(res.coeff_monomial(r ** (2 * k + 3)), c[k])[0], "mpmath")
+                  for k in range(3)]
+        with mpmath.workdps(30):
+            for nn in (2, 3, 4, 5):
+                for theta in (0.0, 0.7, -1.1, np.pi / 2, -np.pi / 2):
+                    params = FlowParams(nn, np.cos(theta), np.sin(theta))
+                    for v in ((1.0, 0.0), (0.3, -2.0), (-1.7, 0.4)):
+                        av = mpmath.mpc(v[0], v[1])
+                        wv = mpmath.mpc(params.alpha, -params.beta)
+                        want = []
+                        for coeff in coeffs:
+                            want.append(coeff(nn, wv, av, mpmath.conj(av), want,
+                                              [mpmath.conj(x) for x in want]))
+                        got = stereo_selfsim_ivp(v, params).series
+                        for k, (g, x) in enumerate(zip(got, want)):
+                            x = complex(x)
+                            assert abs(g - x) <= 1e-14 * abs(x), (nn, theta, v, k)
 
     def test_unit_norm_everywhere(self):
         prof = solve_profile((0.5, 0.5), FlowParams(2, 0.0, 1.0), 15.0)
@@ -227,14 +276,30 @@ class TestSolveProfile:
         assert np.max(np.abs(a1 @ R.T - a2)) <= 1e-10
 
 
+def _origin_ratios(prof, n, v):
+    """A(r0)/r0^2 and bracket(r0)/r0^2 over their series limits 4|v|^2 and
+    4(2n-1)|v|^2 (psi_r -> 2v and 1 - psi3 ~ 2|v|^2 r^2 at the origin)."""
+    rr = np.array([prof.r[0]])
+    psi, dpsi = prof.eval(rr)
+    A0 = float(rr[0] ** 2 * np.sum(dpsi**2))
+    bracket0 = 2 * (2 * n - 2) * (1 - psi[0, 2]) + (1 - psi[0, 2] ** 2)
+    vv = v[0] ** 2 + v[1] ** 2
+    return A0 / rr[0] ** 2 / (4 * vv), bracket0 / rr[0] ** 2 / (4 * (2 * n - 1) * vv)
+
+
 class TestAprioriIdentity:
     def test_vanishes_at_origin(self):
+        # both sides vanish like r^2; r[0] is the start 1e-2, where they
+        # stand within 1% of their series limits
         prof = solve_profile((1.0, 0.0), FlowParams(2, 1.0, 0.0), 5.0)
-        rr = np.array([prof.r[0]])
-        psi, dpsi = prof.eval(rr)
-        A0 = float(rr[0] ** 2 * np.sum(dpsi**2))
-        bracket0 = 2 * (2 * 2 - 2) * (1 - psi[0, 2]) + (1 - psi[0, 2] ** 2)
-        assert A0 <= 1e-6 and bracket0 <= 1e-6
+        assert prof.r[0] == 1e-2
+        assert all(abs(x - 1.0) <= 1e-2 for x in _origin_ratios(prof, 2, (1.0, 0.0)))
+        # the same profile turned 0.01 about e1 no longer vanishes at the origin
+        c, s = np.cos(0.01), np.sin(0.01)
+        turn = np.kron(np.eye(2), np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]]))
+        turned = SelfSimProfile(DenseSolution.from_nodes(prof.r, prof.sol.y @ turn.T,
+                                                         prof.sol.f @ turn.T), prof.params)
+        assert not all(abs(x - 1.0) <= 1e-2 for x in _origin_ratios(turned, 2, (1.0, 0.0)))
 
     def test_residual_small_on_true_solutions(self):
         prof = solve_profile((1.0, 0.0), FlowParams(2, 1.0, 0.0), 21.0)

@@ -69,20 +69,29 @@ class TestSeriesStart:
         assert est_f <= 1e-10 and est_fp <= 1e-7
 
     def test_error_estimate_measures_the_truncation(self):
-        # the cubic series (c3 alone) has an O(r0^5) remainder: ten times r0
-        # is ~1e5 times the estimate, which integrator noise would not show
+        # the series cut to c3 (c5 = c7 = 0) has an O(r0^5) remainder: ten
+        # times r0 is ~1e5 times the estimate, which integrator noise would
+        # not show
         ivp = real_selfsim_ivp(1.5, 3)
-        ivp = replace(ivp, series=ivp.series[:1])
+        ivp = replace(ivp, series=(ivp.series[0], 0.0, 0.0))
         est_small, _ = _series_mismatch(ivp, 1e-3)
         est_large, _ = _series_mismatch(ivp, 1e-2)
         assert est_large >= 1e4 * est_small
 
-    @pytest.mark.parametrize("slope,n,r0", [(1.5, 3, 1e-2), (2.0, 3, 5e-3), (40.0, 5, 2.5e-4)])
-    def test_remainder_is_the_error_of_a_closed_form_start(self, slope, n, r0):
+    @pytest.mark.parametrize("spec,r0", [
+        (lambda: real_selfsim_ivp(1.5, 3), 1e-2), (lambda: real_selfsim_ivp(2.0, 3), 5e-3),
+        (lambda: real_selfsim_ivp(40.0, 5), 2.5e-4),
+        (lambda: stereo_selfsim_ivp((1.0, 0.0), FlowParams(2, 1.0, 0.0)), 1e-2),
+        (lambda: stereo_selfsim_ivp((1.0, 1.0), FlowParams(2, 0.0, 1.0)), 1e-2),
+        (lambda: stereo_selfsim_ivp((1.5, 0.5), FlowParams(3, 0.6, 0.8)), 1e-2)],
+        ids=["slope-1.5", "slope-2", "slope-40", "chart-heat", "chart-schrodinger",
+             "chart-mixed"])
+    def test_remainder_is_the_error_of_a_closed_form_start(self, spec, r0):
         # the fifth-order series leaves out 7 c7 r0^6 in f'; the mismatch of
         # the series at r0 against itself carried up from r0/2 is that term
-        # (less the 1/64 of it left at r0/2, which the singular mode damps)
-        ivp = real_selfsim_ivp(slope, n)
+        # (less the 1/64 of it left at r0/2, which the singular mode damps).
+        # On the chart, a wrong c5 or c7 would leave a mismatch of another size
+        ivp = spec()
         _, est_fp = _series_mismatch(ivp, r0)
         assert abs(est_fp - series_remainder(ivp, r0)) <= 0.05 * series_remainder(ivp, r0)
 
@@ -101,30 +110,30 @@ class TestSeriesStart:
         # NaN used to pass the k <= 0 guard
         with pytest.raises(DomainError, match=f"need 0 < k < inf, got {k!r}"):
             SingularIVP(k=k, A=lambda z1, z2, r: 0.0 * z1, B=lambda z: z**3, alpha0=1.0,
-                        series=(0.0,))
+                        series=(0.0, 0.0, 0.0))
 
     def test_validate_rejects_bad_A(self):
         with pytest.raises(DomainError):
             SingularIVP(k=3.0, A=lambda z1, z2, r: z1, B=lambda z: 0.0 * z, alpha0=1.0,
-                        series=(0.0,))
+                        series=(0.0, 0.0, 0.0))
 
     def test_validate_rejects_quadratic_B(self):
         with pytest.raises(DomainError):
             SingularIVP(k=3.0, A=lambda z1, z2, r: 0.0 * z1,
-                        B=lambda z: z**2, alpha0=1.0, series=(0.0,))
+                        B=lambda z: z**2, alpha0=1.0, series=(0.0, 0.0, 0.0))
 
     def test_a_nan_A_is_refused(self):
         # abs(nan) > tol is False: a NaN A(alpha0, 0, 0) used to pass
         with pytest.raises(DomainError, match=r"A\(alpha0, 0, 0\) = \(nan"):
             SingularIVP(k=3.0, A=lambda z1, z2, r: math.nan, B=lambda z: z**3, alpha0=1.0,
-                        series=(0.0,))
+                        series=(0.0, 0.0, 0.0))
 
     @pytest.mark.parametrize("alpha0", [math.nan, complex(0.0, math.inf)])
     def test_a_non_finite_slope_is_named(self, alpha0):
         # before A is called: it would read A(alpha0, 0, 0) = nan
         with pytest.raises(DomainError, match="non-finite start state: alpha0"):
             SingularIVP(k=3.0, A=lambda z1, z2, r: 0.0 * z1, B=lambda z: z**3, alpha0=alpha0,
-                        series=(0.0,))
+                        series=(0.0, 0.0, 0.0))
 
     @pytest.mark.parametrize("where", [lambda z: z.imag > 0.0, lambda z: abs(z) < 5e-5,
                                        lambda z: 5e-5 < abs(z) < 5e-4],
@@ -135,7 +144,8 @@ class TestSeriesStart:
             return complex(math.nan, 0.0) if where(z) else z**3
 
         with pytest.raises(DomainError, match="B does not vanish cubically.*nan"):
-            SingularIVP(k=3.0, A=lambda z1, z2, r: 0.0 * z1, B=B, alpha0=1.0, series=(0.0,))
+            SingularIVP(k=3.0, A=lambda z1, z2, r: 0.0 * z1, B=B, alpha0=1.0,
+                        series=(0.0, 0.0, 0.0))
 
     def test_the_package_specs_are_accepted(self):
         for slope in (0.0, 1e-3, 1.0, 22.113, 2000.0):
@@ -156,17 +166,28 @@ class TestOriginStart:
         assert start.remainder == series_remainder(ivp, r0)
         assert start.remainder <= 1e-10 * np.max(np.abs(start.y0))
 
-    def test_default_radius_for_a_cubic_start_or_no_cap(self):
-        # a cubic start (the sphere chart, or a quintic one cut to c3), or a
-        # tolerance at which no radial cap binds: the start stays at DEFAULT_R0
+    def test_the_sphere_chart_starts_at_the_slope_scaled_radius(self):
+        # the chart states (c3, c5, c7) too, so it takes the scalar rule
+        for v, r0 in (((0.6, 0.8), 1e-2), ((3.0, -4.0), 2e-3)):
+            chart = stereo_selfsim_ivp(v, FlowParams(3, 0.6, 0.8))
+            start = origin_start(chart, 1e-10)
+            assert start.r0 == r0
+            assert tuple(start.y0) == series_start(chart, r0)
+            assert start.remainder == series_remainder(chart, r0)
+            assert 0.0 < start.remainder <= 1e-10 * np.max(np.abs(start.y0))
+
+    def test_default_radius_at_a_loose_tolerance_or_slope_0(self):
+        # a tolerance at which no radial cap binds, or slope 0 (an exactly
+        # zero series): the start stays at DEFAULT_R0
         ivp = real_selfsim_ivp(4.0, 3)
         chart = stereo_selfsim_ivp((1.0, 0.5), FlowParams(2, 1.0, 0.0))
-        for problem, tol in ((replace(ivp, series=ivp.series[:1]), 1e-10), (chart, 1e-10),
-                             (ivp, ROUNDING_TOL), (ivp, 1e-6)):
+        flat = stereo_selfsim_ivp((0.0, 0.0), FlowParams(2, 0.0, 1.0))
+        for problem, tol in ((ivp, ROUNDING_TOL), (ivp, 1e-6), (chart, ROUNDING_TOL),
+                             (chart, 1e-6), (flat, 1e-10)):
             start = origin_start(problem, tol)
             assert start.r0 == DEFAULT_R0
             assert tuple(start.y0) == series_start(problem, DEFAULT_R0)
-        assert origin_start(chart, 1e-10).remainder is None
+        assert origin_start(flat, 1e-10).remainder == 0.0
 
     def test_refuses_a_remainder_beyond_the_tolerance(self):
         # 7 |c7| r0^6 at slope r0 = 1e-2 is ~1.6e-14 of the slope
@@ -178,6 +199,11 @@ class TestOriginStart:
             solve_from_origin(ivp, 1.0, 1e-15)
         # the exactly-zero series of slope 0 has nothing left out
         assert origin_start(real_selfsim_ivp(0.0, 3), 1e-15).remainder == 0.0
+        # the sphere chart's largest relative remainder, 3.04e-14 (heat,
+        # n = 2, |v| = 1), refuses a sphere profile at 1e-14
+        origin_start(stereo_selfsim_ivp((1.0, 0.0), FlowParams(2, 1.0, 0.0)), 1e-13)
+        with pytest.raises(DomainError, match=r"series start at r0=0.01: its next term"):
+            solve_profile((1.0, 0.0), FlowParams(2, 1.0, 0.0), 1.0, rel_tol=1e-14)
 
     @pytest.mark.parametrize("tol", [0.0, -1e-10, math.nan, math.inf])
     def test_refuses_a_tolerance_outside_zero_to_inf(self, tol):
@@ -243,7 +269,7 @@ class TestIntegrateAdaptive:
         # f'' = 4 f^2 f' + singular pair: derivative grows without bound;
         # A(a, a r, r) = 4 a^3 r^2 has no linear term, so c3 = 0
         ivp = SingularIVP(k=1.0, A=lambda z1, z2, r: 4.0 * z2**2 * z1,
-                          B=lambda z: 0.0 * z, alpha0=3.0, series=(0.0,))
+                          B=lambda z: 0.0 * z, alpha0=3.0, series=(0.0, 0.0, 0.0))
         with pytest.raises(StiffnessError) as exc:
             solve_from_origin(ivp, 50.0, 1e-8)
         assert exc.value.r_last is not None
@@ -538,8 +564,8 @@ print(h.hexdigest())
 class TestBlasKernel:
     @pytest.mark.xfail(strict=True, reason=(
         "CHANGES.md FOUND line on integrate_rk/_dop853: DOP853's stage sums (a BLAS "
-        "gemv) and _rms round by OpenBLAS kernel, so the heat profile takes 393/397/402 "
-        "nodes under Haswell/Sandybridge/SkylakeX"))
+        "gemv) and _rms round by OpenBLAS kernel, so the heat profile's node values "
+        "differ under Haswell/Sandybridge/SkylakeX (306 nodes under each)"))
     def test_profile_nodes_do_not_depend_on_the_openblas_kernel(self):
         digests = digests_by_openblas_kernel(_PROFILES_DIGEST)
         assert len(set(digests.values())) == 1, digests
