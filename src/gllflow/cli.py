@@ -214,11 +214,9 @@ def _evolve_initial(args, params, r):
         return RadialField(r, u0)
     if args.preset == "bump":
         return great_circle_bump(r, args.amplitude, args.center, args.width)
-    if args.preset == "selfsim":
-        require_positive(t0=args.t0)        # it sizes the profile's r_max
-        prof = solve_profile((args.v1, args.v2), params, r[-1] / np.sqrt(args.t0) + 1.0)
-        return field_from_profile(prof, r, args.t0)
-    raise GLLFlowError(f"unknown preset {args.preset!r}")
+    require_positive(t0=args.t0)    # the selfsim preset: t0 sizes the profile's r_max
+    prof = solve_profile((args.v1, args.v2), params, r[-1] / np.sqrt(args.t0) + 1.0)
+    return field_from_profile(prof, r, args.t0)
 
 
 def cmd_evolve(args):
@@ -314,6 +312,17 @@ def cmd_verify(args):
 
 # ---------------------------------------------------------------------------
 
+def _flow_flags(p, n=2, alpha=1.0, beta=0.0, r_max=100.0):
+    """Add --n --alpha --beta --v1 --v2 --r-max to p, with p's own defaults
+    (a shared parents= parser shares its Actions, and so their defaults)."""
+    p.add_argument("--n", type=int, default=n)
+    p.add_argument("--alpha", type=float, default=alpha)
+    p.add_argument("--beta", type=float, default=beta)
+    p.add_argument("--v1", type=float, default=1.0)
+    p.add_argument("--v2", type=float, default=0.0)
+    p.add_argument("--r-max", type=float, default=r_max)
+
+
 @functools.cache
 def build_parser():
     """The gllflow argument parser, built once per process on first call.
@@ -329,12 +338,7 @@ def build_parser():
     writes.add_argument("--out-dir", default=None)
 
     p = sub.add_parser("selfsim", help="solve a self-similar profile", parents=[writes])
-    p.add_argument("--n", type=int, default=2)
-    p.add_argument("--alpha", type=float, default=1.0)
-    p.add_argument("--beta", type=float, default=0.0)
-    p.add_argument("--v1", type=float, default=1.0)
-    p.add_argument("--v2", type=float, default=0.0)
-    p.add_argument("--r-max", type=float, default=100.0)
+    _flow_flags(p)
     p.add_argument("--tol", type=float, default=None)
     p.add_argument("--gnuplot", action="store_true")
     p.set_defaults(fn=cmd_selfsim)
@@ -373,18 +377,13 @@ def build_parser():
 
     p = sub.add_parser("evolve", help="method-of-lines evolution", parents=[writes])
     p.add_argument("--preset", choices=("harmonic", "bump", "selfsim"), default="bump")
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--beta", type=float, default=None)
-    p.add_argument("--r-max", dest="r_max", type=float, default=None)
+    _flow_flags(p, n=None, alpha=None, beta=None, r_max=None)   # None: the config or EVOLVE_CONFIG
     p.add_argument("--nodes", type=int, default=None)
     p.add_argument("--T", type=float, default=None)
     p.add_argument("--grading", type=float, default=1.0)
     p.add_argument("--dt-factor", type=float, default=0.1)
     p.add_argument("--outer", choices=("clamp", "neumann"), default="clamp")
     p.add_argument("--store-every", type=int, default=10)
-    p.add_argument("--v1", type=float, default=1.0)
-    p.add_argument("--v2", type=float, default=0.0)
     p.add_argument("--amplitude", type=float, default=0.5)
     p.add_argument("--center", type=float, default=3.0)
     p.add_argument("--width", type=float, default=1.0)
@@ -400,12 +399,7 @@ def build_parser():
     p.set_defaults(fn=cmd_hasimoto_exponents)
 
     p = hsub.add_parser("run", parents=[writes])
-    p.add_argument("--n", type=int, default=2)
-    p.add_argument("--alpha", type=float, default=0.0)
-    p.add_argument("--beta", type=float, default=1.0)
-    p.add_argument("--v1", type=float, default=1.0)
-    p.add_argument("--v2", type=float, default=0.0)
-    p.add_argument("--r-max", type=float, default=10.0)
+    _flow_flags(p, alpha=0.0, beta=1.0, r_max=10.0)
     p.add_argument("--nodes", type=int, default=2001)
     p.set_defaults(fn=cmd_hasimoto_run)
 

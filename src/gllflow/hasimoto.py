@@ -316,10 +316,5 @@ def strichartz_exponents(p) -> ExponentTable:
         raise DomainError(f"p must be a rational number, got {str(p)!r}") from None
     if not (1 <= p <= 2):
         raise DomainError("p must lie in [1, 2]")
-    def s_of(i, j):
-        inv = _inverse_index(i, j, p)
-        if inv <= 0:
-            raise DomainError(f"index s({i},{j}) undefined for p={p}")
-        return 1 / inv
-    table = {pair: s_of(*pair) for pair in STANDARD_PAIRS}
+    table = {pair: 1 / _inverse_index(*pair, p) for pair in STANDARD_PAIRS}
     return ExponentTable(p=p, r=table[(1, 1)], s=table)

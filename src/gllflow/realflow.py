@@ -192,14 +192,20 @@ def real_selfsim_ivp(slope: float, n: int, drift: bool = True) -> SingularIVP:
 
     a = float(slope)
     a2 = a * a
+    try:  # a2 ** 3 raises where a product would give inf
+        a6 = a2 ** 3
+    except OverflowError:
+        a6 = math.inf
     if drift:
         m, m2, m3 = n + 1, n + 2, n + 3
         series = (-a * (3.0 + 2.0 * m * a2) / (24.0 * m),
                   a * (8.0 * m * m2 * a2 * a2 + 20.0 * m * a2 + 15.0) / (640.0 * m * m2),
-                  -a * (48.0 * m * m2 * m3 * a2 ** 3 + 56.0 * (3 * n * n + 10 * n + 9) * a2 * a2
+                  -a * (48.0 * m * m2 * m3 * a6 + 56.0 * (3 * n * n + 10 * n + 9) * a2 * a2
                         + 14.0 * (15 * n + 17) * a2 + 105.0) / (21504.0 * m * m2 * m3))
     else:
-        series = (-a * a2 / 12.0, a * a2 * a2 / 80.0, -a * a2 ** 3 / 448.0)
+        series = (-a * a2 / 12.0, a * a2 * a2 / 80.0, -a * a6 / 448.0)
+    if math.isfinite(a) and not all(map(math.isfinite, series)):  # else SingularIVP names it
+        raise DomainError(f"slope {a!r} is out of range: its origin series is not finite")
     return SingularIVP(k=2 * n - 1, A=A, B=B, alpha0=complex(slope), series=series)
 
 

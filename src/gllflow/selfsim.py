@@ -61,7 +61,7 @@ def stereo_selfsim_ivp(v, params: FlowParams) -> SingularIVP:
         c7 = -(a^2 conj(c3) w + 4|a|^2 c3 w + 16n |a|^2 c5 + 8(n-1) a |c3|^2
                + 8(n-3) conj(a) c3^2 + 5 c5 w) / (24(n+3)).
     The arithmetic is products, which overflow to inf where powers would
-    raise; a v whose series or A(a, 0, 0) is not finite is refused.
+    raise.  A finite v with a non-finite series is refused here, a non-finite v by SingularIVP.
     """
     w, n = params.alpha - 1j * params.beta, params.n
     a = complex(v[0], v[1])
@@ -80,10 +80,7 @@ def stereo_selfsim_ivp(v, params: FlowParams) -> SingularIVP:
     c7 = -(a * a * c3.conjugate() * w + 4.0 * aa * c3 * w + 16.0 * n * aa * c5
            + 8.0 * (n - 1) * a * c3 * c3.conjugate() + 8.0 * (n - 3) * a.conjugate() * c3 * c3
            + 5.0 * c5 * w) / (24.0 * (n + 3))
-    # A(a, 0, 0) is read only once the series is finite (then a * a is too);
-    # a non-finite v itself is named by SingularIVP, as a non-finite start state
-    finite = all(map(cmath.isfinite, (c3, c5, c7))) and cmath.isfinite(A(a, 0.0, 0.0))
-    if cmath.isfinite(a) and not finite:
+    if cmath.isfinite(a) and not all(map(cmath.isfinite, (c3, c5, c7))):
         raise DomainError(f"v = ({a.real!r}, {a.imag!r}) is out of range: the chart "
                           f"series (c3, c5, c7) = {(c3, c5, c7)!r} is not finite")
     return SingularIVP(k=2 * n - 1, A=A, B=B, alpha0=a, series=(c3, c5, c7))

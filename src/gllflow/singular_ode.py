@@ -384,7 +384,7 @@ def origin_start(ivp: SingularIVP, rel_tol: float) -> OriginStart:
     f0, fp0 = series_start(ivp, r0)
     remainder = series_remainder(ivp, r0)
     scale = rel_tol * max(abs(f0), abs(fp0))
-    if remainder > scale:
+    if not remainder <= scale:  # NaN too
         raise DomainError(f"series start at r0={r0!r}: its next term {remainder:.3e} "
                           f"exceeds rel_tol max|y0| = {scale:.3e}")
     return OriginStart(r0, np.array([f0, fp0]), remainder)

@@ -157,12 +157,18 @@ SMALL_EVOLVE = ["evolve", "--nodes", "41", "--r-max", "8", "--T", "0.01"]
     (["realheat", "stationary", "--r-list", "1,1e-200"], "r=1e-200: r^2 is not a normal"),
     (SMALL_EVOLVE + ["--preset", "selfsim", "--t0", "nan"], "need 0 < t0 < inf, got nan"),
     (SMALL_EVOLVE + ["--preset", "selfsim", "--t0", "-1"], "need 0 < t0 < inf, got -1.0"),
-    (SMALL_EVOLVE + ["--preset", "selfsim", "--t0", "0"], "need 0 < t0 < inf, got 0.0")])
+    (SMALL_EVOLVE + ["--preset", "selfsim", "--t0", "0"], "need 0 < t0 < inf, got 0.0"),
+    (["realheat", "selfsim", "--beta", "1e100", "--n", "2", "--r-max", "5"],
+     "slope 2e+100 is out of range: its origin series is not finite"),
+    (["realheat", "selfsim", "--beta", "1e160", "--n", "2", "--r-max", "5"],
+     "slope 2e+160 is out of range: its origin series is not finite")])
 def test_input_outside_its_domain_exits_2_naming_it(tmp_path, capsys, argv, named):
     # the stationary cases used to exit 0 with max residual 0 (the NaN
     # residuals dropped out of the max), or, at r = 1e-200, to write the CSV
     # and fail on an inf residual in the manifest; the t0 cases named the
-    # profile's r_max, sized from t0, instead of t0
+    # profile's r_max, sized from t0, instead of t0.  Of the scalar slopes,
+    # 2e100 raised OverflowError from a2 ** 3 (a traceback, exit 1), and
+    # 2e160 named only the NaN start state y0
     out = tmp_path / "d"
     assert _run(argv + ["--out-dir", str(out)]) == 2
     err = json.loads(capsys.readouterr().err)
@@ -495,6 +501,53 @@ class TestParserReuse:
         assert stationary("c") == defaults
         assert stationary("d", "--alpha", "2")["alpha"] == 2.0
         assert stationary("e") == defaults
+
+
+FLOW_FLAGS = ("--n", "--alpha", "--beta", "--v1", "--v2", "--r-max")
+# each flow flag given explicitly, at a value that is no command's default
+FLOW_ARGV = ["--n", "3", "--alpha", "0.6", "--beta", "0.8", "--v1", "0.5", "--v2", "-0.25",
+             "--r-max", "12"]
+FLOW_GIVEN = {"n": 3, "alpha": 0.6, "beta": 0.8, "v1": 0.5, "v2": -0.25, "r_max": 12.0}
+SELFSIM_BARE = {"command": "selfsim", "out_dir": None, "n": 2, "alpha": 1.0, "beta": 0.0,
+                "v1": 1.0, "v2": 0.0, "r_max": 100.0, "tol": None, "gnuplot": False}
+# evolve's flow settings are None so that a --config file can fill them
+EVOLVE_BARE = {"command": "evolve", "out_dir": None, "preset": "bump", "n": None,
+               "alpha": None, "beta": None, "v1": 1.0, "v2": 0.0, "r_max": None,
+               "nodes": None, "T": None, "grading": 1.0, "dt_factor": 0.1, "outer": "clamp",
+               "store_every": 10, "amplitude": 0.5, "center": 3.0, "width": 1.0, "t0": 1.0,
+               "config": None}
+HASIMOTO_RUN_BARE = {"command": "hasimoto", "subcommand": "run", "out_dir": None, "n": 2,
+                     "alpha": 0.0, "beta": 1.0, "v1": 1.0, "v2": 0.0, "r_max": 10.0,
+                     "nodes": 2001}
+
+
+class TestFlowFlags:
+    """The three commands of the flow family parse their flags as they always
+    have, each with its own defaults."""
+
+    @pytest.mark.parametrize("argv, parsed", [
+        (["selfsim"], SELFSIM_BARE),
+        (["selfsim", *FLOW_ARGV], {**SELFSIM_BARE, **FLOW_GIVEN}),
+        (["evolve"], EVOLVE_BARE),
+        (["evolve", *FLOW_ARGV], {**EVOLVE_BARE, **FLOW_GIVEN}),
+        (["hasimoto", "run"], HASIMOTO_RUN_BARE),
+        (["hasimoto", "run", *FLOW_ARGV], {**HASIMOTO_RUN_BARE, **FLOW_GIVEN}),
+    ], ids=["selfsim", "selfsim-given", "evolve", "evolve-given", "hasimoto-run",
+            "hasimoto-run-given"])
+    def test_parsed_namespace(self, argv, parsed):
+        got = vars(build_parser().parse_args(argv))
+        assert got.pop("fn") is not None
+        assert got == parsed
+
+    @pytest.mark.parametrize("command", [["selfsim"], ["evolve"], ["hasimoto", "run"]],
+                             ids=" ".join)
+    def test_help_lists_each_flow_flag_once(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            _run([*command, "--help"])
+        assert exc.value.code == 0
+        options = [line.split()[0] for line in capsys.readouterr().out.splitlines()
+                   if line.startswith("  -")]
+        assert {flag: options.count(flag) for flag in FLOW_FLAGS} == dict.fromkeys(FLOW_FLAGS, 1)
 
 
 class TestOutputRoot:

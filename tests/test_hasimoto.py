@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -333,6 +334,14 @@ class TestExponents:
     def test_intermediate_p(self):
         t = strichartz_exponents(1.5)
         assert t.s[(1, 1)] == 1 / (Fraction(1, 2) - Fraction(1, 9))
+
+    @pytest.mark.parametrize("p", [1, Fraction(3, 2), 2])
+    def test_every_index_is_positive_and_finite(self, p):
+        # 1/s(i,j) = (i+j)/4 - i/(6p) >= (i+3j)/12 > 0 for p >= 1, (i, j) != (0, 0):
+        # no tabled pair needs a refusal
+        t = strichartz_exponents(p)
+        for pair, s in t.s.items():
+            assert type(s) is Fraction and 0 < s < math.inf, (pair, s)
 
     def test_out_of_range(self):
         with pytest.raises(DomainError):

@@ -1,4 +1,5 @@
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -363,6 +364,16 @@ class TestSeriesStart:
                     for c, got in zip(cs, mine):
                         want = float(exact[c].subs({a: sp.Rational(slope), n: nn}))
                         assert abs(got - want) <= 1e-14 * abs(want), (drift, slope, nn, c)
+
+    @pytest.mark.parametrize("drift", [True, False])
+    @pytest.mark.parametrize("slope", [1e45, 1e60, 2e100, 2e160])
+    def test_refuses_a_slope_whose_series_is_not_finite(self, slope, drift):
+        # at n = 3 c7's products overflow to inf from slope 3e43 (1e44 without
+        # drift), a2 ** 3 raises OverflowError from 2.4e51, and a2 is inf itself
+        # from 1.4e154; each way the slope is named
+        with pytest.raises(DomainError, match=re.escape(f"slope {slope!r} is out of range: its")):
+            real_selfsim_ivp(slope, 3, drift=drift)
+        assert all(map(math.isfinite, real_selfsim_ivp(1e40, 3, drift=drift).series))
 
     @pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
                         reason="the reference needs an 80-bit long double")

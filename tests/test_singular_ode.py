@@ -205,6 +205,13 @@ class TestOriginStart:
         with pytest.raises(DomainError, match=r"series start at r0=0.01: its next term"):
             solve_profile((1.0, 0.0), FlowParams(2, 1.0, 0.0), 1.0, rel_tol=1e-14)
 
+    def test_refuses_a_nan_remainder(self):
+        # a NaN c7 leaves the quintic start finite: `remainder > scale` read False
+        ivp = real_selfsim_ivp(1.0, 3)
+        ivp = replace(ivp, series=ivp.series[:2] + (math.nan,))
+        with pytest.raises(DomainError, match="its next term nan exceeds"):
+            origin_start(ivp, 1e-10)
+
     @pytest.mark.parametrize("tol", [0.0, -1e-10, math.nan, math.inf])
     def test_refuses_a_tolerance_outside_zero_to_inf(self, tol):
         with pytest.raises(DomainError, match="rel_tol"):

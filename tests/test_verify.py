@@ -11,6 +11,8 @@ from gllflow import geometry as geo
 from gllflow import verify
 from gllflow.cli import main
 from gllflow.hasimoto import Frame
+from gllflow.selfsim import SelfSimProfile
+from gllflow.singular_ode import DenseSolution
 from gllflow.geometry import (CPPoint, FlowParams, RadialProfile, energy, fs_distance,
                               gll_rhs_arr, stereo_lift_arr, stereo_lift_differential,
                               stereo_rhs, unitary_action)
@@ -223,6 +225,43 @@ class TestNaNSampleFailsItsCheck:
         row = _rows(verify.suite_geom)["energy_equivalence"]
         assert not row.passed
         assert row.detail.endswith("; only 199/200 with u_r != 0")
+
+
+def _meridian_profile(theta, theta_r, r):
+    """The node-built heat profile psi = (sin theta, 0, cos theta), n = 2."""
+    zero = np.zeros_like(r)
+    y = np.column_stack([np.sin(theta), zero, np.cos(theta),
+                         theta_r * np.cos(theta), zero, -theta_r * np.sin(theta)])
+    return SelfSimProfile(DenseSolution.from_nodes(r, y, np.zeros_like(y)),
+                          FlowParams(2, 1.0, 0.0))
+
+
+class TestNorthPoleCheck:
+    """`never_returns_to_north_pole` on node-built profiles that leave e3 at
+    slope theta'(0) = 2, as the suite's v = (1, 0) does."""
+
+    R = np.linspace(1e-2, 30.0, 1000)
+
+    def test_a_profile_that_comes_back_to_e3_fails(self, monkeypatch):
+        # theta = 2r (r-5)^2 / (25 + r^3) is back at e3 at r = 5, between two
+        # nodes: min |psi - e3| = 3.0e-6 > 0 passed the check that asked only that
+        r, d = self.R, 25.0 + self.R**3
+        theta = 2 * r * (r - 5) ** 2 / d
+        theta_r = (2 * (r - 5) ** 2 + 4 * r * (r - 5)) / d - 6 * r**3 * (r - 5) ** 2 / d**2
+        prof = _meridian_profile(theta, theta_r, r)
+        assert 0.0 < np.linalg.norm(prof.psi - verify.E3, axis=1).min() < 1e-5
+        monkeypatch.setattr(verify, "solve_profile", lambda *args, **kwargs: prof)
+        row = _rows(verify.suite_selfsim)["never_returns_to_north_pole"]
+        assert not row.passed
+
+    def test_a_profile_that_leaves_e3_for_good_passes(self, monkeypatch):
+        # theta = 2 arctan r, the stationary harmonic map: |psi - e3| = 2r / sqrt(1 + r^2),
+        # least against min(1, 2r) at the last node below r = 1/2, 1 / sqrt(1 + 0.49^2)
+        prof = _meridian_profile(2 * np.arctan(self.R), 2 / (1 + self.R**2), self.R)
+        monkeypatch.setattr(verify, "solve_profile", lambda *args, **kwargs: prof)
+        row = _rows(verify.suite_selfsim)["never_returns_to_north_pole"]
+        assert row.passed
+        assert row.detail == "min |psi - e3| / min(1, 2|v| r) = 0.898 at r = 0.49 >= 0.5"
 
 
 def test_singular_prints_plain_floats(capsys):
