@@ -11,7 +11,11 @@ output alone.
     E5  5th-order error weights of stages 0-11
     E3  3rd-order error weights (B minus the 3rd-order embedded weights)
     D   rows of the dense-output correction: q = h D K over all 16 stages
+
+`stepper(m)` turns the tableau into Python code for states of m numbers.
 """
+
+import functools
 
 import numpy as np
 
@@ -78,3 +82,54 @@ D = np.array([
      29.8402934266605, -43.53345659001114, 96.32455395918828, -39.17726167561544,
      -149.72683625798564],
 ])
+
+
+@functools.cache
+def stepper(m):
+    """DOP853 on states of m Python numbers: (attempt, dense), generated
+    once for m with the tableau's nonzeros as literals.
+
+    attempt(fun, r, h, y, f) -> (y_new, (e5, e3), stages 0-4, stages 5-11)
+    takes stages 1-11 from y and f = fun(r, y) and returns the 8th-order
+    update, the 5th- and 3rd-order error rows and the stages as flat tuples;
+    dense(fun, r, h, y, f, f_new, stages 5-11) takes stages 13-15 and returns
+    the 4 dense-output rows q.  A stage state is y + (a_0 h) k_0 + (a_1 h)
+    k_1 + ..., summed left to right with the weights a_l h formed once per
+    row; the update reads the same way, and the error and q rows are the
+    same sum without y.  So the rounding is fixed by the tableau, not by a
+    BLAS kernel.  fun(r, y) takes a list and returns a length-m sequence,
+    which is unpacked at once, so it may hand back one reused buffer.
+    """
+    rows = A.tolist() + [B.tolist(), E5.tolist(), E3.tolist()] + D.tolist()
+    c = C.tolist()
+
+    def ks(stages):
+        return ", ".join(f"k{i}_{j}" for i in stages for j in range(m)) + ","
+
+    def row(k, line, plus_y=False):
+        """Row k's weights (a_l h), hoisted, then line with its m sums filled in."""
+        nz = [l for l, w in enumerate(rows[k]) if w]
+        sums = ", ".join(" + ".join([f"y{j}"] * plus_y + [f"w{l} * k{l}_{j}" for l in nz])
+                         for j in range(m))
+        return [f"    w{l} = {rows[k][l]!r} * h" for l in nz] + [line.format(sums)]
+
+    def stage(i):
+        return row(i, f"    {ks([i])} = fun(r + {c[i]!r} * h, [{{}}])", plus_y=True)
+
+    head = [f"    {', '.join(f'y{j}' for j in range(m))}, = y", f"    {ks([0])} = f"]
+    attempt = ["def attempt(fun, r, h, y, f):"] + head
+    for i in range(1, 12):
+        attempt += stage(i)
+    attempt += (row(16, "    v16 = [{}]", plus_y=True) + row(17, "    v17 = ({},)")
+                + row(18, "    v18 = ({},)"))
+    attempt.append(f"    return v16, (v17, v18), ({ks(range(5))}), ({ks(range(5, 12))})")
+    dense = (["def dense(fun, r, h, y, f, f_new, kept):"] + head
+             + [f"    {ks([12])} = f_new", f"    {ks(range(5, 12))} = kept"])
+    for i in range(13, 16):
+        dense += stage(i)
+    for k in range(19, 23):
+        dense += row(k, f"    v{k} = [{{}}]")
+    dense.append("    return [v19, v20, v21, v22]")
+    space = {}
+    exec("\n".join(attempt + dense), space)
+    return space["attempt"], space["dense"]

@@ -22,6 +22,16 @@ class NormDriftError(GLLFlowError):
     repairable threshold: smaller drift is renormalized, larger is an error."""
 
 
+class EnergyBoundError(NormDriftError):
+    """A profile's derivative energy A(r) = r^2 |psi_r|^2 exceeded its
+    a-priori bound; carries the largest A and the bound."""
+
+    def __init__(self, message, max_A=None, bound=None):
+        super().__init__(message)
+        self.max_A = max_A
+        self.bound = bound
+
+
 class StiffnessError(GLLFlowError):
     """Adaptive step size underflowed; carries the last good state."""
 

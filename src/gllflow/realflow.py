@@ -247,13 +247,13 @@ class RealProfile:
 
 
 def _selfsim_rhs(n: int):
-    """`real_selfsim_ivp(slope, n).rhs()` on a float state, in its split form
+    """`real_selfsim_ivp(slope, n).rhs()` on a pair of floats, in its split form
     and operation order: -(r/2)g' - k(g'/r - g/r^2) + B(g)/r^2, B = O(g^3)."""
     k = 2 * n - 1
     c = 2 * n - 2
 
     def fun(r, y):
-        g, gp = y.tolist()
+        g, gp = y
         r2 = r * r
         try:
             b = c * math.sin(g) + 0.5 * math.sin(2 * g) - k * g

@@ -29,7 +29,7 @@ from ._numerics import cumquad0, require_dimension
 # (origin_start calls series_start): perfbench/tracer.py looks them up in
 # this module
 from ._numerics import derivative_nonuniform, hermite_eval  # noqa: F401
-from .errors import DomainError, NonConvergedError, NormDriftError
+from .errors import DomainError, EnergyBoundError, NonConvergedError, NormDriftError
 from .geometry import (E3, REPAIR_TOL, FlowParams, SpherePoint, stereo_lift_arr,
                        stereo_lift_differential, tangent_project_arr)
 from .manifest import report_json, write_csv
@@ -93,9 +93,9 @@ def sphere_profile_rhs(params: FlowParams):
     c_n2 = 2 * n - 2
 
     def fun(r, y):
-        # Python floats do the same float64 operations as numpy scalars, in
-        # the same order, at a fraction of the per-operation cost
-        p1, p2, p3, d1, d2, d3 = y.tolist()
+        # y is integrate_rk's list of Python floats: the same float64
+        # operations as numpy scalars, at a fraction of the per-operation cost
+        p1, p2, p3, d1, d2, d3 = y
         dd = d1 * d1 + d2 * d2 + d3 * d3
         c1 = c_n1 / r
         c2 = (c_n2 + p3) / (r * r)
@@ -111,20 +111,21 @@ def sphere_profile_rhs(params: FlowParams):
         a1 = -dd * p1 - c1 * d1 - c2 * e1 - half_r * (al * d1 - be * x1)
         a2 = -dd * p2 - c1 * d2 - c2 * e2 - half_r * (al * d2 - be * x2)
         a3 = -dd * p3 - c1 * d3 - c2 * e3c - half_r * (al * d3 - be * x3)
-        return d1, d2, d3, a1, a2, a3  # integrate_rk stores a copy
+        return d1, d2, d3, a1, a2, a3
 
     return fun
 
 
 def _project_state(r, y):
-    """Back onto the sphere: psi / |psi|, and psi_r made tangent there."""
-    p1, p2, p3, d1, d2, d3 = y.tolist()
+    """Back onto the sphere: psi / |psi|, and psi_r made tangent there, on
+    integrate_rk's sequence of six floats."""
+    p1, p2, p3, d1, d2, d3 = y
     nrm = math.sqrt(p1 * p1 + p2 * p2 + p3 * p3)
     if abs(nrm - 1.0) > REPAIR_TOL:
         raise NormDriftError(f"profile left the sphere at r={r} (|psi|-1 = {nrm - 1.0:.3e})")
     p1, p2, p3 = p1 / nrm, p2 / nrm, p3 / nrm
     dp = d1 * p1 + d2 * p2 + d3 * p3
-    return np.array([p1, p2, p3, d1 - dp * p1, d2 - dp * p2, d3 - dp * p3])
+    return [p1, p2, p3, d1 - dp * p1, d2 - dp * p2, d3 - dp * p3]
 
 
 @dataclass(frozen=True)
@@ -143,8 +144,10 @@ class SelfSimProfile:
             raise NormDriftError("profile nodes off the unit sphere beyond 1e-10")
         if self.params.n >= 2:
             bound = derivative_energy_bound(self.params.n)
-            if not np.max(self.A) <= bound:  # NaN too
-                raise NormDriftError(f"derivative invariant A(r) exceeded {bound}")
+            max_A = float(np.max(self.A))
+            if not max_A <= bound:  # NaN too
+                raise EnergyBoundError(f"derivative invariant A(r) exceeded {bound}: "
+                                       f"max A = {max_A:.4f}", max_A, bound)
 
     @property
     def r(self):

@@ -15,15 +15,21 @@ r0 > 0, and `origin_start`, the one start of a solve, picks r0
 the series' next term against the tolerance.
 `integrate_rk` carries the data outward with the DOP853 pair of Hairer,
 Norsett & Wanner (8th order, 5th/3rd-order error estimate) and its
-7th-order dense output, returned as a `DenseSolution`.
+7th-order dense output, returned as a `DenseSolution`.  Each attempt is
+code generated once per state size (`_dop853.stepper`) that runs on
+Python numbers: the rhs takes the state as a list and returns a length-m
+sequence.
 
 The stepper is deterministic: identical inputs give bit-identical grids.
+No BLAS call rounds a stage, an error estimate or a dense row, so the
+grids are the same under every BLAS kernel too.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from array import array
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -48,36 +54,23 @@ MAX_STEPS = 5_000_000  # step attempts, accepted and rejected, of one integratio
 # the cap instead of the tolerance would set the grid.
 ROUNDING_TOL = 1e-9
 RADIAL_STEP = 0.1
-# every row that DOP853 applies to its 16 stages: the stage rows A, then the
-# 8th-order update B and the 5th- and 3rd-order error estimates over stages
-# 0-11, then the 4 dense-output rows D
-_ROWS = np.concatenate([dop.A, np.pad([dop.B, dop.E5, dop.E3], ((0, 0), (0, 4))), dop.D])
-STEP_CHUNK = 1024  # accepted steps per buffer of kept stages
+# dense rows are built ROW_BATCH steps at a time: the Python lists of one
+# batch's inputs take about 1.5 kB per sphere step
+ROW_BATCH = 64
 
 
-class _Steps:
-    """The stage arrays of one DOP853 solve, and what its accepted steps keep.
+class _Steps(NamedTuple):
+    """What the accepted steps of a solve keep for their dense output: the
+    rhs, each step's h (n,), its stages 5-11 (n, 7 m), and the rows q
+    (n, 4, m) with the mask of those built.  With the y and f of its nodes,
+    stages 5-11 are all that stages 13-15 and q read (A[13:, 1:5] =
+    D[:, 1:5] = 0)."""
 
-    YK holds a step's start state, then its 16 stages; M = [1, h _ROWS] (the
-    1 only on the stage and update rows), so M[i, :i+1] . YK[:i+1] is stage
-    i's state y + h A[i, :i] K[:i], one product gives the update and both
-    error estimates, and another the dense-output rows q.  Each product is
-    bound once: the views follow M and YK as they are refilled.  A step keeps
-    h and stages 5-11: with the y and f of its nodes, all that stages 13-15
-    and q read (A[13:, 1:5] = D[:, 1:5] = 0).
-    """
-
-    def __init__(self, fun, y):
-        self.fun, self.h, self.kept = fun, [], []
-        self.YK = YK = np.empty((17,) + y.shape, dtype=y.dtype)
-        self.K = K = YK[1:]
-        M = np.zeros((23, 17), dtype=y.dtype)
-        M[:17, 0] = 1.0
-        self.hM, C = M[:, 1:], dop.C.tolist()
-        stages = [(i, C[i], M[i, :i + 1].dot, YK[:i + 1]) for i in range(16)]
-        self.front, self.back = stages[1:12], stages[13:]
-        self.update = functools.partial(M[16:19, :13].dot, YK[:13])
-        self.dense = functools.partial(M[19:, 1:].dot, K)
+    fun: Callable | None     # None, h and kept None: nodes that no solve produced
+    h: np.ndarray | None
+    kept: np.ndarray | None
+    q: np.ndarray
+    built: np.ndarray
 
 
 class DenseSolution(NamedTuple):
@@ -104,24 +97,22 @@ class DenseSolution(NamedTuple):
     @classmethod
     def from_nodes(cls, r, y, f):
         """Nodes with values and derivatives only: cubic Hermite between them."""
-        y = np.asarray(y)
-        steps = _Steps(None, y[0])
-        steps.q = np.zeros((y.shape[0] - 1, 4) + y.shape[1:], dtype=y.dtype)
-        steps.built = np.ones(y.shape[0] - 1, dtype=bool)
-        return cls(np.asarray(r, float), y, np.asarray(f), steps)
+        r, y = np.asarray(r, float), np.asarray(y)
+        n = y.shape[0] - 1
+        steps = _Steps(None, None, None, np.zeros((n, 4) + y.shape[1:], dtype=y.dtype),
+                       np.ones(n, dtype=bool))
+        return cls(r, y, np.asarray(f), steps)
 
     def rows(self, idx):
         """The rows q (len(idx), 4, m) of steps idx, each built once as the solve would."""
         st, idx = self.steps, np.asarray(idx, dtype=np.intp)
-        for i in np.unique(idx[~st.built[idx]]).tolist():
-            r, h = float(self.r[i]), st.h[i]
-            np.multiply(_ROWS, h, out=st.hM)
-            st.YK[0], st.K[0], st.K[12] = self.y[i], self.f[i], self.f[i + 1]
-            st.K[5:12] = st.kept[i // STEP_CHUNK][i % STEP_CHUNK]
-            for j, c, dot, yk in st.back:
-                st.K[j] = st.fun(r + c * h, dot(yk))
-            st.q[i] = st.dense()
-            st.built[i] = True
+        todo = np.unique(idx[~st.built[idx]])
+        for k in range(0, todo.size, ROW_BATCH):
+            part, dense = todo[k:k + ROW_BATCH], dop.stepper(self.y.shape[1])[1]
+            cells = zip(self.r[part].tolist(), *(_numbers(a) for a in (
+                st.h[part], self.y[part], self.f[part], self.f[part + 1], st.kept[part])))
+            st.q[part] = [dense(st.fun, *cell) for cell in cells]
+            st.built[part] = True
         return st.q[idx]
 
     def eval(self, r_query):
@@ -133,43 +124,55 @@ class DenseSolution(NamedTuple):
         return val + (s * (1 - s)) ** 2 * (q0 + s * (q1 + (1 - s) * (q2 + s * q3)))
 
     def counters(self):
-        """The solver's counts as a manifest entry."""
+        """The solver's counts and its smallest and largest step, as node
+        spacings, with the node where the smallest starts: a manifest entry."""
+        h = np.diff(self.r)
+        i = int(np.argmin(h))
         return {"steps_accepted": self.steps_accepted, "steps_rejected": self.steps_rejected,
-                "rhs_evals": self.rhs_evals}
+                "rhs_evals": self.rhs_evals, "h_min": float(h[i]),
+                "r_at_h_min": float(self.r[i]), "h_max": float(np.max(h))}
+
+
+def _numbers(a):
+    """The entries of an array as (lists of) Python floats or complexes;
+    other dtypes (longdouble) as numpy scalars (rows), which keep their
+    precision."""
+    return a.tolist() if a.dtype.char in "dD" else list(a)
 
 
 def _rms(w):
-    """Root mean square of |w| over the entries of a real or complex array."""
-    v = w.view(float) if w.dtype.kind == "c" else w
-    return math.sqrt(v @ v / w.size)
+    """Root mean square of |w| over a sequence of real or complex numbers,
+    summed left to right."""
+    return math.sqrt(sum(a.real * a.real + a.imag * a.imag for a in w) / len(w))
 
 
 def _error_norm(err, y_old, y_new, rel_tol):
     """DOP853's combined norm of the 5th- and 3rd-order error rows err[0], err[1]:
     |e5|^2 / sqrt(m (|e5|^2 + |e3|^2 / 100)), each row scaled by
     ERROR_FLOOR + rel_tol max(|y_old|, |y_new|); above 1 rejects the step.
-    A complex entry adds re^2 + im^2, which is (a conj(a)).real to the bit."""
+    All four are length-m sequences of numbers.  A complex entry adds
+    re^2 + im^2, which is (a conj(a)).real to the bit."""
     e5 = e3 = 0.0
-    real = err.dtype.kind != "c"
-    for a5, a3, yo, yn in zip(*err.tolist(), y_old.tolist(), y_new.tolist()):
+    real = not isinstance(err[0][0], complex)
+    for a5, a3, yo, yn in zip(*err, y_old, y_new):
         ao, an = abs(yo), abs(yn)
         scale = ERROR_FLOOR + rel_tol * (an if an > ao else ao)  # max(ao, an), NaN too
         a5, a3 = a5 / scale, a3 / scale
         e5 += a5 * a5 if real else a5.real * a5.real + a5.imag * a5.imag
         e3 += a3 * a3 if real else a3.real * a3.real + a3.imag * a3.imag
     denom = e5 + 0.01 * e3
-    return e5 / math.sqrt(denom * y_old.size) if denom else 0.0
+    return e5 / math.sqrt(denom * len(y_old)) if denom else 0.0
 
 
 def _initial_step(fun, r0, y0, f0, rel_tol, max_step):
-    """Hairer's starting step for an error estimate of order 7."""
-    scale = ERROR_FLOOR + rel_tol * np.abs(y0)
-    d0 = _rms(y0 / scale)
-    d1 = _rms(f0 / scale)
+    """Hairer's starting step for an error estimate of order 7, on sequences."""
+    scale = [ERROR_FLOOR + rel_tol * abs(a) for a in y0]
+    d0 = _rms([a / s for a, s in zip(y0, scale)])
+    d1 = _rms([a / s for a, s in zip(f0, scale)])
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, max_step)
-    f1 = fun(r0 + h0, y0 + h0 * f0)
-    d2 = _rms((f1 - f0) / scale) / h0
+    f1 = fun(r0 + h0, [a + h0 * b for a, b in zip(y0, f0)])
+    d2 = _rms([(a - b) / s for a, b, s in zip(f1, f0, scale)]) / h0
     if max(d1, d2) <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
@@ -182,17 +185,20 @@ def integrate_rk(fun: Callable, r0: float, y0: np.ndarray, r_max: float,
                  postprocess: Callable | None = None) -> DenseSolution:
     """Adaptive DOP853 from r0 to r_max, with its dense output built on query.
 
-    fun(r, y) -> dy/dr on a flat ndarray state (real or complex), as any length-m
-    sequence, stored by copy (the sphere and scalar rhs return tuples); the
-    solution calls it again to build dense-output rows, so it must stay pure.
-    postprocess(r, y) -> y is applied to every accepted state (used by the
-    sphere-valued solver to re-project); the node derivative is taken at
-    the result.  Stages run in matrix form, y + h A[i, :i] K[:i], and one
-    product of the 12 step stages gives the update and both error
-    estimates.  Step factor 0.9 err^(-1/8), kept in [0.2, 10] and at most 1
-    right after a rejection.  The last node is r_max itself.  A non-finite
-    r0, r_max, y0 or fun(r0, y0) is refused: the first step would be NaN;
-    so is a max_step that is NaN or not positive.
+    y0 is a flat array (real or complex).  fun(r, y) -> dy/dr takes the state
+    as a list of m Python numbers (numpy scalars for a longdouble y0) and
+    returns any length-m sequence, which is unpacked at once, so it may be
+    one reused buffer; the solution calls fun again to build dense-output
+    rows, so it must stay pure.  postprocess(r, y) -> y, on the same
+    sequences, is applied to every accepted state (used by the sphere-valued
+    solver to re-project); the node derivative is taken at the result.
+    Each attempt is `_dop853.stepper(m)`'s, generated for the state size:
+    every stage, the update and both error rows are sums of Python numbers
+    in the tableau's order, so the nodes do not depend on a BLAS kernel.
+    Step factor 0.9 err^(-1/8), kept in [0.2, 10] and at most 1 right after
+    a rejection.  The last node is r_max itself.  A non-finite r0, r_max, y0
+    or fun(r0, y0) is refused: the first step would be NaN; so is a max_step
+    that is NaN or not positive.
 
     Radii count from the singular origin of this module's problems: from
     r0 > 0 and below ROUNDING_TOL, steps are at most RADIAL_STEP r.
@@ -202,87 +208,84 @@ def integrate_rk(fun: Callable, r0: float, y0: np.ndarray, r_max: float,
     require_positive(rel_tol=rel_tol)  # else ERROR_FLOOR + rel_tol max|y| bounds nothing
     if not max_step > 0.0:
         raise DomainError(f"need max_step > 0, got {max_step!r}")
-    y = np.array(y0, copy=True)
-    if not np.all(np.isfinite(y)):
-        raise DomainError(f"non-finite start state y0={y!r}")
-    r = float(r0)
-    f = np.array(fun(r, y))  # a copy: fun may hand back one reused buffer
+    y0 = np.asarray(y0)
+    if not np.all(np.isfinite(y0)):
+        raise DomainError(f"non-finite start state y0={y0!r}")
+    m, r, y = y0.size, float(r0), _numbers(y0)
+    f = list(fun(r, y))  # a copy: fun may hand back one reused buffer
     if not np.all(np.isfinite(f)):
-        raise NonFiniteError(f"non-finite derivative {f!r} at the start r0={r!r}", r_last=r)
+        raise NonFiniteError(f"non-finite derivative {np.array(f)!r} at the start r0={r!r}",
+                             r_last=r)
     radial = r0 > 0 and rel_tol < ROUNDING_TOL
 
     def limit(r):
         return min(max_step, RADIAL_STEP * r) if radial else max_step
 
     h = _initial_step(fun, r, y, f, rel_tol, min(limit(r), r_max - r0))
-    rs = [r]
-    ys = [y]
-    fs = [f]
-    steps = _Steps(fun, y)
-    YK, K, hM, front, update = steps.YK, steps.K, steps.hM, steps.front, steps.update
-    hs, kept = steps.h, steps.kept
+    # nodes, steps and kept stages as flat float buffers (lists for a state
+    # that is not float64)
+    store = functools.partial(array, "d") if y0.dtype.char == "d" else list
+    rs, ys, fs, hs, kept = store([r]), store(y), store(f), store(), store()
+
+    def nodes(read=np.array):
+        """(r, y, f) of the accepted nodes; a copy with the default read."""
+        return read(rs), np.reshape(read(ys), (-1, m)), np.reshape(read(fs), (-1, m))
+
+    attempt = dop.stepper(m)[0]
     rejected = 0
     retry = False  # the current step has had a rejected attempt
     nonfinite = None  # (r, h, first non-finite stage) of the last rejected attempt
     while r < r_max:
         if len(hs) + rejected > MAX_STEPS:
             raise StiffnessError(f"step budget exhausted: {MAX_STEPS} attempts, stopped at "
-                                 f"r={r!r} with h={h!r}", r_last=r,
-                                 partial=(np.array(rs), np.array(ys), np.array(fs)))
+                                 f"r={r!r} with h={h!r}", r_last=r, partial=nodes())
         r_new = r + h
         if r_max - r_new < 1e-14 * max(abs(r_new), 1.0):
             # clip the last step to end on r_max, and stretch one that would
             # leave a sliver too short to take (it would read as underflow)
             h, r_new = r_max - r, r_max
         if h < 1e-14 * max(abs(r), 1.0):
-            partial = (np.array(rs), np.array(ys), np.array(fs))
             if nonfinite is not None and nonfinite[0] == r:
                 _, h_bad, bad = nonfinite
                 where = ("error estimate overflowed" if bad is None else
                          f"stage {bad} at r={float(r + dop.C[bad] * h_bad)!r}")
                 raise NonFiniteError(
                     f"non-finite step from r={r!r} with h={h_bad!r} ({where}); "
-                    f"state {y!r}", r_last=r, partial=partial)
+                    f"state {np.array(y)!r}", r_last=r, partial=nodes())
             raise StiffnessError(f"step size underflow (stiffness/blowup) at r={r!r} with "
-                                 f"h={h!r}", r_last=r, partial=partial)
-        np.multiply(_ROWS, h, out=hM)
-        YK[0] = y
-        K[0] = f
-        for i, c, dot, yk in front:
-            K[i] = fun(r + c * h, dot(yk))
-        rows = update()  # y_new, the 5th- and 3rd-order errors
-        y_new = rows[0]
-        enorm = _error_norm(rows[1:], y, y_new, rel_tol)
+                                 f"h={h!r}", r_last=r, partial=nodes())
+        y_new, err, front, back = attempt(fun, r, h, y, f)
+        enorm = _error_norm(err, y, y_new, rel_tol)
         if enorm <= 1.0:
             if postprocess is not None:
                 y_new = postprocess(r_new, y_new)
-            K[12] = fun(r_new, y_new)
-            if len(hs) % STEP_CHUNK == 0:
-                kept.append(np.empty((STEP_CHUNK, 7) + y.shape, dtype=y.dtype))
-            kept[-1][len(hs) % STEP_CHUNK] = K[5:12]
-            hs.append(h)
-            r, y, f = r_new, y_new, K[12].copy()  # a view would change with the next step
+            f = list(fun(r_new, y_new))
+            r, y = r_new, y_new
             rs.append(r)
-            ys.append(y)
-            fs.append(f)
+            ys.extend(y)
+            fs.extend(f)
+            hs.append(h)
+            kept.extend(back)
             factor = 10.0 if enorm == 0.0 else min(10.0, 0.9 * enorm ** -0.125)
             h = min(h * (min(1.0, factor) if retry else factor), limit(r))
             retry = False
         else:
             # a NaN/inf error norm is rejected like a large one (max() below
             # returns 0.2); remember it so the underflow it ends in says so
-            nonfinite = None if math.isfinite(enorm) else (
-                r, h, next((i for i in range(12) if not np.all(np.isfinite(K[i]))), None))
+            stages = front + back
+            nonfinite = None if math.isfinite(enorm) else (r, h, next(
+                (i for i in range(12) if not np.all(np.isfinite(stages[i * m:(i + 1) * m]))),
+                None))
             h *= max(0.2, 0.9 * enorm ** -0.125)
             rejected += 1
             retry = True
     n = len(hs)  # q is built on query, as built marks
-    kept[-1] = kept[-1][:(n - 1) % STEP_CHUNK + 1].copy()  # frees the unused tail
-    steps.q, steps.built = np.empty((n, 4) + y.shape, dtype=y.dtype), np.zeros(n, dtype=bool)
-    K[1:5] = 0.0  # weight 0 in stages 13-15 and the rows: no leftover is read
+    read = np.array if store is list else np.frombuffer  # frombuffer shares, copies nothing
+    r_arr, y_arr, f_arr = nodes(read)
+    steps = _Steps(fun, np.array(hs), np.reshape(read(kept), (n, 7 * m)),
+                   np.empty((n, 4, m), dtype=y_arr.dtype), np.zeros(n, dtype=bool))
     # the start (f and one probe), 11 stages per attempt, one node derivative per step
-    return DenseSolution(np.array(rs), np.array(ys), np.array(fs), steps, n, rejected,
-                         2 + 11 * (n + rejected) + n)
+    return DenseSolution(r_arr, y_arr, f_arr, steps, n, rejected, 2 + 11 * (n + rejected) + n)
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from .geometry import (CPPoint, E3, FlowParams, RadialProfile, TangentVec,
                        harmonic_map_jet, stereo_lift_arr, stereo_lift_differential,
                        stereo_rhs, unitary_action)
 from .hasimoto import FRAME_TOL, compute_q, pole_projection_coordinates, transport_frame
+from .errors import EnergyBoundError
 from .manifest import CheckResult
 from .selfsim import apriori_identity_residual, derivative_energy_bound, solve_profile
 from .singular_ode import hardy_check, series_start
@@ -260,9 +261,12 @@ def suite_singular():
 
 def suite_selfsim():
     out = []
-    prof = solve_profile((1.0, 0.0), FlowParams(2, 1.0, 0.0), 30.0)
-
     bound = derivative_energy_bound(2)
+    try:
+        prof = solve_profile((1.0, 0.0), FlowParams(2, 1.0, 0.0), 30.0)
+    except EnergyBoundError as exc:  # the profile is refused: nothing else can be checked
+        return [CheckResult("derivative_energy_bounded", False,
+                            f"max A = {exc.max_A:.4f} > {exc.bound}; no profile to check further")]
     out.append(CheckResult("derivative_energy_bounded",
                            float(prof.A.max()) <= bound,
                            f"max A = {prof.A.max():.4f} <= {bound}"))

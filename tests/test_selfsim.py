@@ -74,7 +74,9 @@ def test_float_unpacked_rhs_is_bit_identical(rng):
 
 
 def _numpy_project_state(r, y):
-    """selfsim._project_state as it was on numpy 3-vectors (reference)."""
+    """selfsim._project_state as it was on numpy 3-vectors (reference), on
+    the integrator's sequences at its boundary."""
+    y = np.asarray(y)
     psi = y[:3]
     nrm = float(np.sqrt(psi @ psi))
     if abs(nrm - 1.0) > REPAIR_TOL:
@@ -82,7 +84,7 @@ def _numpy_project_state(r, y):
     psi = psi / nrm
     d = y[3:]
     d = d - (d @ psi) * psi
-    return np.concatenate([psi, d])
+    return np.concatenate([psi, d]).tolist()
 
 
 # (v, params, r_max, rel_tol): heat, Schroedinger at the alpha = 0 default
@@ -103,14 +105,15 @@ class TestProjectState:
             psi = rng.normal(size=3)
             psi *= (1.0 + rng.uniform(-1e-9, 1e-9)) / np.linalg.norm(psi)
             y = np.concatenate([psi, rng.normal(scale=3.0, size=3)])
-            got, want = selfsim._project_state(1.0, y), _numpy_project_state(1.0, y)
+            got, want = (np.array(project(1.0, y.tolist()))
+                         for project in (selfsim._project_state, _numpy_project_state))
             assert np.max(np.abs(got[:3] - want[:3])) <= eps
             assert np.max(np.abs(got[3:] - want[3:])) <= 4 * eps * np.linalg.norm(y[3:])
 
     def test_drift_beyond_repair_raises(self):
         y = np.array([0.0, 0.0, 1.0 + 2 * REPAIR_TOL, 0.0, 0.0, 0.0])
         with pytest.raises(NormDriftError):
-            selfsim._project_state(3.0, y)
+            selfsim._project_state(3.0, y.tolist())
 
     @pytest.mark.parametrize("case", range(3))
     def test_step_counts_and_limits_match_numpy(self, case, monkeypatch):

@@ -5,15 +5,15 @@ import numpy as np
 import pytest
 from scipy.integrate import DOP853, quad, solve_ivp
 from scipy.integrate._ivp import dop853_coefficients
-from scipy.integrate._ivp.rk import Dop853DenseOutput
+from scipy.integrate._ivp.rk import Dop853DenseOutput, rk_step
 
 from gllflow import _dop853 as dop
 from gllflow import singular_ode
 from gllflow._numerics import hermite_eval
 from gllflow.errors import DomainError, GridError, NonFiniteError, StiffnessError
-from gllflow.realflow import _selfsim_rhs, real_selfsim_ivp
+from gllflow.realflow import _selfsim_rhs, real_selfsim_ivp, solve_selfsim_real
 from gllflow.geometry import FlowParams
-from gllflow.selfsim import solve_profile, stereo_selfsim_ivp
+from gllflow.selfsim import solve_profile, sphere_profile_rhs, stereo_selfsim_ivp
 from gllflow.singular_ode import (DEFAULT_R0, ERROR_FLOOR, RADIAL_STEP, ROUNDING_TOL,
                                   DenseSolution, ProfileGrid, SingularIVP, _error_norm,
                                   _initial_step, hardy_check, hardy_ratio_raw,
@@ -346,7 +346,7 @@ class TestIntegrateAdaptive:
     def test_underflow_names_where_it_stopped(self, deadline):
         # y' = 1e3 y^2, y(0) = 1 blows up at r = 1e-3
         with pytest.raises(StiffnessError, match="step size underflow") as exc:
-            integrate_rk(lambda r, y: 1e3 * y * y, 0.0, np.array([1.0]), 1.0)
+            integrate_rk(lambda r, y: [1e3 * y[0] * y[0]], 0.0, np.array([1.0]), 1.0)
         r_last = exc.value.r_last
         assert abs(r_last - 1e-3) <= 1e-9
         assert f"at r={r_last!r} with h=" in str(exc.value)
@@ -377,10 +377,54 @@ class TestStepper:
         # the dense stages and rows do not read stages 1-4, which a step does not keep
         assert not dop.A[13:, 1:5].any() and not dop.D[:, 1:5].any()
 
+    @pytest.mark.parametrize("problem", ["scalar", "sphere", "complex"])
+    def test_one_attempt_is_scipys_rk_step(self, problem):
+        # scipy's matrix-form DOP853 attempt on the same y, f and h: the
+        # update and both error rows agree to 8 ulp of max|y| (m = 2 real,
+        # m = 6 real, m = 2 complex), at steps up to 0.05, about what the
+        # radial cap 0.1 r allows at these radii (at 0.2 the stage sums
+        # cancel terms of several |y| and read up to 70 ulp apart)
+        if problem == "scalar":
+            fun, r = _selfsim_rhs(3), 0.7
+            y = [float(v.real) for v in series_start(real_selfsim_ivp(2.0, 3), 0.01)]
+        elif problem == "sphere":
+            params, r = FlowParams(3, 0.6, 0.8), 1.3
+            fun = sphere_profile_rhs(params)
+            y = solve_profile((0.6, 0.8), params, r).sol.y[-1].tolist()
+        else:
+            ivp = stereo_selfsim_ivp((1.0, 1.0), FlowParams(2, 0.0, 1.0))
+            fun, r = ivp.rhs(), 0.5
+            y = [complex(v) for v in series_start(ivp, 0.01)]
+        m = len(y)
+        attempt = dop.stepper(m)[0]
+        ulp = 8 * np.spacing(np.max(np.abs(y)))
+        for h in (1e-3, 0.01, 0.05):
+            f = list(fun(r, y))
+            y_new, (e5, e3), _, _ = attempt(fun, r, h, y, f)
+            K = np.empty((13, m), dtype=np.array(y).dtype)
+            ref, _ = rk_step(lambda t, v: np.array(fun(t, v.tolist())), r, np.array(y),
+                             np.array(f), h, DOP853.A, DOP853.B, DOP853.C, K)
+            assert np.max(np.abs(np.array(y_new) - ref)) <= ulp, h
+            assert np.max(np.abs(np.array(e5) - h * K.T @ DOP853.E5)) <= ulp, h
+            assert np.max(np.abs(np.array(e3) - h * K.T @ DOP853.E3)) <= ulp, h
+
+    def test_local_error_order_on_the_oscillator(self):
+        # one attempt from (1, 0) on y'' = -y against (cos h, -sin h): the
+        # local error of an 8th-order step falls like h^9
+        attempt = dop.stepper(2)[0]
+
+        def local_error(h):
+            y_new, _, _, _ = attempt(lambda r, y: (y[1], -y[0]), 0.0, h, [1.0, 0.0], [0.0, -1.0])
+            return max(abs(y_new[0] - math.cos(h)), abs(y_new[1] + math.sin(h)))
+
+        for h in (1.0, 0.5):
+            assert math.log2(local_error(h) / local_error(h / 2)) >= 8.5
+
     @pytest.mark.parametrize("dtype", [float, complex])
-    def test_matrix_form_matches_term_by_term_stages(self, rng, dtype):
+    def test_generated_attempt_matches_term_by_term_stages(self, rng, dtype):
         # with h pinned to 1/16 both take the same 16 steps; only the order
-        # of the stage sums differs, a few ulps per stage
+        # of the stage sums differs, a few ulps per stage (y + h sum a_l k_l
+        # here, y + sum (a_l h) k_l in the generated attempt)
         M = rng.normal(size=(3, 3)) + (1j * rng.normal(size=(3, 3)) if dtype is complex else 0)
         y0 = rng.normal(size=3).astype(dtype)
 
@@ -449,7 +493,7 @@ class TestStepper:
             return buf
 
         def as_tuple(r, y):
-            y0, y1 = y.tolist()
+            y0, y1 = y
             return y1, -y0
 
         fresh = integrate_rk(_oscillator, 0.0, np.array([1.0, 0.5]), 3.0, rel_tol=1e-6,
@@ -492,17 +536,22 @@ class TestStepper:
 
         cases = [(sample(2, m), sample(m), sample(m), tol)
                  for m in (1, 2, 6) for tol in (1e-6, 1e-10, 1e-13) for _ in range(30)]
+
+        def error_norm(*arrays):
+            # the integrator hands _error_norm sequences of Python numbers
+            return _error_norm(*(a.tolist() for a in arrays[:3]), arrays[3])
+
         for err, y_old, y_new, tol in cases:
-            assert _error_norm(err, y_old, y_new, tol) == reference(err, y_old, y_new, tol)
+            assert error_norm(err, y_old, y_new, tol) == reference(err, y_old, y_new, tol)
         zeros = np.zeros((2, 6), dtype=dtype)   # denominator 0
-        assert _error_norm(zeros, zeros[0], zeros[0], 1e-10) == 0.0
+        assert error_norm(zeros, zeros[0], zeros[0], 1e-10) == 0.0
         assert reference(zeros, zeros[0], zeros[0], 1e-10) == 0.0
         for row, (i, j) in ((0, (0, 2)), (1, (1, 5))):    # a NaN in an error row or a state
             err, y_old = sample(2, 6), sample(6)
             err[row, i] = np.nan
             y_old[j] = np.nan
             for args in ((err, sample(6), sample(6)), (sample(2, 6), y_old, sample(6))):
-                assert math.isnan(_error_norm(*args, 1e-10))
+                assert math.isnan(error_norm(*args, 1e-10))
                 assert math.isnan(reference(*args, 1e-10))
 
     def test_initial_step_uses_the_order_7_exponent(self):
@@ -531,13 +580,34 @@ class TestStepper:
         # derivative per accepted step
         attempts = sol.steps_accepted + sol.steps_rejected
         assert sol.rhs_evals == 2 + 11 * attempts + sol.steps_accepted
+        dr = np.diff(sol.r)
         assert sol.counters() == {"steps_accepted": sol.steps_accepted,
                                   "steps_rejected": sol.steps_rejected,
-                                  "rhs_evals": len(calls)}
+                                  "rhs_evals": len(calls), "h_min": dr.min(),
+                                  "r_at_h_min": sol.r[np.argmin(dr)], "h_max": dr.max()}
         # every step's dense rows: three more stages each, outside the counts
         assert sol.rows(np.arange(sol.r.size - 1)).shape[0] == sol.steps_accepted
         assert len(calls) == sol.rhs_evals + 3 * sol.steps_accepted
 
+
+    @pytest.mark.parametrize("problem", ["scalar", "sphere"])
+    def test_step_size_counters_are_the_node_spacing(self, problem):
+        # h_min, h_max and the node where the smallest step starts, read off
+        # np.diff(r); each spacing is the step the solver took, up to the
+        # rounding of r + h.  The smallest sits near the singular origin,
+        # where the cap 0.1 r binds
+        if problem == "scalar":
+            sol = solve_selfsim_real(4.0, 3, 8.0, 1e-10).sol
+        else:
+            sol = solve_profile((0.6, 0.8), FlowParams(3, 0.6, 0.8), 10.0).sol
+        dr = np.diff(sol.r)
+        c = sol.counters()
+        assert (c["h_min"], c["r_at_h_min"], c["h_max"]) == (dr.min(), sol.r[np.argmin(dr)],
+                                                              dr.max())
+        assert np.all(np.abs(sol.steps.h - dr) <= 1e-15 * sol.r[1:])
+        assert c["r_at_h_min"] <= 2 * sol.r[0]
+        assert c["h_min"] <= RADIAL_STEP * c["r_at_h_min"] * (1 + 1e-12)
+        assert c["h_max"] > 10.0 * c["h_min"]
 
     def test_steps_from_a_singular_origin_are_at_most_a_tenth_of_r(self):
         # from r0 > 0 below ROUNDING_TOL, h <= 0.1 r; above it the controller
@@ -552,28 +622,35 @@ class TestStepper:
 
 
 # the heat profile n = 2, v = (1, 0) to r_max 20 at its default tolerance,
-# and the scalar benchmark anchor (slope 22.113, n = 5, r_max 10, rel_tol
-# 1e-10); prints the SHA-256 of both solutions' nodes and states
+# the scalar benchmark anchor (slope 22.113, n = 5, r_max 10, rel_tol
+# 1e-10) and the complex spec of a scalar profile (slope 3, n = 3, r_max 8);
+# prints the SHA-256 of each solution's nodes, states and dense output at
+# the quarter points of every cell (which builds every step's rows)
 _PROFILES_DIGEST = """
 import hashlib
+import numpy as np
 from gllflow.geometry import FlowParams
-from gllflow.realflow import solve_selfsim_real
+from gllflow.realflow import real_selfsim_ivp, solve_selfsim_real
 from gllflow.selfsim import solve_profile
+from gllflow.singular_ode import integrate_rk, origin_start
+ivp = real_selfsim_ivp(3.0, 3)
+start = origin_start(ivp, 1e-10)
 h = hashlib.sha256()
 for sol in (solve_profile((1.0, 0.0), FlowParams(2, 1.0, 0.0), 20.0).sol,
-            solve_selfsim_real(2 * 11.056687500834824, 5, 10.0, 1e-10).sol):
+            solve_selfsim_real(2 * 11.056687500834824, 5, 10.0, 1e-10).sol,
+            integrate_rk(ivp.rhs(), start.r0, start.y0, 8.0, rel_tol=1e-10)):
     h.update(sol.r.tobytes())
     h.update(sol.y.tobytes())
+    quarters = sol.r[:-1, None] + np.diff(sol.r)[:, None] * np.array([0.25, 0.5, 0.75])
+    h.update(sol.eval(quarters.ravel()).tobytes())
 print(h.hexdigest())
 """
 
 
 class TestBlasKernel:
-    @pytest.mark.xfail(strict=True, reason=(
-        "CHANGES.md FOUND line on integrate_rk/_dop853: DOP853's stage sums (a BLAS "
-        "gemv) and _rms round by OpenBLAS kernel, so the heat profile's node values "
-        "differ under Haswell/Sandybridge/SkylakeX (306 nodes under each)"))
     def test_profile_nodes_do_not_depend_on_the_openblas_kernel(self):
+        # no BLAS call rounds a stage, a dense row or the starting step, so
+        # the kernels agree to the bit
         digests = digests_by_openblas_kernel(_PROFILES_DIGEST)
         assert len(set(digests.values())) == 1, digests
 

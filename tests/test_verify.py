@@ -8,7 +8,7 @@ import pytest
 
 from gllflow import _numerics as num
 from gllflow import geometry as geo
-from gllflow import verify
+from gllflow import selfsim, verify
 from gllflow.cli import main
 from gllflow.hasimoto import Frame
 from gllflow.selfsim import SelfSimProfile
@@ -273,3 +273,15 @@ def test_singular_prints_plain_floats(capsys):
         "7.499999585061087e-05], [0.04374095553187936, 0.0043749909524006805, "
         "0.0004374999735415302], [0.0006249921875979281, 6.249999216588475e-05, "
         "6.250000562688096e-06]]")
+
+
+def test_derivative_energy_bound_can_fail(monkeypatch, capsys):
+    # SelfSimProfile refuses a profile whose A(r) passes the bound, so the
+    # check used to end in exit 2 (a solver error) and could not print FAIL;
+    # with the bound lowered below the heat profile's max A it fails, exit 1
+    monkeypatch.setattr(selfsim, "derivative_energy_bound", lambda n: 0.5)
+    assert main(["verify", "selfsim"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("[FAIL] selfsim.derivative_energy_bounded: max A = ")
+    assert lines[0].endswith(" > 0.5; no profile to check further")
+    assert lines[1].startswith("suite selfsim: 0/1 in ")
