@@ -12,7 +12,9 @@ output alone.
     E3  3rd-order error weights (B minus the 3rd-order embedded weights)
     D   rows of the dense-output correction: q = h D K over all 16 stages
 
-`stepper(m)` turns the tableau into Python code for states of m numbers.
+`stepper(m)` turns the tableau's stages 1-11, update and error rows into
+Python code for states of m numbers; the dense rows read stages 0, 5-15 and
+D as numpy arrays (`singular_ode.DenseSolution.rows`).
 """
 
 import functools
@@ -86,21 +88,20 @@ D = np.array([
 
 @functools.cache
 def stepper(m):
-    """DOP853 on states of m Python numbers: (attempt, dense), generated
-    once for m with the tableau's nonzeros as literals.
+    """DOP853's attempt on states of m Python numbers, generated once for m
+    with the tableau's nonzeros as literals.
 
     attempt(fun, r, h, y, f) -> (y_new, (e5, e3), stages 0-4, stages 5-11)
     takes stages 1-11 from y and f = fun(r, y) and returns the 8th-order
-    update, the 5th- and 3rd-order error rows and the stages as flat tuples;
-    dense(fun, r, h, y, f, f_new, stages 5-11) takes stages 13-15 and returns
-    the 4 dense-output rows q.  A stage state is y + (a_0 h) k_0 + (a_1 h)
-    k_1 + ..., summed left to right with the weights a_l h formed once per
-    row; the update reads the same way, and the error and q rows are the
-    same sum without y.  So the rounding is fixed by the tableau, not by a
-    BLAS kernel.  fun(r, y) takes a list and returns a length-m sequence,
-    which is unpacked at once, so it may hand back one reused buffer.
+    update, the 5th- and 3rd-order error rows and the stages as flat lists.
+    A stage state is y + (a_0 h) k_0 + (a_1 h) k_1 + ..., summed left to
+    right with the weights a_l h formed once per row; the update reads the
+    same way, and the error rows are the same sum without y.  So the
+    rounding is fixed by the tableau, not by a BLAS kernel.  fun(r, y) takes
+    a list and returns a length-m sequence, which is unpacked at once, so it
+    may hand back one reused buffer.
     """
-    rows = A.tolist() + [B.tolist(), E5.tolist(), E3.tolist()] + D.tolist()
+    rows = A.tolist() + [B.tolist(), E5.tolist(), E3.tolist()]
     c = C.tolist()
 
     def ks(stages):
@@ -113,23 +114,13 @@ def stepper(m):
                          for j in range(m))
         return [f"    w{l} = {rows[k][l]!r} * h" for l in nz] + [line.format(sums)]
 
-    def stage(i):
-        return row(i, f"    {ks([i])} = fun(r + {c[i]!r} * h, [{{}}])", plus_y=True)
-
-    head = [f"    {', '.join(f'y{j}' for j in range(m))}, = y", f"    {ks([0])} = f"]
-    attempt = ["def attempt(fun, r, h, y, f):"] + head
+    attempt = ["def attempt(fun, r, h, y, f):",
+               f"    {', '.join(f'y{j}' for j in range(m))}, = y", f"    {ks([0])} = f"]
     for i in range(1, 12):
-        attempt += stage(i)
+        attempt += row(i, f"    {ks([i])} = fun(r + {c[i]!r} * h, [{{}}])", plus_y=True)
     attempt += (row(16, "    v16 = [{}]", plus_y=True) + row(17, "    v17 = ({},)")
                 + row(18, "    v18 = ({},)"))
-    attempt.append(f"    return v16, (v17, v18), ({ks(range(5))}), ({ks(range(5, 12))})")
-    dense = (["def dense(fun, r, h, y, f, f_new, kept):"] + head
-             + [f"    {ks([12])} = f_new", f"    {ks(range(5, 12))} = kept"])
-    for i in range(13, 16):
-        dense += stage(i)
-    for k in range(19, 23):
-        dense += row(k, f"    v{k} = [{{}}]")
-    dense.append("    return [v19, v20, v21, v22]")
+    attempt.append(f"    return v16, (v17, v18), [{ks(range(5))}], [{ks(range(5, 12))}]")
     space = {}
-    exec("\n".join(attempt + dense), space)
-    return space["attempt"], space["dense"]
+    exec("\n".join(attempt), space)
+    return space["attempt"]

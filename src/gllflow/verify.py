@@ -246,12 +246,14 @@ def suite_singular():
                            f"max ratio/bound = {worst:.6f}"))
 
     # determinism: identical inputs -> bit-identical solutions: nodes,
-    # counts, and the dense rows of every step
+    # counts, and the dense rows of every step, compared as bytes (equal
+    # values would let -0.0 pass for 0.0 and fail a NaN against itself)
     s1 = rf.solve_selfsim_real(1.0, 2, 5.0, rel_tol=1e-9).sol
     s2 = rf.solve_selfsim_real(1.0, 2, 5.0, rel_tol=1e-9).sol
     steps = np.arange(s1.r.size - 1)
-    same = (all(np.array_equal(a, b) for a, b in zip(s1[:3] + s1[4:], s2[:3] + s2[4:]))
-            and np.array_equal(s1.rows(steps), s2.rows(steps)))
+    same = all(a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+               for a, b in zip(map(np.asarray, s1[:3] + s1[4:] + (s1.rows(steps),)),
+                               map(np.asarray, s2[:3] + s2[4:] + (s2.rows(steps),))))
     out.append(CheckResult("deterministic_grids", same,
                            f"{s1.r.size} nodes, bit-identical: {same}"))
     return out

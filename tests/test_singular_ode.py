@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -292,7 +293,16 @@ class TestIntegrateAdaptive:
         with pytest.raises(NonFiniteError) as exc:
             integrate_rk(fun, 0.1, rng.normal(size=3), 2.0, rel_tol=1e-8)
         assert isinstance(exc.value, StiffnessError)
-        assert "non-finite" in str(exc.value) and "stage" in str(exc.value)
+        # the named stage is the attempt's first whose radius passes 0.5
+        # (C is not increasing), at the radius the attempt gave it
+        found = re.search(r"non-finite step from r=(\S+) with h=(\S+) "
+                          r"\(stage (\d+) at r=(\S+)\)", str(exc.value))
+        assert found, str(exc.value)
+        r, h, r_stage = (float(found[k]) for k in (1, 2, 4))
+        stage = int(found[3])
+        radii = [r + c * h for c in dop.C[:12].tolist()]
+        assert stage == next(i for i, ri in enumerate(radii) if ri > 0.5)
+        assert r_stage == radii[stage]
         rs, ys, fs = exc.value.partial
         # the last accepted node sits at the NaN edge: a NaN from a rejected
         # attempt does not leak into the stages of the next one
@@ -396,7 +406,7 @@ class TestStepper:
             fun, r = ivp.rhs(), 0.5
             y = [complex(v) for v in series_start(ivp, 0.01)]
         m = len(y)
-        attempt = dop.stepper(m)[0]
+        attempt = dop.stepper(m)
         ulp = 8 * np.spacing(np.max(np.abs(y)))
         for h in (1e-3, 0.01, 0.05):
             f = list(fun(r, y))
@@ -411,7 +421,7 @@ class TestStepper:
     def test_local_error_order_on_the_oscillator(self):
         # one attempt from (1, 0) on y'' = -y against (cos h, -sin h): the
         # local error of an 8th-order step falls like h^9
-        attempt = dop.stepper(2)[0]
+        attempt = dop.stepper(2)
 
         def local_error(h):
             y_new, _, _, _ = attempt(lambda r, y: (y[1], -y[0]), 0.0, h, [1.0, 0.0], [0.0, -1.0])
@@ -655,6 +665,37 @@ class TestBlasKernel:
         assert len(set(digests.values())) == 1, digests
 
 
+def _term_by_term_rows(sol):
+    """Every step's rows q as sums of Python numbers (numpy scalars for a
+    longdouble state), one step and one component at a time: stages 13-15
+    are y + (a_l h) k_l + ... and each row of q (d_l h) k_l + ..., added left
+    to right over the tableau's nonzero weights, with each a_l h formed once."""
+    def numbers(a):
+        return a.tolist() if a.dtype.char in "dD" else list(a)
+
+    m, st, rows = sol.y.shape[1], sol.steps, []
+    for k, (r, h) in enumerate(zip(sol.r[:-1].tolist(), st.h.tolist())):
+        y, kept = numbers(sol.y[k]), numbers(st.kept[k])
+        K = {0: numbers(sol.f[k]), 12: numbers(sol.f[k + 1])}
+        K.update({5 + i: kept[i * m:(i + 1) * m] for i in range(7)})
+
+        def row(weights, first):
+            w = {l: a * h for l, a in enumerate(weights.tolist()) if a}
+            out = []
+            for j in range(m):
+                terms = [w[l] * K[l][j] for l in w]
+                acc = terms.pop(0) if first is None else first[j]
+                for t in terms:
+                    acc = acc + t
+                out.append(acc)
+            return out
+
+        for i in (13, 14, 15):
+            K[i] = list(st.fun(r + dop.C[i].item() * h, row(dop.A[i], y)))
+        rows.append([row(d, None) for d in dop.D])
+    return np.array(rows, dtype=sol.y.dtype)
+
+
 class TestDenseOutput:
     @staticmethod
     def _scalar(slope=2.0, n=3, r_max=10.0, tol=1e-10):
@@ -746,6 +787,48 @@ class TestDenseOutput:
         evals += [sol.eval(mid).tobytes() for sol in (backward, every)]
         assert rows[0] == rows[1] == rows[2]
         assert evals[0] == evals[1] == evals[2]
+
+    @pytest.mark.parametrize("problem", ["scalar", "sphere"])
+    def test_float_rows_are_the_term_by_term_sums_to_the_byte(self, problem):
+        # bytes, not np.array_equal, which calls -0.0 and 0.0 equal
+        if problem == "scalar":
+            sol = self._scalar(22.113375001669648, 5)[0]
+        else:
+            sol = solve_profile((0.6, 0.8), FlowParams(3, 0.6, 0.8), 10.0).sol
+        rows = sol.rows(np.arange(sol.r.size - 1))
+        assert rows.dtype == np.float64
+        assert rows.tobytes() == _term_by_term_rows(sol).tobytes()
+
+    def test_single_cell_rows_are_the_term_by_term_sums_to_the_byte(self):
+        # m = 1, one step at a time: a reduction over a single cell's terms
+        # would add them pairwise
+        sol = integrate_rk(lambda r, y: [-r * y[0] + math.sin(7.0 * r)], 0.0,
+                           np.array([1.0]), 4.0, rel_tol=1e-12)
+        rows = np.concatenate([sol.rows([k]) for k in range(sol.r.size - 1)])
+        assert rows.tobytes() == _term_by_term_rows(sol).tobytes()
+
+    def test_complex_rows_are_the_term_by_term_sums_to_rounding(self):
+        # the complex spec rhs returns numpy scalars (np.conj), which turned
+        # the term-by-term stage states into np.complex128, whose division
+        # rounds unlike Python complex; the rows are fed Python numbers
+        ivp = real_selfsim_ivp(3.0, 3)
+        sol = solve_from_origin(ivp, 8.0, 1e-10)
+        rows = sol.rows(np.arange(sol.r.size - 1))
+        assert rows.dtype == np.complex128
+        gap = np.max(np.abs(rows - _term_by_term_rows(sol)))
+        assert gap <= 1e-12 * np.max(np.abs(sol.y)), gap
+
+    def test_longdouble_rows_are_the_term_by_term_sums(self):
+        # equal values: a longdouble's padding bytes are not part of it
+        long = np.longdouble
+
+        def fun(r, y):
+            return [y[1], -(3 / long(r) + long(r) / 2) * y[1] + np.sin(y[0]) / (long(r) * r)]
+
+        sol = integrate_rk(fun, 1e-3, np.array([long(1e-3), long(1)]), 3.0, rel_tol=1e-15)
+        rows = sol.rows(np.arange(sol.r.size - 1))
+        assert rows.dtype == np.longdouble
+        assert np.array_equal(rows, _term_by_term_rows(sol))
 
     def test_refuses_queries_outside_the_nodes(self):
         sol, _ = self._scalar()

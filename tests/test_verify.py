@@ -8,6 +8,7 @@ import pytest
 
 from gllflow import _numerics as num
 from gllflow import geometry as geo
+from gllflow import realflow as rf
 from gllflow import selfsim, verify
 from gllflow.cli import main
 from gllflow.hasimoto import Frame
@@ -262,6 +263,22 @@ class TestNorthPoleCheck:
         row = _rows(verify.suite_selfsim)["never_returns_to_north_pole"]
         assert row.passed
         assert row.detail == "min |psi - e3| / min(1, 2|v| r) = 0.898 at r = 0.49 >= 0.5"
+
+
+def test_deterministic_grids_tells_a_zero_from_minus_zero(monkeypatch):
+    # the two solves differ only in the sign of one zero, which equal
+    # values would not show
+    real, signs = rf.solve_selfsim_real, iter([0.0, -0.0])
+
+    def signed_zero(*args, **kwargs):
+        prof = real(*args, **kwargs)
+        y = prof.sol.y.copy()
+        y[0, 0] = next(signs)
+        return dataclasses.replace(prof, sol=prof.sol._replace(y=y))
+
+    monkeypatch.setattr(rf, "solve_selfsim_real", signed_zero)
+    row = _rows(verify.suite_singular)["deterministic_grids"]
+    assert not row.passed and row.detail.endswith("bit-identical: False")
 
 
 def test_singular_prints_plain_floats(capsys):
